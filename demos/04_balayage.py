@@ -34,7 +34,7 @@ print(f"   swept mass fraction = {rep.mass_ratio:.4f} (classical value R/d = 0.5
 charged = rep.swept > 0
 K = joint.entries
 emb = np.zeros(K.shape[0]); emb[:400] = rep.swept
-omega = np.zeros(K.shape[0]); omega[joint.node_index[(1, 0)]] = 1.0
+omega = np.zeros(K.shape[0]); omega[len(sphere)] = 1.0
 dev = (K @ (emb - omega))[:400]
 print(f"   potential match on charged part: max |dev| = {np.abs(dev[charged]).max():.2e}")
 near = rep.swept[sphere[:, 0] > 0.5].sum() / rep.swept.sum()

@@ -23,7 +23,9 @@ from .condenser import (
     FieldSpec,
     Plate,
     ScalarSignedMeasure,
+    _merge_points,
     check_feasibility,
+    condenser_gram,
     semimetric_distance,
     zero_field,
 )
@@ -108,30 +110,17 @@ class BalayageReport:
 def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes) -> GramMatrix:
     """Joint Gram over target and source points for :func:`balayage`.
 
-    Coincident target/source coordinates share a row; ``node_index`` maps
-    plate 0 to the target nodes and plate 1 to the source support.
+    The target nodes take the first rows, in order; source points that do
+    not coincide with a target node follow.  Coincident target/source
+    coordinates share a row.
     """
-    target = np.asarray(target_nodes, dtype=float)
-    if target.ndim == 1:
-        target = target[None, :]
-    rows: list[np.ndarray] = []
-    index: dict = {}
-    seen: dict[bytes, int] = {}
-    for j, pt in enumerate(target):
-        key = (pt + 0.0).tobytes()
-        if key in seen:
-            raise VequilError("balayage target nodes must be distinct")
-        seen[key] = len(rows)
-        index[(0, j)] = len(rows)
-        rows.append(pt)
-    for k, pt in enumerate(source.support):
-        key = (pt + 0.0).tobytes()
-        if key not in seen:
-            seen[key] = len(rows)
-            rows.append(pt)
-        index[(1, k)] = seen[key]
-    G = assemble_gram(spec, np.vstack(rows))
-    return GramMatrix(entries=G.entries, node_index=index, spec=G.spec, nodes=G.nodes)
+    target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
+    joint = np.vstack([target, source.support])
+    first, inverse = _merge_points(joint)
+    n_t = target.shape[0]
+    if not np.array_equal(inverse[:n_t], np.arange(n_t)):
+        raise VequilError("balayage target nodes must be distinct")
+    return assemble_gram(spec, joint[first])
 
 
 def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
@@ -139,7 +128,10 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     """Sweep a nonnegative measure onto a target node set.
 
     Minimizes the energy-metric distance to the source over nonnegative
-    weights on the target.  The optimality contract is the discrete balayage
+    weights on the target.  The rows of ``K_joint`` that hold the target
+    nodes and the source points are found by merging those points with
+    ``K_joint.nodes``; a point that is not a node of ``K_joint`` is an
+    error.  The optimality contract is the discrete balayage
     property: the swept potential dominates the source potential on the
     target, with equality where the swept measure is charged; the maximum
     violation is reported as ``potential_residual``.
@@ -148,12 +140,16 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
         raise VequilError("balayage source must be nonnegative")
     if source.total <= 0.0:
         raise VequilError("balayage source must carry positive mass")
-    target = np.asarray(target_nodes, dtype=float)
-    if target.ndim == 1:
-        target = target[None, :]
+    target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
     n_t = target.shape[0]
-    rows_t = np.array([K_joint.node_index[(0, j)] for j in range(n_t)], dtype=int)
-    rows_s = np.array([K_joint.node_index[(1, k)] for k in range(source.weights.shape[0])], dtype=int)
+    if K_joint.nodes is None:
+        raise VequilError("balayage needs a joint Gram that records its nodes")
+    n = K_joint.size
+    first, inverse = _merge_points(np.vstack([K_joint.nodes, target, source.support]))
+    rows = first[inverse[n:]]
+    if np.any(rows >= n):
+        raise VequilError("balayage target and source points must be nodes of the joint Gram")
+    rows_t, rows_s = rows[:n_t], rows[n_t:]
     K = K_joint.entries
     try:
         L = np.linalg.cholesky(K)
@@ -204,8 +200,7 @@ def green_gram(spec: KernelSpec, inner_nodes, screen_nodes) -> GramMatrix:
         raise NotPositiveDefinite(f"screen block is not strictly PD: {exc}") from exc
     S = A - B @ scipy.linalg.cho_solve(cho, B.T)
     S = 0.5 * (S + S.T)
-    return GramMatrix(entries=S, node_index={(0, i): i for i in range(n_i)},
-                      spec=None, nodes=inner)
+    return GramMatrix(entries=S, spec=None, nodes=inner)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +229,8 @@ class ExhaustionTrace:
 
 
 def _sub_gram(K: GramMatrix, idx: np.ndarray, c_sub: Condenser) -> GramMatrix:
-    return GramMatrix(entries=K.entries[np.ix_(idx, idx)], node_index=c_sub.node_index(),
-                      spec=K.spec, nodes=None if K.nodes is None else K.nodes[idx])
+    return GramMatrix(entries=K.entries[np.ix_(idx, idx)], spec=K.spec,
+                      nodes=None if K.nodes is None else K.nodes[idx])
 
 
 def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -> ExhaustionTrace:
@@ -415,7 +410,7 @@ def thinness_demo(
             plate2 = Plate(id=1, sign=-1, nodes=nodes2, g=np.ones(nodes2.shape[0]),
                            mass=1.0, sigma=sigma2)
             cond = Condenser(plates=(plate1, plate2))
-            Kc = assemble_gram(spec, cond.all_nodes(), node_index=cond.node_index())
+            Kc = condenser_gram(spec, cond)
             zeta = ScalarSignedMeasure(support=src, weights=theta_src)
             field = FieldSpec(case=CASE2, case2_zeta=zeta)
             rep = solve(cond, Kc, field, cfg)

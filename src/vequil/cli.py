@@ -85,11 +85,8 @@ def _cmd_solve(args) -> int:
 def _cmd_capacity(args) -> int:
     parsed = parse_config(args.config)
     section = parsed.capacity
-    plate_idx = int(section.get("plate", 0))
-    plates = parsed.problem.condenser.plates
-    if not 0 <= plate_idx < len(plates):
-        raise VequilError(f"capacity.plate: no plate {plate_idx}")
-    plate = plates[plate_idx]
+    plate_idx = section.get("plate", 0)
+    plate = parsed.problem.condenser.plates[plate_idx]
     gram = assemble_gram(parsed.problem.gram.spec, plate.nodes)
     tol = section.get("frostman_tol")
     cfg = parsed.problem.config
@@ -117,14 +114,9 @@ def _cmd_balayage(args) -> int:
     section = parsed.balayage
     if not section:
         raise VequilError("balayage: config has no balayage section")
-    from .config import _parse_scalar_measure  # shared field-anchored parser
-
-    source = _parse_scalar_measure(section["source"], "balayage.source")
-    plate_idx = int(section.get("target_plate", 0))
-    plates = parsed.problem.condenser.plates
-    if not 0 <= plate_idx < len(plates):
-        raise VequilError(f"balayage.target_plate: no plate {plate_idx}")
-    target = plates[plate_idx].nodes
+    source = parsed.balayage_source
+    plate_idx = section.get("target_plate", 0)
+    target = parsed.problem.condenser.plates[plate_idx].nodes
     tol = float(section.get("tol", 1e-9))
     joint = balayage_gram(parsed.problem.gram.spec, source, target)
     rep = balayage(source, target, joint, tol=tol)

@@ -14,15 +14,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, VequilError
-from .kernels import GramMatrix, KernelSpec, _as_points, assemble_gram, cross_kernel
+from .kernels import (
+    GramMatrix,
+    KernelSpec,
+    _as_points,
+    _sq_dist_blocks,
+    assemble_gram,
+    cross_kernel,
+)
 
 CASE1 = "case1"
 CASE2 = "case2"
 
 
-def _coord_key(point: np.ndarray) -> bytes:
-    # +0.0 normalization so -0.0 and 0.0 key identically.
-    return (np.asarray(point, dtype=float) + 0.0).tobytes()
+def _merge_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge exactly coincident points (-0.0 == +0.0) into ``(first, inverse)``.
+
+    ``first`` indexes the first occurrence of each distinct point, in input
+    order; ``points[k]`` is the distinct point ``inverse[k]``.
+    """
+    _, first, inverse = np.unique(points + 0.0, axis=0, return_index=True,
+                                  return_inverse=True)
+    # np.unique ranks points lexicographically; re-rank by first occurrence.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _merge_weighted(points: np.ndarray, weights: np.ndarray) -> "ScalarSignedMeasure":
+    """Signed measure of weighted points; coincident weights add in input order."""
+    first, inverse = _merge_points(points)
+    acc = np.zeros(first.size)
+    np.add.at(acc, inverse, weights)
+    return ScalarSignedMeasure(support=points[first] + 0.0, weights=acc)
 
 
 @dataclass(frozen=True)
@@ -58,12 +83,8 @@ class Plate:
             raise VequilError(f"plate {self.id}: sigma must be nonnegative and finite")
         if not (np.isfinite(self.mass) and self.mass > 0.0):
             raise VequilError(f"plate {self.id}: mass must be positive")
-        seen = set()
-        for p in nodes:
-            key = _coord_key(p)
-            if key in seen:
-                raise VequilError(f"plate {self.id}: duplicate node coordinates")
-            seen.add(key)
+        if _merge_points(nodes)[0].size < m:
+            raise VequilError(f"plate {self.id}: duplicate node coordinates")
         for arr in (nodes, g, sigma):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -112,8 +133,7 @@ class Condenser:
         if pos and neg:
             pos_nodes = np.vstack([p.nodes for p in pos])
             neg_nodes = np.vstack([p.nodes for p in neg])
-            d2 = ((pos_nodes[:, None, :] - neg_nodes[None, :, :]) ** 2).sum(axis=-1)
-            if float(d2.min()) <= 0.0:
+            if any(float(d2.min()) <= 0.0 for _, d2 in _sq_dist_blocks(pos_nodes, neg_nodes)):
                 raise VequilError(
                     "oppositely signed plates must be disjoint with positive separation"
                 )
@@ -140,14 +160,6 @@ class Condenser:
     def signs_per_node(self) -> np.ndarray:
         return np.concatenate([np.full(p.n_nodes, float(p.sign)) for p in self.plates])
 
-    def node_index(self) -> dict:
-        index, row = {}, 0
-        for p in self.plates:
-            for loc in range(p.n_nodes):
-                index[(p.id, loc)] = row
-                row += 1
-        return index
-
     def measure(self, weights) -> "VectorMeasure":
         return VectorMeasure.for_condenser(self, weights)
 
@@ -156,12 +168,12 @@ class Condenser:
 
 
 def condenser_gram(spec: KernelSpec, c: Condenser) -> GramMatrix:
-    """Gram matrix over all plate nodes, indexed by ``(plate_id, local)``.
+    """Gram matrix over all plate nodes; plate ``k`` owns rows ``c.slices()[k]``.
 
     The default epsilon is resolved from the minimum positive spacing of the
     full node collection (coincident equal-sign nodes are ignored).
     """
-    return assemble_gram(spec, c.all_nodes(), node_index=c.node_index())
+    return assemble_gram(spec, c.all_nodes())
 
 
 @dataclass(frozen=True)
@@ -210,12 +222,8 @@ class ScalarSignedMeasure:
             raise DimensionMismatch("support and weights length mismatch")
         if not np.all(np.isfinite(weights)):
             raise VequilError("scalar measure weights must be finite")
-        seen = set()
-        for p in support:
-            key = _coord_key(p)
-            if key in seen:
-                raise VequilError("scalar measure support points must be distinct")
-            seen.add(key)
+        if _merge_points(support)[0].size < support.shape[0]:
+            raise VequilError("scalar measure support points must be distinct")
         support.setflags(write=False)
         weights = weights.copy()
         weights.setflags(write=False)
@@ -288,18 +296,7 @@ def r_map(c: Condenser, mu: VectorMeasure) -> ScalarSignedMeasure:
     with weight zero, so the support bookkeeping is exact.
     """
     check_shapes(c, mu)
-    order: list[np.ndarray] = []
-    acc: dict[bytes, float] = {}
-    for p, w in zip(c.plates, mu.weights):
-        for loc in range(p.n_nodes):
-            key = _coord_key(p.nodes[loc])
-            if key not in acc:
-                acc[key] = 0.0
-                order.append(p.nodes[loc] + 0.0)
-            acc[key] += p.sign * float(w[loc])
-    support = np.vstack(order)
-    weights = np.array([acc[_coord_key(pt)] for pt in support])
-    return ScalarSignedMeasure(support=support, weights=weights)
+    return _merge_weighted(c.all_nodes(), _signed_concat(c, mu))
 
 
 def _signed_concat(c: Condenser, mu: VectorMeasure) -> np.ndarray:
@@ -349,18 +346,8 @@ def scalar_mutual_energy(spec: KernelSpec, m1: ScalarSignedMeasure, m2: ScalarSi
 
 def scalar_sum(m1: ScalarSignedMeasure, m2: ScalarSignedMeasure) -> ScalarSignedMeasure:
     """Support-merged sum of two scalar signed measures (exact coordinates)."""
-    order: list[np.ndarray] = []
-    acc: dict[bytes, float] = {}
-    for m in (m1, m2):
-        for pt, w in zip(m.support, m.weights):
-            key = _coord_key(pt)
-            if key not in acc:
-                acc[key] = 0.0
-                order.append(pt + 0.0)
-            acc[key] += float(w)
-    support = np.vstack(order)
-    weights = np.array([acc[_coord_key(pt)] for pt in support])
-    return ScalarSignedMeasure(support=support, weights=weights)
+    return _merge_weighted(np.vstack([m1.support, m2.support]),
+                           np.concatenate([m1.weights, m2.weights]))
 
 
 def field_linear_coefficients(c: Condenser, K: GramMatrix, f: FieldSpec) -> np.ndarray:

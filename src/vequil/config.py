@@ -22,6 +22,7 @@ from .condenser import (
     FieldSpec,
     Plate,
     ScalarSignedMeasure,
+    condenser_gram,
 )
 from .errors import ConfigError, VequilError
 from .geometry import fibonacci_sphere, grid_nodes, ring_nodes, rotational_body
@@ -142,12 +143,24 @@ def _parse_kernel(d, path: str) -> KernelSpec:
 def _parse_scalar_measure(d, path: str) -> ScalarSignedMeasure:
     if not isinstance(d, dict):
         raise _fail(path, "expected an object with support and weights")
-    support = np.asarray(_get(d, "support", path), dtype=float)
-    weights = np.asarray(_get(d, "weights", path), dtype=float)
+    support, weights = _get(d, "support", path), _get(d, "weights", path)
     try:
-        return ScalarSignedMeasure(support=support, weights=weights)
-    except VequilError as exc:
+        return ScalarSignedMeasure(support=np.asarray(support, dtype=float),
+                                   weights=np.asarray(weights, dtype=float))
+    except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
+
+
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise _fail(key, "must be an object")
+    return section
+
+
+def _check_plate_index(value, path: str, n_plates: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n_plates:
+        raise _fail(path, f"expected a plate index in [0, {n_plates}), got {value!r}")
 
 
 def _parse_solver(d, path: str) -> SolverConfig:
@@ -176,13 +189,14 @@ def _parse_solver(d, path: str) -> SolverConfig:
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """A parsed config: the solvable bundle plus command sections."""
+    """A parsed config: the solvable bundle plus validated command sections."""
 
     problem: Problem
     canonical: dict
     capacity: dict
     balayage: dict
     exhaust: dict
+    balayage_source: ScalarSignedMeasure | None = None
 
 
 def parse_config(source) -> ParsedConfig:
@@ -289,23 +303,35 @@ def parse_config(source) -> ParsedConfig:
 
     solver_cfg = _parse_solver(doc.get("solver"), "solver")
     try:
-        gram = assemble_gram(spec, cond.all_nodes(), node_index=cond.node_index())
+        gram = condenser_gram(spec, cond)
     except VequilError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
     problem = Problem(condenser=cond, gram=gram, field=field, config=solver_cfg)
 
-    capacity = doc.get("capacity") or {}
-    balayage_doc = doc.get("balayage") or {}
+    n_plates = len(cond.plates)
+    capacity = _section(doc, "capacity")
+    _check_plate_index(capacity.get("plate", 0), "capacity.plate", n_plates)
+    if capacity.get("frostman_tol") is not None:
+        _as_float(capacity["frostman_tol"], "capacity.frostman_tol")
+    balayage_doc = _section(doc, "balayage")
+    balayage_source = None
     if balayage_doc:
-        _parse_scalar_measure(_get(balayage_doc, "source", "balayage"), "balayage.source")
-    exhaust = doc.get("exhaust") or {}
+        balayage_source = _parse_scalar_measure(
+            _get(balayage_doc, "source", "balayage"), "balayage.source"
+        )
+        _check_plate_index(balayage_doc.get("target_plate", 0), "balayage.target_plate", n_plates)
+        _as_float(balayage_doc.get("tol", 1e-9), "balayage.tol")
+    exhaust = _section(doc, "exhaust")
     if exhaust:
         fr = _get(exhaust, "fractions", "exhaust")
         if not isinstance(fr, list) or not fr:
             raise ConfigError("exhaust.fractions: must be a nonempty list")
         sc = exhaust.get("sigma_scales")
-        if sc is not None and len(sc) != len(fr):
-            raise ConfigError("exhaust.sigma_scales: length must match fractions")
+        if sc is not None and (not isinstance(sc, list) or len(sc) != len(fr)):
+            raise ConfigError("exhaust.sigma_scales: must be a list as long as fractions")
+        for key, values in (("fractions", fr), ("sigma_scales", sc or [])):
+            for k, v in enumerate(values):
+                _as_float(v, f"exhaust.{key}[{k}]")
 
     canonical = canonical_form(problem, capacity, balayage_doc, exhaust)
     return ParsedConfig(
@@ -314,6 +340,7 @@ def parse_config(source) -> ParsedConfig:
         capacity=capacity,
         balayage=balayage_doc,
         exhaust=exhaust,
+        balayage_source=balayage_source,
     )
 
 

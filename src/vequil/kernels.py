@@ -31,7 +31,7 @@ CUSTOM_TABLE = "custom_table"
 FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK, CUSTOM_TABLE)
 SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 
-# Row-block size for Gram assembly; bounds peak memory at ~block*N*dim floats.
+# Row-block size of every pairwise-distance pass; bounds memory at ~block*N*dim floats.
 _ASSEMBLY_BLOCK = 512
 
 
@@ -110,14 +110,14 @@ class KernelSpec:
 class GramMatrix:
     """Dense symmetric kernel matrix over an ordered node set.
 
-    ``node_index`` maps ``(plate_id, local_node_index)`` to a global row; for
-    flat node lists the plate id is 0.  ``spec`` and ``nodes`` record how the
-    matrix was assembled so downstream operations (external fields, balayage
-    candidates) can evaluate the same kernel off the stored node set.
+    Row ``i`` belongs to node ``nodes[i]``; over a condenser the plates occupy
+    consecutive row ranges, given by ``Condenser.slices()``.  ``spec`` and
+    ``nodes`` record how the matrix was assembled so downstream operations
+    (external fields, balayage rows) can evaluate the same kernel off, or
+    locate points in, the stored node set.
     """
 
     entries: np.ndarray
-    node_index: dict
     spec: KernelSpec | None = None
     nodes: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -139,10 +139,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def rows_for_plate(self, plate_id: int) -> np.ndarray:
-        rows = [row for (pid, loc), row in sorted(self.node_index.items()) if pid == plate_id]
-        return np.asarray(rows, dtype=int)
 
     def eig_extremes(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue, cached after the first call."""
@@ -195,9 +191,7 @@ def minimum_spacing(nodes) -> float:
     """Smallest positive pairwise distance of a node set (inf if none)."""
     pts = _as_points(nodes)
     best = np.inf
-    for start in range(0, pts.shape[0], _ASSEMBLY_BLOCK):
-        blk = pts[start : start + _ASSEMBLY_BLOCK]
-        d2 = ((blk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    for _, d2 in _sq_dist_blocks(pts, pts):
         pos = d2[d2 > 0.0]
         if pos.size:
             best = min(best, float(np.sqrt(pos.min())))
@@ -221,16 +215,27 @@ def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
     return spec.with_epsilon(0.5 * h)
 
 
-def _pair_sq_dists(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # (a-b)**2 summed over coordinates: exactly symmetric and bit-identical
-    # to the per-pair evaluation in evaluate_kernel.
-    return ((rows[:, None, :] - cols[None, :, :]) ** 2).sum(axis=-1)
+def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block."""
+    for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
+        blk = rows[start : start + _ASSEMBLY_BLOCK]
+        # (a-b)**2 summed over coordinates: exactly symmetric and
+        # bit-identical to the per-pair evaluation in evaluate_kernel.
+        yield start, ((blk[:, None, :] - cols[None, :, :]) ** 2).sum(axis=-1)
 
 
 def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> np.ndarray:
     if spec.family == LOG_DISK:
         return -0.5 * np.log(r2)
     return r2 ** ((float(spec.alpha) - n) / 2.0)
+
+
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    eps = float(spec.epsilon or 0.0)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for start, d2 in _sq_dist_blocks(X, Y):
+        out[start : start + d2.shape[0]] = _apply_family(spec, d2 + eps * eps, X.shape[1])
+    return out
 
 
 def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
@@ -251,22 +256,18 @@ def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
     if spec.family == LOG_DISK:
         if np.any((X * X).sum(axis=1) >= 1.0) or np.any((Y * Y).sum(axis=1) >= 1.0):
             raise KernelDomainError("log_disk points must lie inside the open unit disk")
-    eps = 0.0 if spec.epsilon is None else float(spec.epsilon)
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for start in range(0, X.shape[0], _ASSEMBLY_BLOCK):
-        blk = X[start : start + _ASSEMBLY_BLOCK]
-        r2 = _pair_sq_dists(blk, Y) + eps * eps
-        out[start : start + blk.shape[0]] = _apply_family(spec, r2, n)
+    out = _kernel_matrix(spec, X, Y)
     if not np.all(np.isfinite(out)):
         raise KernelDomainError("cross kernel has singular entries; use epsilon > 0")
     return out
 
 
-def assemble_gram(spec: KernelSpec, nodes, node_index: dict | None = None) -> GramMatrix:
+def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
     """Assemble the dense Gram matrix of a kernel over a node set.
 
-    ``epsilon=None`` on a singular family resolves to half the minimum
-    positive node spacing.  The result is exactly symmetric and finite.
+    Row ``i`` belongs to ``nodes[i]``.  ``epsilon=None`` on a singular family
+    resolves to half the minimum positive node spacing.  The result is
+    exactly symmetric and finite.
     """
     if spec.family == CUSTOM_TABLE:
         if nodes is None:
@@ -285,16 +286,8 @@ def assemble_gram(spec: KernelSpec, nodes, node_index: dict | None = None) -> Gr
             )
         if spec.family == LOG_DISK and np.any((pts * pts).sum(axis=1) >= 1.0):
             raise KernelDomainError("log_disk nodes must lie inside the open unit disk")
-        eps = float(spec.epsilon or 0.0)
-        n = pts.shape[1]
-        entries = np.empty((pts.shape[0], pts.shape[0]))
-        for start in range(0, pts.shape[0], _ASSEMBLY_BLOCK):
-            blk = pts[start : start + _ASSEMBLY_BLOCK]
-            r2 = _pair_sq_dists(blk, pts) + eps * eps
-            entries[start : start + blk.shape[0]] = _apply_family(spec, r2, n)
-    if node_index is None:
-        node_index = {(0, i): i for i in range(entries.shape[0])}
-    return GramMatrix(entries=entries, node_index=node_index, spec=spec, nodes=pts)
+        entries = _kernel_matrix(spec, pts, pts)
+    return GramMatrix(entries=entries, spec=spec, nodes=pts)
 
 
 def check_positive_definite(G: GramMatrix, pd_tol: float | None = None) -> PDReport:

@@ -133,7 +133,7 @@ class TestBalayage:
         emb = np.zeros(K.shape[0])
         emb[: len(target)] = rep.swept
         omega = np.zeros(K.shape[0])
-        omega[joint.node_index[(1, 0)]] = 1.0
+        omega[len(target)] = 1.0
         grad = (K @ (emb - omega))[: len(target)]
         assert np.abs(grad[rep.swept > 0]).max() <= 1e-8
 

@@ -1,5 +1,7 @@
 """Condenser types, R-map, energies, semimetric, fields, feasibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from vequil import (
     zero_field,
 )
 from vequil.condenser import CASE1, CASE2, FieldSpec
+from vequil.geometry import fibonacci_sphere
 
 from instances import (
     overlapping_pair,
@@ -67,6 +70,19 @@ class TestConstruction:
         c = Condenser(plates=(make_plate(0, 1, [[0.0, 0.0]], sigma=1.0),))
         with pytest.raises(VequilError):
             c.measure([np.array([-0.5])])
+
+    def test_separation_check_memory_is_blocked(self):
+        # Two opposite 3000-node plates: all pairwise differences at once
+        # would take 3000 * 3000 * 3 doubles (216 MB) per temporary.
+        p0 = make_plate(0, 1, fibonacci_sphere(3000))
+        p1 = make_plate(1, -1, fibonacci_sphere(3000, center=(3.0, 0.0, 0.0)))
+        tracemalloc.start()
+        try:
+            Condenser(plates=(p0, p1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestRMap:
@@ -298,7 +314,7 @@ class TestShapeErrors:
         K = random_gram(rng, c)
         from vequil import GramMatrix
 
-        bare = GramMatrix(entries=K.entries, node_index=K.node_index)
+        bare = GramMatrix(entries=K.entries)
         f = random_case2_field(rng, c)
         mu = random_measure(rng, c)
         with pytest.raises(VequilError):

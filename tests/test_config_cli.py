@@ -1,6 +1,7 @@
 """Config parsing, canonical round-trip, CLI commands, exit codes, goldens."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,35 @@ def test_case2_round_trip():
     text1 = serialize_config(parse_config(doc).canonical)
     text2 = serialize_config(parse_config(text1).canonical)
     assert text1 == text2
+
+
+_SOURCE = {"support": [[0.0, 3.0, 0.0]], "weights": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, section, field_path",
+    [
+        ("capacity", {"capacity": {"plate": "x"}}, "capacity.plate"),
+        ("capacity", {"capacity": {"plate": 2}}, "capacity.plate"),
+        ("balayage", {"balayage": {"source": _SOURCE, "target_plate": "zero"}},
+         "balayage.target_plate"),
+        ("balayage", {"balayage": {"source": _SOURCE, "tol": "tight"}}, "balayage.tol"),
+        ("balayage", {"balayage": {"source": {"support": "x", "weights": [1.0]}}},
+         "balayage.source"),
+        ("exhaust", {"exhaust": {"fractions": ["half"]}}, "exhaust.fractions[0]"),
+        ("exhaust", {"exhaust": {"fractions": [0.5, 1.0], "sigma_scales": 5}},
+         "exhaust.sigma_scales"),
+    ],
+)
+def test_malformed_command_section_is_a_config_error(command, section, field_path,
+                                                     capsys, tmp_path):
+    path = tmp_path / "bad_section.json"
+    path.write_text(json.dumps(minimal_config(**section)))
+    with pytest.raises(ConfigError, match=re.escape(field_path)):
+        parse_config(str(path))
+    code, _, err = run_cli([command, str(path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {field_path}: ")
 
 
 class TestCLI:

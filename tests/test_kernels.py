@@ -128,7 +128,7 @@ class TestAssembleGram:
 
     def test_gram_requires_exact_symmetry(self):
         with pytest.raises(DimensionMismatch):
-            GramMatrix(entries=np.array([[1.0, 0.1], [0.2, 1.0]]), node_index={})
+            GramMatrix(entries=np.array([[1.0, 0.1], [0.2, 1.0]]))
 
 
 class TestCrossKernel:

@@ -1,0 +1,321 @@
+"""Property tests of the node-set bookkeeping: point merging, separation, spacing.
+
+Points are drawn from a coarse lattice that contains both -0.0 and +0.0, so
+coincident nodes (and coincidences up to the sign of zero) actually occur.
+The oracles are straightforward per-point dict loops keyed on the bytes of
+the +0.0-normalized coordinates; the library must agree with them bit for
+bit, in support order and in every weight.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vequil import (
+    Condenser,
+    KernelSpec,
+    ScalarSignedMeasure,
+    VequilError,
+    assemble_gram,
+    condenser_gram,
+    energy,
+    make_plate,
+    minimum_spacing,
+    r_map,
+    scalar_energy,
+    scalar_sum,
+)
+from vequil.analysis import balayage_gram
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+LATTICE = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+# Opposite-sign plates are shifted this far along the first axis.
+SHIFT = 10.0
+
+
+# ---------------------------------------------------------------------------
+# Oracles: per-point dict loops
+# ---------------------------------------------------------------------------
+
+
+def _coord_key(point) -> bytes:
+    return (np.asarray(point, dtype=float) + 0.0).tobytes()
+
+
+def oracle_has_duplicate(points) -> bool:
+    seen = set()
+    for p in points:
+        key = _coord_key(p)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+def oracle_r_map(c, mu):
+    order, acc = [], {}
+    for p, w in zip(c.plates, mu.weights):
+        for loc in range(p.n_nodes):
+            key = _coord_key(p.nodes[loc])
+            if key not in acc:
+                acc[key] = 0.0
+                order.append(p.nodes[loc] + 0.0)
+            acc[key] += p.sign * float(w[loc])
+    support = np.vstack(order)
+    return support, np.array([acc[_coord_key(pt)] for pt in support])
+
+
+def oracle_scalar_sum(m1, m2):
+    order, acc = [], {}
+    for m in (m1, m2):
+        for pt, w in zip(m.support, m.weights):
+            key = _coord_key(pt)
+            if key not in acc:
+                acc[key] = 0.0
+                order.append(pt + 0.0)
+            acc[key] += float(w)
+    support = np.vstack(order)
+    return support, np.array([acc[_coord_key(pt)] for pt in support])
+
+
+def oracle_balayage_rows(source, target):
+    """Joint node rows (target first) and the row of each source point."""
+    rows, seen, source_rows = [], {}, []
+    for pt in target:
+        seen[_coord_key(pt)] = len(rows)
+        rows.append(pt)
+    for pt in source.support:
+        key = _coord_key(pt)
+        if key not in seen:
+            seen[key] = len(rows)
+            rows.append(pt)
+        source_rows.append(seen[key])
+    return np.vstack(rows), source_rows
+
+
+def oracle_min_sq_dist(a, b, positive_only=False):
+    best = np.inf
+    for p in a:
+        for q in b:
+            d2 = float(np.sum((p - q) ** 2))
+            if d2 > 0.0 or not positive_only:
+                best = min(best, d2)
+    return best
+
+
+def distinct(points):
+    out, seen = [], set()
+    for p in points:
+        key = _coord_key(p)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return np.array(out)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+dims = st.integers(min_value=1, max_value=3)
+weights = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_subnormal=False)
+nonneg_weights = st.floats(min_value=0.0, max_value=8.0, allow_nan=False, allow_subnormal=False)
+
+
+def lattice_points(dim, min_size=1, max_size=12):
+    point = st.lists(st.sampled_from(LATTICE), min_size=dim, max_size=dim)
+    return st.lists(point, min_size=min_size, max_size=max_size).map(
+        lambda pts: np.array(pts, dtype=float).reshape(-1, dim)
+    )
+
+
+@st.composite
+def condensers_with_measures(draw):
+    dim = draw(dims)
+    plates, ws = [], []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        sign = draw(st.sampled_from((1, -1)))
+        nodes = distinct(draw(lattice_points(dim)))
+        if sign < 0:
+            nodes[:, 0] += SHIFT
+        plates.append(make_plate(k, sign, nodes))
+        ws.append(np.array(draw(st.lists(nonneg_weights, min_size=len(nodes),
+                                         max_size=len(nodes)))))
+    c = Condenser(plates=tuple(plates))
+    return c, c.measure(ws)
+
+
+@st.composite
+def scalar_measures(draw, dim):
+    support = distinct(draw(lattice_points(dim)))
+    w = draw(st.lists(weights, min_size=len(support), max_size=len(support)))
+    return ScalarSignedMeasure(support=support, weights=np.array(w))
+
+
+@st.composite
+def scalar_measure_pairs(draw):
+    dim = draw(dims)
+    return draw(scalar_measures(dim)), draw(scalar_measures(dim))
+
+
+point_sets = dims.flatmap(lambda d: lattice_points(d, max_size=16))
+
+
+@st.composite
+def opposite_plate_pairs(draw):
+    dim = draw(dims)
+    return distinct(draw(lattice_points(dim))), distinct(draw(lattice_points(dim)))
+
+
+@st.composite
+def spacing_inputs(draw):
+    dim = draw(dims)
+    coarse = draw(lattice_points(dim, max_size=16))
+    fine = draw(st.lists(st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+                                  min_size=dim, max_size=dim), min_size=0, max_size=8))
+    fine = np.array(fine, dtype=float).reshape(-1, dim)
+    return np.vstack([coarse, fine])
+
+
+@st.composite
+def balayage_inputs(draw):
+    target = distinct(draw(lattice_points(3)))
+    return draw(scalar_measures(3)), target
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(condensers_with_measures())
+def test_r_map_matches_oracle(cm):
+    c, mu = cm
+    support, w = oracle_r_map(c, mu)
+    image = r_map(c, mu)
+    assert same_bits(image.support, support)
+    assert same_bits(image.weights, w)
+
+
+@SETTINGS
+@given(scalar_measure_pairs())
+def test_scalar_sum_matches_oracle(pair):
+    m1, m2 = pair
+    support, w = oracle_scalar_sum(m1, m2)
+    total = scalar_sum(m1, m2)
+    assert same_bits(total.support, support)
+    assert same_bits(total.weights, w)
+
+
+@SETTINGS
+@given(point_sets)
+def test_plate_rejects_iff_duplicate(points):
+    dup = oracle_has_duplicate(points)
+    try:
+        make_plate(0, 1, points)
+        rejected = False
+    except VequilError as exc:
+        assert "duplicate node coordinates" in str(exc)
+        rejected = True
+    assert rejected == dup
+
+
+@SETTINGS
+@given(point_sets)
+def test_scalar_measure_rejects_iff_duplicate(points):
+    dup = oracle_has_duplicate(points)
+    try:
+        ScalarSignedMeasure(support=points, weights=np.zeros(len(points)))
+        rejected = False
+    except VequilError as exc:
+        assert "must be distinct" in str(exc)
+        rejected = True
+    assert rejected == dup
+
+
+def _condenser_accepts(pos_nodes, neg_nodes) -> bool:
+    try:
+        Condenser(plates=(make_plate(0, 1, pos_nodes), make_plate(1, -1, neg_nodes)))
+    except VequilError as exc:
+        assert "positive separation" in str(exc)
+        return False
+    return True
+
+
+@SETTINGS
+@given(opposite_plate_pairs())
+def test_condenser_accepts_iff_separated(pair):
+    pos_nodes, neg_nodes = pair
+    separated = oracle_min_sq_dist(pos_nodes, neg_nodes) > 0.0
+    assert _condenser_accepts(pos_nodes, neg_nodes) == separated
+
+
+def test_condenser_separation_across_row_blocks():
+    # More positive nodes than one distance block holds; the only coincident
+    # pair sits in the last block.
+    x = np.arange(1100, dtype=float)
+    pos_nodes = np.column_stack([x, np.zeros_like(x)])
+    neg_nodes = np.array([[0.5, 1.0], [1099.0, -0.0]])
+    assert not _condenser_accepts(pos_nodes, neg_nodes)
+    assert _condenser_accepts(pos_nodes, neg_nodes[:1])
+
+
+@SETTINGS
+@given(spacing_inputs())
+def test_minimum_spacing_matches_brute_force(points):
+    d2 = oracle_min_sq_dist(points, points, positive_only=True)
+    assert same_bits(minimum_spacing(points), np.sqrt(d2))
+
+
+def test_minimum_spacing_across_row_blocks():
+    rng = np.random.default_rng(5)
+    points = np.round(rng.uniform(-4.0, 4.0, (1100, 2)), 1)
+    points[-1] = points[3] + [0.0, 1e-3]
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = (diff ** 2).sum(axis=-1)
+    assert minimum_spacing(points) == np.sqrt(d2[d2 > 0.0].min())
+
+
+@SETTINGS
+@given(balayage_inputs())
+def test_balayage_gram_shares_coincident_rows(inputs):
+    source, target = inputs
+    spec = KernelSpec("riesz", alpha=1.0, epsilon=0.2)
+    rows, source_rows = oracle_balayage_rows(source, target)
+    joint = balayage_gram(spec, source, target)
+    assert same_bits(joint.nodes, rows)
+    assert same_bits(joint.entries, assemble_gram(spec, rows).entries)
+    # Each source point owns exactly one row: the target's row when it lies
+    # on the target (-0.0 == +0.0 here), a row after the target otherwise.
+    for pt, row in zip(source.support, source_rows):
+        assert np.flatnonzero((joint.nodes == pt).all(axis=1)).tolist() == [row]
+
+
+@SETTINGS
+@given(point_sets)
+def test_balayage_gram_rejects_iff_target_duplicate(points):
+    source = ScalarSignedMeasure(support=np.full((1, points.shape[1]), 7.0), weights=[1.0])
+    spec = KernelSpec("riesz", alpha=0.5, epsilon=0.2)
+    if oracle_has_duplicate(points):
+        with pytest.raises(VequilError, match="target nodes must be distinct"):
+            balayage_gram(spec, source, points)
+    else:
+        balayage_gram(spec, source, points)
+
+
+@SETTINGS
+@given(condensers_with_measures())
+def test_r_map_energy_identity(cm):
+    c, mu = cm
+    spec = KernelSpec("riesz", alpha=0.5, epsilon=0.3)
+    vector = energy(c, condenser_gram(spec, c), mu)
+    scalar = scalar_energy(spec, r_map(c, mu))
+    assert vector == pytest.approx(scalar, rel=1e-10, abs=1e-10)
