@@ -29,9 +29,16 @@ from .condenser import (
     semimetric_distance,
     zero_field,
 )
-from .errors import NotPositiveDefinite, VequilError
+from .errors import DimensionMismatch, NotPositiveDefinite, VequilError
 from .geometry import fibonacci_sphere, rotational_body
-from .kernels import GramMatrix, KernelSpec, assemble_gram, check_positive_definite, resolve_epsilon
+from .kernels import (
+    GramMatrix,
+    KernelSpec,
+    _pd_gate,
+    assemble_gram,
+    check_positive_definite,
+    resolve_epsilon,
+)
 from .solver import Problem, SolverConfig, solve
 
 
@@ -63,9 +70,11 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
 
     This is a single-plate instance of the constrained solver with unit g
     and mass; the box cap 1 is never binding because the weights sum to 1.
+    The Gram must be strictly positive definite: ``K - pd_tol*I`` must have a
+    Cholesky factor, ``pd_tol = 1e-10 * lambda_max``.
     """
-    pd = check_positive_definite(K)
-    if not pd.is_strictly_pd:
+    if not _pd_gate(K)[1]:
+        pd = check_positive_definite(K)
         raise NotPositiveDefinite(
             f"equilibrium needs a strictly PD Gram (min eigenvalue {pd.min_eigenvalue:.3e})"
         )
@@ -107,6 +116,12 @@ class BalayageReport:
     source_energy: float
 
 
+def _check_same_dimension(*point_sets: np.ndarray) -> None:
+    dims = sorted({pts.shape[1] for pts in point_sets})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"balayage points differ in dimension: {dims}")
+
+
 def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes) -> GramMatrix:
     """Joint Gram over target and source points for :func:`balayage`.
 
@@ -115,6 +130,7 @@ def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes) -
     coordinates share a row.
     """
     target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
+    _check_same_dimension(target, source.support)
     joint = np.vstack([target, source.support])
     first, inverse = _merge_points(joint)
     n_t = target.shape[0]
@@ -145,6 +161,7 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     if K_joint.nodes is None:
         raise VequilError("balayage needs a joint Gram that records its nodes")
     n = K_joint.size
+    _check_same_dimension(K_joint.nodes, target, source.support)
     first, inverse = _merge_points(np.vstack([K_joint.nodes, target, source.support]))
     rows = first[inverse[n:]]
     if np.any(rows >= n):
@@ -199,8 +216,8 @@ def green_gram(spec: KernelSpec, inner_nodes, screen_nodes) -> GramMatrix:
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"screen block is not strictly PD: {exc}") from exc
     S = A - B @ scipy.linalg.cho_solve(cho, B.T)
-    S = 0.5 * (S + S.T)
-    return GramMatrix(entries=S, spec=None, nodes=inner)
+    S = 0.5 * (S + S.T)  # exactly symmetric: IEEE addition commutes
+    return GramMatrix._assembled(S, nodes=inner)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +245,15 @@ class ExhaustionTrace:
         return all(vals[k + 1] <= vals[k] + tol for k in range(len(vals) - 1))
 
 
-def _sub_gram(K: GramMatrix, idx: np.ndarray, c_sub: Condenser) -> GramMatrix:
-    return GramMatrix(entries=K.entries[np.ix_(idx, idx)], spec=K.spec,
-                      nodes=None if K.nodes is None else K.nodes[idx])
+def _sub_gram(K: GramMatrix, rows: np.ndarray) -> GramMatrix:
+    """The principal block of ``K`` on ``rows``; ``K`` itself when that is all of it.
+
+    Returning ``K`` keeps its cached Lanczos and Cholesky results.
+    """
+    if np.array_equal(rows, np.arange(K.size)):
+        return K
+    return GramMatrix._assembled(K.entries[np.ix_(rows, rows)], spec=K.spec,
+                                 nodes=None if K.nodes is None else K.nodes[rows])
 
 
 def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -> ExhaustionTrace:
@@ -264,7 +287,7 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
             for p, m in zip(c.plates, keep_counts)
         )
         c_sub = Condenser(plates=plates_sub)
-        K_sub = _sub_gram(K, idx, c_sub)
+        K_sub = _sub_gram(K, idx)
         if f.case == CASE1:
             f_sub = FieldSpec(case=CASE1, case1_values=tuple(
                 v[:m] for v, m in zip(f.case1_values, keep_counts)))

@@ -18,11 +18,20 @@ import io
 import json
 import sys
 
-from .analysis import balayage, balayage_gram, equilibrium, exhaustion_experiment, thinness_demo
+import numpy as np
+
+from .analysis import (
+    _sub_gram,
+    balayage,
+    balayage_gram,
+    equilibrium,
+    exhaustion_experiment,
+    thinness_demo,
+)
 from .config import parse_config
 from .errors import VequilError
 from .geometry import PROFILES
-from .kernels import assemble_gram, check_positive_definite
+from .kernels import check_positive_definite
 from .solver import Problem, SolverConfig, solve
 
 
@@ -86,8 +95,11 @@ def _cmd_capacity(args) -> int:
     parsed = parse_config(args.config)
     section = parsed.capacity
     plate_idx = section.get("plate", 0)
-    plate = parsed.problem.condenser.plates[plate_idx]
-    gram = assemble_gram(parsed.problem.gram.spec, plate.nodes)
+    condenser, K = parsed.problem.condenser, parsed.problem.gram
+    plate = condenser.plates[plate_idx]
+    # The plate's diagonal block of the parse-time Gram: the same entries an
+    # assembly over the plate's nodes would compute, under the same epsilon.
+    gram = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
     tol = section.get("frostman_tol")
     cfg = parsed.problem.config
     if args.seed is not None:

@@ -13,6 +13,20 @@ The diagonal of the singular families is regularized by the length ``eps``;
 a node is thereby modelled as a small charge cell of that size.  When ``eps``
 is left unset it defaults, at assembly time, to half the minimum (positive)
 inter-node spacing of the node set.
+
+Squared distances are summed one coordinate at a time, left to right, so an
+assembled Gram is exactly symmetric by construction and each entry equals the
+point evaluation of its pair bit for bit.
+
+Positive definiteness is decided two ways.  The solvers' gate
+(:func:`_pd_gate`) never computes a spectrum: it takes the largest
+eigenvalue from Lanczos, sets ``pd_tol = 1e-10 * lambda_max``, and certifies
+strict definiteness by a Cholesky factorization of ``K - pd_tol*I`` and
+definiteness by one of ``K + pd_tol*I``.  The diagnostic
+:func:`check_positive_definite` (the ``check-pd`` command) reports both
+extreme eigenvalues from a dense symmetric eigensolver.  The two agree except
+for matrices whose smallest eigenvalue lies within about ``1e-12 * lambda_max``
+of ``-pd_tol`` or ``+pd_tol``, the rounding error of either method.
 """
 
 from __future__ import annotations
@@ -20,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
 
@@ -136,9 +152,45 @@ class GramMatrix:
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
+    @classmethod
+    def _assembled(cls, entries: np.ndarray, spec: KernelSpec | None = None,
+                   nodes: np.ndarray | None = None) -> "GramMatrix":
+        """Wrap entries that are symmetric by construction, without a copy.
+
+        For matrices vequil computes itself: ``entries`` must be a fresh,
+        exactly symmetric float array owned by nobody else; it is frozen in
+        place.  Only finiteness is checked.
+        """
+        if not np.all(np.isfinite(entries)):
+            raise KernelDomainError(
+                "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
+            )
+        entries.setflags(write=False)
+        gram = object.__new__(cls)
+        for name, value in (("entries", entries), ("spec", spec), ("nodes", nodes),
+                            ("_cache", {})):
+            object.__setattr__(gram, name, value)
+        return gram
+
     @property
     def size(self) -> int:
         return self.entries.shape[0]
+
+    def lambda_max(self) -> float:
+        """Largest eigenvalue by Lanczos (start vector all ones), cached."""
+        if "lambda_max" not in self._cache:
+            if self.size == 1:
+                lam = float(self.entries[0, 0])
+            else:
+                try:
+                    (lam,) = scipy.sparse.linalg.eigsh(
+                        self.entries, k=1, which="LA", v0=np.ones(self.size),
+                        return_eigenvectors=False,
+                    )
+                except scipy.sparse.linalg.ArpackError as exc:
+                    raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
+            self._cache["lambda_max"] = float(lam)
+        return self._cache["lambda_max"]
 
     def eig_extremes(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue, cached after the first call."""
@@ -180,11 +232,11 @@ def evaluate_kernel(spec: KernelSpec, x, y) -> float:
             if np.sum(p * p) >= 1.0:
                 raise KernelDomainError("log_disk points must lie inside the open unit disk")
     eps = 0.0 if spec.epsilon is None else float(spec.epsilon)
-    r2 = float(np.sum((px - py) ** 2)) + eps * eps
-    if r2 == 0.0:
+    # Same distance sweep and family code as Gram assembly: bit-identical entries.
+    r2 = next(_sq_dist_blocks(px[None, :], py[None, :]))[1][0] + eps * eps
+    if r2[0] == 0.0:
         return float(np.inf)
-    # Same vectorized code path as Gram assembly: bit-identical entries.
-    return float(_apply_family(spec, np.array([r2]), n)[0])
+    return float(_apply_family(spec, r2, n)[0])
 
 
 def minimum_spacing(nodes) -> float:
@@ -192,10 +244,8 @@ def minimum_spacing(nodes) -> float:
     pts = _as_points(nodes)
     best = np.inf
     for _, d2 in _sq_dist_blocks(pts, pts):
-        pos = d2[d2 > 0.0]
-        if pos.size:
-            best = min(best, float(np.sqrt(pos.min())))
-    return best
+        best = min(best, float(np.min(d2, where=d2 > 0.0, initial=np.inf)))
+    return float(np.sqrt(best))
 
 
 def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
@@ -219,9 +269,16 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray):
     """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block."""
     for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
         blk = rows[start : start + _ASSEMBLY_BLOCK]
-        # (a-b)**2 summed over coordinates: exactly symmetric and
-        # bit-identical to the per-pair evaluation in evaluate_kernel.
-        yield start, ((blk[:, None, :] - cols[None, :, :]) ** 2).sum(axis=-1)
+        # (a_k - b_k)**2 summed over k left to right: exactly symmetric,
+        # identical for every pair wherever it is evaluated.
+        d2 = np.subtract.outer(blk[:, 0], cols[:, 0])
+        np.square(d2, out=d2)
+        diff = np.empty_like(d2)
+        for k in range(1, rows.shape[1]):
+            np.subtract.outer(blk[:, k], cols[:, k], out=diff)
+            np.square(diff, out=diff)
+            d2 += diff
+        yield start, d2
 
 
 def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> np.ndarray:
@@ -287,14 +344,17 @@ def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
         if spec.family == LOG_DISK and np.any((pts * pts).sum(axis=1) >= 1.0):
             raise KernelDomainError("log_disk nodes must lie inside the open unit disk")
         entries = _kernel_matrix(spec, pts, pts)
-    return GramMatrix(entries=entries, spec=spec, nodes=pts)
+    return GramMatrix._assembled(entries, spec=spec, nodes=pts)
 
 
 def check_positive_definite(G: GramMatrix, pd_tol: float | None = None) -> PDReport:
     """Diagnose (strict) positive definiteness from the extreme eigenvalues.
 
-    ``pd_tol`` defaults to ``1e-10 * max|eigenvalue|``, the float noise floor
-    of dense symmetric eigensolvers.
+    Both extremes come from a full dense symmetric eigendecomposition, which
+    costs far more than the solvers' Cholesky gate (:func:`_pd_gate`); the
+    solvers call this only to word a refusal.  ``pd_tol`` defaults to
+    ``1e-10 * max|eigenvalue|``, the float noise floor of dense symmetric
+    eigensolvers.
     """
     lo, hi = G.eig_extremes()
     if pd_tol is None:
@@ -306,3 +366,34 @@ def check_positive_definite(G: GramMatrix, pd_tol: float | None = None) -> PDRep
         is_pd=lo >= -pd_tol,
         is_strictly_pd=lo > pd_tol,
     )
+
+
+def _pd_gate(G: GramMatrix) -> tuple[bool, bool]:
+    """``(is_pd, is_strictly_pd)`` of a Gram by Cholesky factorizations, cached.
+
+    With ``pd_tol = 1e-10 * lambda_max``, strict definiteness holds when
+    ``K - pd_tol*I`` has a Cholesky factor, and definiteness when that one or
+    the one of ``K + pd_tol*I`` does.  One copy of ``K`` is shifted and
+    factored in place.  The decisions equal those of
+    :func:`check_positive_definite` unless the smallest eigenvalue lies
+    within the factorization's rounding error (about ``1e-12 * lambda_max``)
+    of ``-pd_tol`` or ``+pd_tol``.
+    """
+    if "pd_gate" not in G._cache:
+        pd_tol = 1e-10 * max(G.lambda_max(), 1e-300)
+        work = np.empty_like(G.entries)
+
+        def factors(shift: float) -> bool:
+            work[...] = G.entries
+            work.reshape(-1)[:: G.size + 1] += shift
+            try:
+                # work.T is Fortran-ordered and, K being symmetric, equal to
+                # work, so LAPACK factors it in place.
+                scipy.linalg.cholesky(work.T, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        strict = factors(-pd_tol)
+        G._cache["pd_gate"] = (strict or factors(pd_tol), strict)
+    return G._cache["pd_gate"]

@@ -40,7 +40,7 @@ from .condenser import (
     weighted_energy,
 )
 from .errors import InfeasibleProblem, NotPositiveDefinite, VequilError
-from .kernels import GramMatrix, check_positive_definite
+from .kernels import GramMatrix, _pd_gate, check_positive_definite
 
 PROJECTED_GRADIENT = "projected_gradient"
 FRANK_WOLFE = "frank_wolfe"
@@ -185,12 +185,17 @@ class _QP:
         self.g = np.concatenate([p.g for p in c.plates])
         self.masses = [p.mass for p in c.plates]
 
-    def objective(self, w: np.ndarray) -> float:
-        z = self.signs * w
-        return float(z @ (self.K.entries @ z)) + 2.0 * float(self.q @ w)
+    def product(self, w: np.ndarray) -> np.ndarray:
+        """``K (s*w)``: the one matvec the objective and the gradient at ``w`` share."""
+        return self.K.entries @ (self.signs * w)
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.signs * (self.K.entries @ (self.signs * w)) + self.q)
+    def objective(self, w: np.ndarray, Kz: np.ndarray) -> float:
+        return float((self.signs * w) @ Kz) + 2.0 * float(self.q @ w)
+
+    def gradient(self, w: np.ndarray, Kz: np.ndarray | None = None) -> np.ndarray:
+        if Kz is None:
+            Kz = self.product(w)
+        return 2.0 * (self.signs * Kz + self.q)
 
     def curvature(self, d: np.ndarray) -> float:
         z = self.signs * d
@@ -302,17 +307,17 @@ def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure, tol
 
 
 def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
-    lam_max = qp.K.eig_extremes()[1]
-    eta_safe = 1.0 / (2.0 * max(lam_max, 1e-300))
+    eta_safe = 1.0 / (2.0 * max(qp.K.lambda_max(), 1e-300))
     w = qp.initial(cfg.seed, cfg.projection_tol)
-    G = qp.objective(w)
+    Kz = qp.product(w)  # carried from each accepted point into the next gradient
+    G = qp.objective(w, Kz)
     trace = [G]
     prev_w = prev_grad = None
     resid = np.inf
     taus: tuple = ()
     iters = 0
     for iters in range(1, max_iters + 1):
-        grad = qp.gradient(w)
+        grad = qp.gradient(w, Kz)
         resid, taus = _kkt_residual(qp, w, grad)
         if resid <= cfg.grad_tol:
             return w, G, resid, taus, iters - 1, True, trace
@@ -331,7 +336,8 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
         slack = 1e-13 * (1.0 + abs(G))
         while True:
             w_new = qp.project(w - eta * grad, cfg.projection_tol)
-            G_new = qp.objective(w_new)
+            Kz_new = qp.product(w_new)
+            G_new = qp.objective(w_new, Kz_new)
             if G_new <= G + slack:
                 accepted = True
                 break
@@ -341,12 +347,12 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
         if not accepted:
             break
         if float(np.max(np.abs(w_new - w))) == 0.0:
-            w, G = w_new, min(G, G_new)
+            w, Kz, G = w_new, Kz_new, min(G, G_new)
             break  # projection fixed point below the residual target
         prev_w, prev_grad = w, grad
-        w, G = w_new, min(G, G_new)
+        w, Kz, G = w_new, Kz_new, min(G, G_new)
         trace.append(G)
-    grad = qp.gradient(w)
+    grad = qp.gradient(w, Kz)
     resid, taus = _kkt_residual(qp, w, grad)
     return w, G, resid, taus, iters, resid <= cfg.grad_tol, trace
 
@@ -432,13 +438,14 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     Q = np.array([[float(v0 @ half_h[0])]])
     alpha = np.array([1.0])
     w = v0.copy()
-    G = qp.objective(w)
+    Kz = qp.product(w)  # carried from each iterate into the next gradient
+    G = qp.objective(w, Kz)
     trace = [G]
     resid = np.inf
     taus: tuple = ()
     iters = 0
     for iters in range(1, max_iters + 1):
-        grad = qp.gradient(w)
+        grad = qp.gradient(w, Kz)
         resid, taus = _kkt_residual(qp, w, grad)
         if resid <= cfg.grad_tol:
             iters -= 1
@@ -472,17 +479,19 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
             alpha = alpha[keep]
             alpha = alpha / alpha.sum()
         w = np.einsum("i,ij->j", alpha, np.asarray(atoms))
-        G_new = qp.objective(w)
+        Kz = qp.product(w)
+        G_new = qp.objective(w, Kz)
         G = min(G, G_new)
         trace.append(G_new)
     # Final polish: exact bounds help the complementarity classification.
     snapped = qp.snap(w, cfg.projection_tol)
-    r_snap, t_snap = _kkt_residual(qp, snapped, qp.gradient(snapped))
-    grad = qp.gradient(w)
+    Kz_snap = qp.product(snapped)
+    r_snap, t_snap = _kkt_residual(qp, snapped, qp.gradient(snapped, Kz_snap))
+    grad = qp.gradient(w, Kz)
     resid, taus = _kkt_residual(qp, w, grad)
     if r_snap <= resid:
-        w, resid, taus = snapped, r_snap, t_snap
-    G = qp.objective(w)
+        w, Kz, resid, taus = snapped, Kz_snap, r_snap, t_snap
+    G = qp.objective(w, Kz)
     return w, G, resid, taus, iters, resid <= cfg.grad_tol, trace
 
 
@@ -490,7 +499,9 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
     """Minimize the field-weighted energy over the admissible class.
 
     Refuses infeasible instances and Grams that fail the positive
-    semidefiniteness gate (the objective could be unbounded below).  The
+    semidefiniteness gate (the objective could be unbounded below): a
+    Cholesky factorization of ``K + pd_tol*I``, ``pd_tol = 1e-10 * lambda_max``
+    (see :func:`vequil.kernels._pd_gate`).  The
     returned minimizer satisfies the box and mass constraints to float
     accuracy; ``converged`` records whether the KKT residual target was met.
     """
@@ -500,8 +511,8 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
         bad = feas.failing()[0]
         slack = next(p.slack for p in feas.per_plate if p.plate_id == bad)
         raise InfeasibleProblem(f"plate {bad}: a exceeds <g, sigma> (slack {slack:.6g})")
-    pd = check_positive_definite(K)
-    if not pd.is_pd:
+    if not _pd_gate(K)[0]:
+        pd = check_positive_definite(K)
         raise NotPositiveDefinite(
             f"Gram min eigenvalue {pd.min_eigenvalue:.3e} < -{pd.pd_tol:.3e}; "
             "refusing a possibly unbounded objective"

@@ -174,7 +174,7 @@ def test_criterion_05_monotonicity():
         c_sub = Condenser(plates=tuple(plates))
         from vequil.analysis import _sub_gram
 
-        K_sub = _sub_gram(K, np.asarray(idx), c_sub)
+        K_sub = _sub_gram(K, np.asarray(idx))
         sub = solve(c_sub, K_sub, zero_field(c_sub), SolverConfig(grad_tol=1e-10))
         worst_drop = max(worst_drop, full.value - sub.value)
         pairs += 1

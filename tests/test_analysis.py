@@ -23,7 +23,7 @@ from vequil.analysis import (
     green_gram,
     thinness_demo,
 )
-from vequil.errors import VequilError
+from vequil.errors import DimensionMismatch, VequilError
 from vequil.geometry import fibonacci_sphere, grid_nodes, ring_nodes, rotational_body
 from vequil.solver import Problem
 
@@ -94,7 +94,7 @@ class TestEquilibrium:
 
     def test_rank_deficient_rejected(self):
         K = assemble_gram(KernelSpec("custom_table", table=np.ones((2, 2))), [[0], [1]])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="strictly PD Gram .min eigenvalue"):
             equilibrium([[0], [1]], K)
 
 
@@ -153,6 +153,19 @@ class TestBalayage:
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[-1.0])
         with pytest.raises(VequilError):
             balayage(src, [[0.0, 0.0, 0.0]], balayage_gram(spec, src, [[0.0, 0.0, 0.0]]))
+
+    def test_dimension_mismatch_raises(self):
+        spec = KernelSpec("newtonian", epsilon=0.2)
+        src2 = ScalarSignedMeasure(support=[[0.0, 1.0]], weights=[1.0])
+        target3 = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(DimensionMismatch):
+            balayage_gram(spec, src2, target3)
+        src3 = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
+        joint = balayage_gram(spec, src3, target3)
+        with pytest.raises(DimensionMismatch):
+            balayage(src2, target3, joint)
+        with pytest.raises(DimensionMismatch):
+            balayage(src3, [[0.0, 0.0], [1.0, 0.0]], joint)
 
 
 class TestGreenGram:

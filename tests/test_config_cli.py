@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vequil import kernels
 from vequil.cli import main
 from vequil.config import parse_config, serialize_config
 from vequil.errors import ConfigError
@@ -242,6 +243,47 @@ class TestCLI:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0].startswith("command,node_fraction,sigma_scale")
         assert len(lines) == 5
+
+    def test_capacity_assembles_one_gram_and_no_spectrum(self, capsys, monkeypatch):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("a full eigendecomposition ran on the capacity path")
+
+        assemblies = []
+        kernel_matrix = kernels._kernel_matrix
+
+        def counted(*args):
+            assemblies.append(args[1].shape[0])
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+        monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+        code, out, _ = run_cli(["capacity", str(CONFIGS / "capacity_sphere.json")], capsys)
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+        assert assemblies == [500]
+
+    def test_check_pd_reports_dense_eigenvalue_extremes(self, capsys, tmp_path):
+        table = [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.2]]
+        doc = {"kernel": {"family": "custom_table", "table": table},
+               "plates": [{"sign": 1, "nodes": [[0], [1], [2]], "g": 1.0, "a": 1.0,
+                           "sigma": 1.0}]}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["check-pd", str(path)], capsys)
+        assert code == 0
+        record = json.loads(out)
+        vals = np.linalg.eigvalsh(np.array(table))
+        assert (record["min_eigenvalue"], record["max_eigenvalue"]) == (vals[0], vals[-1])
+        assert record["pd_tol"] == 1e-10 * np.abs(vals).max()
+
+    def test_balayage_dimension_mismatch_is_an_error(self, capsys, tmp_path):
+        doc = minimal_config(balayage={"source": {"support": [[0.0, 3.0]], "weights": [1.0]}})
+        path = tmp_path / "mixed_dims.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["balayage", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "dimension" in err
 
     def test_thinness_flags(self, capsys):
         code, out, _ = run_cli(

@@ -1,23 +1,31 @@
-"""Property tests of the node-set bookkeeping: point merging, separation, spacing.
+"""Property tests of the node-set bookkeeping and of the dense kernels around a solve.
 
 Points are drawn from a coarse lattice that contains both -0.0 and +0.0, so
 coincident nodes (and coincidences up to the sign of zero) actually occur.
-The oracles are straightforward per-point dict loops keyed on the bytes of
-the +0.0-normalized coordinates; the library must agree with them bit for
-bit, in support order and in every weight.
+The node-set oracles are straightforward per-point dict loops keyed on the
+bytes of the +0.0-normalized coordinates; the library must agree with them
+bit for bit, in support order and in every weight.
+
+The kernel properties compare the per-coordinate distance sweep with the
+expression it replaced, the Cholesky PD gate and the Lanczos largest
+eigenvalue with a dense symmetric eigensolver, and the solver's carried
+matvec with a fresh gradient.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vequil import (
     Condenser,
+    FieldSpec,
+    GramMatrix,
     KernelSpec,
     ScalarSignedMeasure,
     VequilError,
     assemble_gram,
+    check_positive_definite,
     condenser_gram,
     energy,
     make_plate,
@@ -27,6 +35,10 @@ from vequil import (
     scalar_sum,
 )
 from vequil.analysis import balayage_gram
+from vequil.condenser import CASE1
+from vequil.geometry import fibonacci_sphere
+from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
+from vequil.solver import _QP
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -319,3 +331,143 @@ def test_r_map_energy_identity(cm):
     vector = energy(c, condenser_gram(spec, c), mu)
     scalar = scalar_energy(spec, r_map(c, mu))
     assert vector == pytest.approx(scalar, rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Dense kernels: distance sweep, symmetry, PD gate, carried matvec
+# ---------------------------------------------------------------------------
+
+
+def oracle_sq_dist(rows, cols):
+    """The expression the per-coordinate sweep replaced: one (rows, cols, dim)
+    temporary of squared differences summed over its last axis."""
+    return ((rows[:, None, :] - cols[None, :, :]) ** 2).sum(axis=-1)
+
+
+def swept(rows, cols):
+    return np.vstack([d2 for _, d2 in _sq_dist_blocks(rows, cols)])
+
+
+coords = st.one_of(
+    st.sampled_from(LATTICE),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def sweep_inputs(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    point = st.lists(coords, min_size=dim, max_size=dim)
+    pts = st.lists(point, min_size=1, max_size=12).map(
+        lambda p: np.array(p, dtype=float).reshape(-1, dim)
+    )
+    return draw(pts), draw(pts)
+
+
+@SETTINGS
+@given(sweep_inputs())
+def test_sq_dist_sweep_matches_old_expression(pair):
+    rows, cols = pair
+    assert same_bits(swept(rows, cols), oracle_sq_dist(rows, cols))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sq_dist_sweep_across_row_blocks(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(_ASSEMBLY_BLOCK + 37, dim))
+    cols = rng.normal(size=(40, dim))
+    assert same_bits(swept(rows, cols), oracle_sq_dist(rows, cols))
+    if dim == 3:
+        sphere = fibonacci_sphere(_ASSEMBLY_BLOCK + 37, radius=1.7, center=(0.3, -1.0, 2.0))
+        assert same_bits(swept(sphere, sphere[:60]), oracle_sq_dist(sphere, sphere[:60]))
+
+
+@st.composite
+def gram_inputs(draw):
+    family = draw(st.sampled_from(("riesz", "newtonian", "log_disk")))
+    dim = {"newtonian": 3, "log_disk": 2}.get(family) or draw(st.integers(1, 4))
+    point = st.lists(st.floats(min_value=-0.7, max_value=0.7, allow_nan=False),
+                     min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(point, min_size=1, max_size=14)), dtype=float)
+    alpha = 0.5 * dim if family == "riesz" else None
+    return KernelSpec(family, alpha=alpha, epsilon=0.1), pts
+
+
+@SETTINGS
+@given(gram_inputs())
+def test_assembled_gram_is_exactly_symmetric(inputs):
+    spec, pts = inputs
+    G = assemble_gram(spec, pts)
+    assert same_bits(G.entries, G.entries.T)
+
+
+# (size, lambda_max, lambda_min / pd_tol, seed): lambda_min stays at least a
+# factor of 2 away from -pd_tol and +pd_tol, pd_tol = 1e-10 * lambda_max.
+spectra = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.one_of(
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=2.0, max_value=1e10),
+        st.floats(min_value=-1e12, max_value=-2.0),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def gram_with_spectrum(n, lam_max, ratio, seed) -> GramMatrix:
+    """``Q diag(lambda) Q'`` for a random orthogonal Q; lambda_min = ratio * pd_tol."""
+    rng = np.random.default_rng(seed)
+    lam_min = ratio * 1e-10 * lam_max
+    lam = np.concatenate([[lam_min], rng.uniform(lam_min, lam_max, max(n - 2, 0)), [lam_max]])[:n]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * lam) @ q.T
+    return GramMatrix(entries=0.5 * (a + a.T))
+
+
+@SETTINGS
+@given(spectra)
+@example((1, 1.0, -5.0, 0))
+@example((1, 3.0, 7.0, 0))
+@example((2, 1.0, 0.25, 1))
+@example((2, 1.0, -3.0, 2))
+@example((3, 2.0, -0.4, 3))
+@example((3, 2.0, 40.0, 4))
+def test_pd_gate_matches_eigenvalue_classification(spectrum):
+    G = gram_with_spectrum(*spectrum)
+    rep = check_positive_definite(G)
+    lo = abs(rep.min_eigenvalue)
+    assume(lo >= 2.0 * rep.pd_tol or lo <= 0.5 * rep.pd_tol)
+    assert _pd_gate(G) == (rep.is_pd, rep.is_strictly_pd)
+
+
+@SETTINGS
+@given(spectra)
+@example((2, 1.0, -1e12, 5))
+def test_lambda_max_matches_dense_eigensolver(spectrum):
+    G = gram_with_spectrum(*spectrum)
+    vals = np.linalg.eigvalsh(G.entries)
+    assert abs(G.lambda_max() - vals[-1]) <= 1e-12 * np.abs(vals).max()
+
+
+def test_lambda_max_of_assembled_gram():
+    G = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(400, radius=1.3))
+    hi = np.linalg.eigvalsh(G.entries)[-1]
+    assert abs(G.lambda_max() - hi) <= 1e-12 * hi
+
+
+@SETTINGS
+@given(condensers_with_measures())
+def test_carried_gradient_is_a_fresh_gradient(cm):
+    c, mu = cm
+    K = condenser_gram(KernelSpec("riesz", alpha=0.5, epsilon=0.3), c)
+    qp = _QP(c, K, FieldSpec(case=CASE1, case1_values=mu.weights))
+    w = mu.concat()
+    Kz = qp.product(w)
+    # The expressions the objective and the gradient used before the carry.
+    s = qp.signs
+    fresh_grad = 2.0 * (s * (K.entries @ (s * w)) + qp.q)
+    fresh_value = float((s * w) @ (K.entries @ (s * w))) + 2.0 * float(qp.q @ w)
+    assert same_bits(qp.gradient(w, Kz), fresh_grad)
+    assert same_bits(qp.gradient(w), fresh_grad)
+    assert same_bits(qp.objective(w, Kz), fresh_value)
