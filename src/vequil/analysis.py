@@ -239,6 +239,7 @@ class ExhaustionStage:
 class ExhaustionTrace:
     stages: tuple
     full_value: float
+    full_converged: bool
 
     def values_monotone(self, tol: float = 1e-8) -> bool:
         vals = [st.value for st in self.stages if st.feasible]
@@ -264,7 +265,8 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     factors > 1 can restore feasibility of tight constraints on small
     truncations; stages that are still infeasible are recorded and skipped).
     Each stage records its value and the semimetric gap to the full-problem
-    minimizer.
+    minimizer; ``full_converged`` records whether that full solve, the source
+    of ``full_value`` and of every gap, reached its tolerance.
     """
     fractions = [float(t) for t in node_fractions]
     scales = [1.0] * len(fractions) if sigma_scales is None else [float(b) for b in sigma_scales]
@@ -308,7 +310,8 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
         stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
                                       value=rep.value, semimetric_gap=gap,
                                       converged=rep.converged))
-    return ExhaustionTrace(stages=tuple(stages), full_value=full.value)
+    return ExhaustionTrace(stages=tuple(stages), full_value=full.value,
+                           full_converged=full.converged)
 
 
 # ---------------------------------------------------------------------------

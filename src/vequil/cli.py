@@ -168,10 +168,11 @@ def _cmd_exhaust(args) -> int:
                 "semimetric_gap": st.semimetric_gap,
                 "converged": st.converged,
                 "full_value": trace.full_value,
+                "full_converged": trace.full_converged,
             }
         )
     _emit(records, args.format, args.out)
-    ok = all(st.converged for st in trace.stages if st.feasible)
+    ok = trace.full_converged and all(st.converged for st in trace.stages if st.feasible)
     return 0 if ok else 2
 
 

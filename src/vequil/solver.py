@@ -12,9 +12,13 @@ optimality.  Two independent algorithms are provided:
 * ``frank_wolfe`` -- conditional gradient whose linear oracle is a
   fractional-knapsack greedy per plate (sort by gradient/g, fill cheapest
   g-mass first); after each new vertex the objective is re-optimized exactly
-  over the hull of collected vertices (fully corrective).  The textbook
-  2/(k+2) step rule converges far too slowly to certify tight KKT residuals,
-  so it is not used.
+  over the hull of collected vertices (fully corrective).  That corrective
+  step is an active-set simplex QP whose equality-constrained solve on each
+  working support is one Cholesky solve with the support atoms' Gram, which
+  is positive definite exactly when those atoms are linearly independent;
+  only for linearly dependent atoms does it fall back to least squares on
+  the bordered KKT system.  The textbook 2/(k+2) step rule converges far too
+  slowly to certify tight KKT residuals, so it is not used.
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .condenser import (
     CASE1,
@@ -147,21 +152,18 @@ def project_plate(v, g, sigma, a, tol: float = 1e-12) -> np.ndarray:
 def _knapsack_vertex(cost, g, sigma, a) -> np.ndarray:
     """Linear minimization over one plate: fill cheapest g-mass first.
 
-    Sorts by ``cost/g`` (stable, so ties break by node index) and saturates
-    sigma caps until the g-mass budget ``a`` is spent; the marginal node gets
-    the exact fractional remainder.
+    Sorts by ``cost/g`` (stable, so ties break by node index); each node
+    takes what is left of the g-mass budget ``a`` after all cheaper nodes
+    are saturated, clipped to ``[0, sigma]``, so the marginal node gets the
+    exact fractional remainder.
     """
-    ratio = cost / g
-    order = np.argsort(ratio, kind="stable")
-    v = np.zeros_like(g)
-    remaining = float(a)
-    for j in order:
-        if remaining <= 0.0:
-            break
-        take = min(float(sigma[j]), remaining / float(g[j]))
-        v[j] = take
-        remaining -= take * float(g[j])
-    if remaining > 1e-9 * max(1.0, a):
+    order = np.argsort(cost / g, kind="stable")
+    g_o = g[order]
+    mass = g_o * sigma[order]
+    before = np.concatenate(([0.0], np.cumsum(mass[:-1])))  # g-mass of cheaper nodes
+    v = np.empty_like(g)
+    v[order] = np.clip((a - before) / g_o, 0.0, sigma[order])
+    if a - float(g @ v) > 1e-9 * max(1.0, a):
         raise InfeasibleProblem("knapsack budget not exhausted; plate infeasible")
     return v
 
@@ -376,13 +378,22 @@ def _simplex_qp(Q: np.ndarray, b: np.ndarray, warm: np.ndarray) -> np.ndarray:
     for _ in range(50 * (n + 2)):
         idx = np.flatnonzero(support)
         k = idx.size
-        sys_mat = np.zeros((k + 1, k + 1))
-        sys_mat[:k, :k] = 2.0 * Q[np.ix_(idx, idx)]
-        sys_mat[:k, k] = 1.0
-        sys_mat[k, :k] = 1.0
-        rhs = np.concatenate([-2.0 * b[idx], [1.0]])
-        sol = np.linalg.lstsq(sys_mat, rhs, rcond=None)[0]
-        x = sol[:k]
+        Q_SS = Q[np.ix_(idx, idx)]
+        # min x'Q_SS x + 2b_S'x s.t. 1'x = 1: with u = Q_SS^-1 b_S and
+        # v = Q_SS^-1 1 from one Cholesky solve, x = ((1 + sum u) / sum v) v - u.
+        _, uv, info = dposv(Q_SS, np.column_stack([b[idx], np.ones(k)]))
+        if info == 0:
+            x = ((1.0 + uv[:, 0].sum()) / uv[:, 1].sum()) * uv[:, 1] - uv[:, 0]
+        else:
+            # Q_SS, the Gram of the support atoms, is singular exactly when they
+            # are linearly dependent.  b_S lies in its range (b_i = <q, atom_i>),
+            # so least squares on the bordered KKT system gives a minimizer.
+            sys_mat = np.zeros((k + 1, k + 1))
+            sys_mat[:k, :k] = 2.0 * Q_SS
+            sys_mat[:k, k] = 1.0
+            sys_mat[k, :k] = 1.0
+            rhs = np.concatenate([-2.0 * b[idx], [1.0]])
+            x = np.linalg.lstsq(sys_mat, rhs, rcond=None)[0][:k]
         if np.any(x < -1e-14):
             # Back off along the segment to the boundary, drop the zeroed atom.
             cur = alpha[idx]
@@ -432,10 +443,9 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     else:
         start_dir = rng.standard_normal(qp.sigma.shape[0])
     v0 = qp.lmo(start_dir)
-    atoms = [v0]
-    half_h = [qp.signs * (qp.K.entries @ (qp.signs * v0))]  # (S K S) v per atom
-    lin = [float(qp.q @ v0)]
-    Q = np.array([[float(v0 @ half_h[0])]])
+    A = v0[None, :]  # hull vertices, one per row
+    lin = np.array([float(qp.q @ v0)])
+    Q = np.array([[float(v0 @ (qp.signs * qp.product(v0)))]])  # K-metric Gram of the hull rows
     alpha = np.array([1.0])
     w = v0.copy()
     Kz = qp.product(w)  # carried from each iterate into the next gradient
@@ -454,31 +464,26 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         gap = float(grad @ (w - s))
         if gap <= 1e-15 * (1.0 + abs(G)):
             break  # duality gap at the float floor
-        if any(np.array_equal(s, v) for v in atoms):
+        if (A == s).all(axis=1).any():
             break  # oracle re-proposes a hull vertex: correction cannot improve
-        hs = qp.signs * (qp.K.entries @ (qp.signs * s))
-        col = np.array([float(v @ hs) for v in atoms])
-        n_old = len(atoms)
+        hs = qp.signs * qp.product(s)
+        col = A @ hs
+        n_old = A.shape[0]
         Q_new = np.empty((n_old + 1, n_old + 1))
         Q_new[:n_old, :n_old] = Q
         Q_new[:n_old, n_old] = col
         Q_new[n_old, :n_old] = col
         Q_new[n_old, n_old] = float(s @ hs)
         Q = Q_new
-        atoms.append(s)
-        half_h.append(hs)
-        lin.append(float(qp.q @ s))
-        alpha = np.concatenate([alpha, [0.0]])
-        alpha = _simplex_qp(Q, np.asarray(lin), alpha)
+        A = np.vstack([A, s])
+        lin = np.append(lin, float(qp.q @ s))
+        alpha = _simplex_qp(Q, lin, np.append(alpha, 0.0))
         keep = alpha > 1e-15
         if not keep.all():
-            atoms = [v for v, k in zip(atoms, keep) if k]
-            half_h = [h for h, k in zip(half_h, keep) if k]
-            lin = [q for q, k in zip(lin, keep) if k]
-            Q = Q[np.ix_(keep, keep)]
+            A, lin, Q = A[keep], lin[keep], Q[np.ix_(keep, keep)]
             alpha = alpha[keep]
             alpha = alpha / alpha.sum()
-        w = np.einsum("i,ij->j", alpha, np.asarray(atoms))
+        w = alpha @ A
         Kz = qp.product(w)
         G_new = qp.objective(w, Kz)
         G = min(G, G_new)

@@ -1,5 +1,8 @@
 """Equilibrium/capacity, balayage, exhaustion, and thinness operations."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,11 +26,14 @@ from vequil.analysis import (
     green_gram,
     thinness_demo,
 )
+from vequil.config import parse_config
 from vequil.errors import DimensionMismatch, VequilError
 from vequil.geometry import fibonacci_sphere, grid_nodes, ring_nodes, rotational_body
 from vequil.solver import Problem
 
 from instances import two_plate_signed
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEquilibrium:
@@ -231,6 +237,18 @@ class TestExhaustion:
         head = exhaustion_experiment(prob, [0.25, 0.5, 1.0], [1.5, 1.1, 1.0])
         assert head.stages[0].feasible
         assert head.values_monotone(1e-8)
+
+    def test_unconverged_full_solve_is_reported(self):
+        # At sigma scale 1/1.2 the 25% stage's feasible set is a single point,
+        # so the stage converges within two iterations; the full solve does not.
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["max_iters"] = 2
+        prob = parse_config(doc).problem
+        tr = exhaustion_experiment(prob, [0.25], [1 / 1.2])
+        assert tr.stages[0].feasible and tr.stages[0].converged
+        assert tr.full_converged is False
+        assert exhaustion_experiment(parse_config(CONFIGS / "exhaust_two_plate.json").problem,
+                                     [1.0]).full_converged is True
 
     def test_final_gap_small(self):
         rng = np.random.default_rng(8)

@@ -232,6 +232,40 @@ class TestCLI:
         values = [r["value"] for r in records if r["feasible"]]
         assert all(values[i + 1] <= values[i] + 1e-8 for i in range(len(values) - 1))
 
+    def test_exhaust_unconverged_full_solve_exit_code(self, capsys, tmp_path):
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["max_iters"] = 2
+        doc["exhaust"] = {"fractions": [0.25], "sigma_scales": [1 / 1.2]}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["exhaust", str(path)], capsys)
+        record = json.loads(out)
+        assert record["converged"] is True
+        assert record["full_converged"] is False
+        assert code == 2
+
+    def test_frank_wolfe_exhaust_needs_no_least_squares(self, capsys, tmp_path, monkeypatch):
+        code, out, _ = run_cli(["exhaust", str(CONFIGS / "exhaust_two_plate.json")], capsys)
+        assert code == 0
+        pg = [json.loads(line) for line in out.strip().splitlines()]
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("least squares ran on the Frank-Wolfe path")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["algorithm"] = "frank_wolfe"
+        path = tmp_path / "fw.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["exhaust", str(path)], capsys)
+        assert code == 0
+        fw = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(fw) == len(pg) == 4
+        for a, b in zip(fw, pg):
+            assert a["converged"] and a["full_converged"]
+            assert abs(a["value"] - b["value"]) <= 1e-10
+        assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
+
     def test_csv_format(self, capsys, tmp_path):
         out_file = tmp_path / "records.csv"
         code, _, _ = run_cli(

@@ -23,6 +23,7 @@ from vequil import (
     GramMatrix,
     KernelSpec,
     ScalarSignedMeasure,
+    InfeasibleProblem,
     VequilError,
     assemble_gram,
     check_positive_definite,
@@ -38,7 +39,7 @@ from vequil.analysis import balayage_gram
 from vequil.condenser import CASE1
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
-from vequil.solver import _QP
+from vequil.solver import _QP, _knapsack_vertex, _simplex_qp
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -471,3 +472,184 @@ def test_carried_gradient_is_a_fresh_gradient(cm):
     assert same_bits(qp.gradient(w, Kz), fresh_grad)
     assert same_bits(qp.gradient(w), fresh_grad)
     assert same_bits(qp.objective(w, Kz), fresh_value)
+
+
+# ---------------------------------------------------------------------------
+# Frank-Wolfe inner loops against the implementations they replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_simplex_qp(Q, b, warm):
+    """The active-set simplex QP with a least-squares solve of the bordered
+    KKT system on every working support."""
+    n = Q.shape[0]
+    alpha = warm.copy()
+    support = alpha > 0.0
+    if not support.any():
+        support[int(np.argmin(b))] = True
+        alpha[:] = 0.0
+        alpha[support] = 1.0
+    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(b).max()))
+    tol = 1e-13 * scale
+    for _ in range(50 * (n + 2)):
+        idx = np.flatnonzero(support)
+        k = idx.size
+        sys_mat = np.zeros((k + 1, k + 1))
+        sys_mat[:k, :k] = 2.0 * Q[np.ix_(idx, idx)]
+        sys_mat[:k, k] = 1.0
+        sys_mat[k, :k] = 1.0
+        rhs = np.concatenate([-2.0 * b[idx], [1.0]])
+        x = np.linalg.lstsq(sys_mat, rhs, rcond=None)[0][:k]
+        if np.any(x < -1e-14):
+            cur = alpha[idx]
+            neg = x < 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = cur[neg] / (cur[neg] - x[neg])
+            t = float(min(1.0, np.min(ratios)))
+            stepped = cur + t * (x - cur)
+            stepped[stepped < 1e-15] = 0.0
+            alpha[:] = 0.0
+            alpha[idx] = stepped
+            total = alpha.sum()
+            if total > 0.0:
+                alpha /= total
+            support = alpha > 0.0
+            if not support.any():
+                support[int(np.argmin(b))] = True
+                alpha[support] = 1.0
+            continue
+        alpha[:] = 0.0
+        alpha[idx] = np.maximum(x, 0.0)
+        alpha /= alpha.sum()
+        grad_full = 2.0 * (Q @ alpha + b)
+        reduced = grad_full - float(grad_full[idx].mean())
+        outside = np.flatnonzero(~support)
+        if outside.size == 0 or reduced[outside].min() >= -tol:
+            return alpha
+        support[outside[int(np.argmin(reduced[outside]))]] = True
+    return alpha
+
+
+def oracle_knapsack_vertex(cost, g, sigma, a):
+    """The per-node loop: saturate the cheapest caps until the budget is spent."""
+    order = np.argsort(cost / g, kind="stable")
+    v = np.zeros_like(g)
+    remaining = float(a)
+    for j in order:
+        if remaining <= 0.0:
+            break
+        take = min(float(sigma[j]), remaining / float(g[j]))
+        v[j] = take
+        remaining -= take * float(g[j])
+    if remaining > 1e-9 * max(1.0, a):
+        raise InfeasibleProblem("knapsack budget not exhausted; plate infeasible")
+    return v
+
+
+# (atoms k, rank of the atoms' Gram, warm start, seed); a rank below k makes
+# the atoms linearly dependent, and a uniform warm start then puts dependent
+# atoms on the first working support.  As in Frank-Wolfe, the linear term is
+# b_i = <q, v_i> for the atoms v_i (the rows of V), so it lies in the range
+# of Q = V V' and the QP is bounded below on every support.
+simplex_inputs = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.integers(min_value=0, max_value=k),
+    st.one_of(st.just(-1), st.integers(min_value=0, max_value=k - 1)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+))
+
+
+def simplex_problem(k, rank, start, seed):
+    """``Q = V V'`` with ``V`` of the given rank, ``b = V q`` and a feasible warm start."""
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(k, rank)) @ rng.normal(size=(rank, k + 2))
+    Q = V @ V.T
+    b = V @ rng.normal(size=k + 2)
+    warm = np.full(k, 1.0 / k) if start < 0 else np.eye(k)[start]
+    return Q, b, warm
+
+
+def simplex_objective(Q, b, x):
+    return float(x @ Q @ x) + 2.0 * float(b @ x)
+
+
+@SETTINGS
+@given(simplex_inputs)
+@example((4, 4, -1, 0))
+@example((5, 2, -1, 1))
+@example((3, 0, -1, 2))
+@example((12, 12, 0, 3))
+@example((12, 5, -1, 4))
+def test_simplex_qp_matches_least_squares_oracle(inputs):
+    Q, b, warm = simplex_problem(*inputs)
+    x = _simplex_qp(Q, b, warm)
+    ref = oracle_simplex_qp(Q, b, warm)
+    assert np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12
+    f, f_ref = simplex_objective(Q, b, x), simplex_objective(Q, b, ref)
+    assert abs(f - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
+    # Simplex KKT: the gradient is smallest, and constant, on the support.
+    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(b).max()))
+    grad = 2.0 * (Q @ x + b)
+    lam = float(grad.min())
+    assert float(grad[x > 0.0].max()) - lam <= 1e-12 * scale
+
+
+def test_simplex_qp_dependent_atoms_use_least_squares(monkeypatch):
+    # The third atom is the sum of the first two: their Gram has rank 2 and
+    # no Cholesky factor.
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    Q = V @ V.T
+    b = V @ np.array([0.3, -0.2])
+    x = _simplex_qp(Q, b, np.full(3, 1.0 / 3.0))
+    ref = oracle_simplex_qp(Q, b, np.full(3, 1.0 / 3.0))
+    assert calls and calls[0] == 4
+    assert np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12
+    assert abs(simplex_objective(Q, b, x) - simplex_objective(Q, b, ref)) <= 1e-12
+
+
+COST_LATTICE = (-1.0, -0.5, 0.0, 0.5, 1.0)
+G_LATTICE = (0.25, 0.5, 0.75, 1.0, 1.5, 3.0)
+SIGMA_LATTICE = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def knapsack_inputs(draw):
+    m = draw(st.integers(min_value=1, max_value=12))
+    cost = np.array(draw(st.lists(st.sampled_from(COST_LATTICE), min_size=m, max_size=m)))
+    g = np.array(draw(st.lists(st.sampled_from(G_LATTICE), min_size=m, max_size=m)))
+    sigma = np.array(draw(st.lists(st.sampled_from(SIGMA_LATTICE), min_size=m, max_size=m)))
+    cap = float(g @ sigma)
+    a = draw(st.one_of(st.just(0.0), st.just(cap),
+                       st.floats(min_value=0.0, max_value=1.0).map(lambda t: t * cap)))
+    return cost, g, sigma, a
+
+
+@SETTINGS
+@given(knapsack_inputs())
+def test_knapsack_vertex_matches_loop_oracle(inputs):
+    cost, g, sigma, a = inputs
+    v = _knapsack_vertex(cost, g, sigma, a)
+    ref = oracle_knapsack_vertex(cost, g, sigma, a)
+    assert np.abs(v - ref).max() <= 1e-15 * max(1.0, a)
+    assert np.array_equal(v > 0.0, ref > 0.0)
+    assert np.all(v >= 0.0) and np.all(v <= sigma)
+    assert abs(float(g @ v) - a) <= 1e-12 * max(1.0, a)
+
+
+@SETTINGS
+@given(knapsack_inputs(), st.floats(min_value=1e-6, max_value=10.0))
+def test_knapsack_vertex_rejects_infeasible_budget(inputs, excess):
+    cost, g, sigma, _ = inputs
+    a = float(g @ sigma) + excess
+    with pytest.raises(InfeasibleProblem):
+        oracle_knapsack_vertex(cost, g, sigma, a)
+    with pytest.raises(InfeasibleProblem):
+        _knapsack_vertex(cost, g, sigma, a)
