@@ -151,6 +151,14 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     property: the swept potential dominates the source potential on the
     target, with equality where the swept measure is charged; the maximum
     violation is reported as ``potential_residual``.
+
+    The joint Gram is factored once by Cholesky, target rows first (a
+    refusal raises :class:`NotPositiveDefinite`).  The target block of that
+    factor solves the normal equations ``K_tt beta = (K omega)_t``; when
+    every weight comes out nonnegative this is the constrained optimum (the
+    KKT conditions hold with zero multipliers).  Only when some weight is
+    negative does ``scipy.optimize.nnls`` solve the least-squares form
+    ``min |L' (emb - omega)|`` over ``beta >= 0``.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
@@ -167,27 +175,34 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     if np.any(rows >= n):
         raise VequilError("balayage target and source points must be nodes of the joint Gram")
     rows_t, rows_s = rows[:n_t], rows[n_t:]
-    K = K_joint.entries
+    if np.unique(rows_t).size < n_t:
+        raise VequilError("balayage target nodes must be distinct")
+    # Target rows first, so the factor's leading block is that of K_tt.
+    order = np.concatenate([rows_t, np.setdiff1d(np.arange(n), rows_t, assume_unique=True)])
+    K = _sub_gram(K_joint, order).entries
     try:
         L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"joint Gram is not strictly PD: {exc}") from exc
-    omega = np.zeros(K.shape[0])
+    omega = np.zeros(n)
     np.add.at(omega, rows_s, source.weights)
-    A = L.T[:, rows_t]
-    b = L.T @ omega
-    beta, _ = scipy.optimize.nnls(A, b, maxiter=max(200, 50 * n_t))
-    emb = np.zeros(K.shape[0])
-    emb[rows_t] += beta
-    diff_potential = (K @ (emb - omega))[rows_t]
+    omega = omega[order]
+    K_omega = K @ omega
+    beta = scipy.linalg.cho_solve((L[:n_t, :n_t], True), K_omega[:n_t])
+    if np.any(beta < 0.0):
+        beta, _ = scipy.optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
+    emb = np.zeros(n)
+    emb[:n_t] = beta
+    K_emb = K @ emb
+    diff_potential = K_emb[:n_t] - K_omega[:n_t]
     charged = beta > 0.0
     violation = 0.0
     if charged.any():
         violation = float(np.abs(diff_potential[charged]).max())
     if (~charged).any():
         violation = max(violation, float(np.maximum(0.0, -diff_potential[~charged]).max()))
-    swept_energy = float(np.sqrt(max(0.0, emb @ (K @ emb))))
-    source_energy = float(np.sqrt(max(0.0, omega @ (K @ omega))))
+    swept_energy = float(np.sqrt(max(0.0, emb @ K_emb)))
+    source_energy = float(np.sqrt(max(0.0, omega @ K_omega)))
     return BalayageReport(
         swept=beta,
         potential_residual=violation,
@@ -279,6 +294,12 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     slices = c.slices()
     stages = []
     for frac, beta in zip(fractions, scales):
+        if frac == 1.0 and beta == 1.0:
+            # The full problem itself: same condenser, Gram, field and config.
+            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
+                                          value=full.value, semimetric_gap=0.0,
+                                          converged=full.converged))
+            continue
         keep_counts = [max(1, int(np.ceil(frac * p.n_nodes))) for p in c.plates]
         idx = np.concatenate(
             [np.arange(sl.start, sl.start + m) for sl, m in zip(slices, keep_counts)]

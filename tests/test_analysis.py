@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from vequil import (
     Condenser,
@@ -159,6 +160,51 @@ class TestBalayage:
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[-1.0])
         with pytest.raises(VequilError):
             balayage(src, [[0.0, 0.0, 0.0]], balayage_gram(spec, src, [[0.0, 0.0, 0.0]]))
+
+    def test_negative_unconstrained_weights_take_nnls(self, monkeypatch):
+        # An inner sphere shielded by an outer one: the unconstrained solve of
+        # K_tt beta = (K omega)_t charges all 20 inner nodes negatively.
+        calls = []
+        nnls = scipy.optimize.nnls
+
+        def counted(A, b, **kwargs):
+            calls.append(A.shape[1])
+            return nnls(A, b, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        spec = KernelSpec("newtonian")
+        target = np.vstack([fibonacci_sphere(60, radius=1.0), fibonacci_sphere(20, radius=0.5)])
+        src = ScalarSignedMeasure(support=[[2.5, 0.0, 0.0]], weights=[1.0])
+        rep = balayage(src, target, balayage_gram(spec, src, target), tol=1e-9)
+        assert calls == [80]
+        assert np.all(rep.swept >= 0.0)
+        assert np.all(rep.swept[60:] == 0.0)
+        assert rep.potential_residual <= 1e-9
+
+    @pytest.mark.parametrize("outer_radius", [1.0, None])
+    def test_joint_gram_row_order_does_not_matter(self, outer_radius):
+        # With and without the outer sphere, so both the Cholesky solve and the
+        # NNLS fallback see a joint Gram whose target rows are not first.
+        spec = KernelSpec("newtonian", epsilon=0.15)
+        inner = fibonacci_sphere(20, radius=0.5)
+        target = inner if outer_radius is None else np.vstack(
+            [fibonacci_sphere(60, radius=outer_radius), inner])
+        src = ScalarSignedMeasure(support=[[2.5, 0.0, 0.0], inner[3]], weights=[1.0, 0.25])
+        joint = balayage_gram(spec, src, target)
+        perm = np.random.default_rng(4).permutation(joint.size)
+        shuffled = assemble_gram(spec, joint.nodes[perm])
+        ref = balayage(src, target, joint)
+        rep = balayage(src, target, shuffled)
+        assert np.array_equal(rep.swept, ref.swept)
+        assert (rep.potential_residual, rep.mass_ratio, rep.swept_energy, rep.source_energy) == (
+            ref.potential_residual, ref.mass_ratio, ref.swept_energy, ref.source_energy)
+
+    def test_duplicate_target_nodes_rejected(self):
+        spec = KernelSpec("newtonian", epsilon=0.2)
+        src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
+        joint = balayage_gram(spec, src, [[0.0, 0.0, 0.0]])
+        with pytest.raises(VequilError, match="target nodes must be distinct"):
+            balayage(src, [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]], joint)
 
     def test_dimension_mismatch_raises(self):
         spec = KernelSpec("newtonian", epsilon=0.2)

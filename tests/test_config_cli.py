@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from vequil import kernels
+from vequil import analysis, kernels
 from vequil.cli import main
 from vequil.config import parse_config, serialize_config
 from vequil.errors import ConfigError
@@ -222,6 +223,17 @@ class TestCLI:
         assert record["potential_residual"] <= 1e-8
         assert record["mass_ratio"] <= 1.0 + 1e-8
 
+    def test_balayage_command_needs_no_nnls(self, capsys, monkeypatch):
+        def no_nnls(*args, **kwargs):
+            raise AssertionError("NNLS ran although the unconstrained sweep is nonnegative")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", no_nnls)
+        code, out, _ = run_cli(
+            ["balayage", str(CONFIGS / "balayage_point_to_plate.json")], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["within_tol"] is True
+
     def test_exhaust_records_monotone(self, capsys):
         code, out, _ = run_cli(
             ["exhaust", str(CONFIGS / "exhaust_two_plate.json")], capsys
@@ -265,6 +277,39 @@ class TestCLI:
             assert a["converged"] and a["full_converged"]
             assert abs(a["value"] - b["value"]) <= 1e-10
         assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
+
+    @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
+    def test_exhaust_full_stage_reuses_full_solve(self, capsys, tmp_path, monkeypatch,
+                                                  algorithm):
+        calls = []
+        solve = analysis.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve", counted)
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["algorithm"] = algorithm
+
+        def run(last_fraction):
+            doc["exhaust"]["fractions"][-1] = last_fraction
+            path = tmp_path / "exhaust.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            code, out, _ = run_cli(["exhaust", str(path), "--seed", "3"], capsys)
+            assert code == 0
+            return [json.loads(line) for line in out.strip().splitlines()], len(calls)
+
+        records, solves = run(1.0)
+        # ceil((1 - 1e-9) * 96) keeps every node of each 96-node plate, so this
+        # stage solves the full problem again, as every full stage used to.
+        resolved, resolves = run(1.0 - 1e-9)
+        assert (solves, resolves) == (4, 5)
+        resolved[-1]["node_fraction"] = 1.0
+        assert records == resolved
+        assert records[-1]["value"] == records[-1]["full_value"]
+        assert records[-1]["semimetric_gap"] == 0.0
 
     def test_csv_format(self, capsys, tmp_path):
         out_file = tmp_path / "records.csv"

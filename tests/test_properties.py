@@ -6,15 +6,20 @@ The node-set oracles are straightforward per-point dict loops keyed on the
 bytes of the +0.0-normalized coordinates; the library must agree with them
 bit for bit, in support order and in every weight.
 
+Balayage is compared with the NNLS-only sweep it replaced.
+
 The kernel properties compare the per-coordinate distance sweep with the
 expression it replaced, the Cholesky PD gate and the Lanczos largest
 eigenvalue with a dense symmetric eigensolver, and the solver's carried
 matvec with a fresh gradient.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+import scipy.optimize
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from vequil import (
@@ -35,7 +40,7 @@ from vequil import (
     scalar_energy,
     scalar_sum,
 )
-from vequil.analysis import balayage_gram
+from vequil.analysis import balayage, balayage_gram
 from vequil.condenser import CASE1
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
@@ -322,6 +327,73 @@ def test_balayage_gram_rejects_iff_target_duplicate(points):
             balayage_gram(spec, source, points)
     else:
         balayage_gram(spec, source, points)
+
+
+def oracle_nnls_balayage(source, target, joint):
+    """The sweep with NNLS on every input: ``min |L'(emb - omega)|`` over
+    ``beta >= 0`` for the Cholesky factor L of the target-first joint Gram."""
+    K = joint.entries
+    n_t = len(target)
+    _, source_rows = oracle_balayage_rows(source, target)
+    L = np.linalg.cholesky(K)
+    omega = np.zeros(K.shape[0])
+    np.add.at(omega, source_rows, source.weights)
+    beta, _ = scipy.optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
+    emb = np.zeros(K.shape[0])
+    emb[:n_t] = beta
+    return (beta, float(beta.sum()) / source.total, float(np.sqrt(max(0.0, emb @ (K @ emb)))),
+            float(np.sqrt(max(0.0, omega @ (K @ omega)))))
+
+
+# (kernel, target size, source size, source points on the target, height of
+# the other source points, seed).  Targets are jittered points of a 5x5x5
+# lattice of spacing 0.5, so the joint Gram stays well conditioned.  When
+# every source point lies on a target node, the optimum is zero on the other
+# nodes and the Cholesky solve leaves round-off of either sign there, so NNLS
+# runs; otherwise the unconstrained weights come out positive.  The first
+# explicit example takes the NNLS branch, the second the Cholesky solve.
+sweep_inputs = st.tuples(
+    st.sampled_from(("newtonian", "riesz")),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from((0.0, 1.5, 5.0)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def sweep_problem(family, n_t, k, k_on, height, seed):
+    rng = np.random.default_rng(seed)
+    lattice = np.stack(np.meshgrid(*[np.arange(5) * 0.5 - 1.0] * 3), axis=-1).reshape(-1, 3)
+    target = lattice[rng.choice(len(lattice), n_t, replace=False)]
+    target = target + rng.uniform(-0.1, 0.1, target.shape)
+    k_on = min(k_on, k, n_t)
+    off = rng.uniform(-1.0, 1.0, (k - k_on, 3)) + [0.0, 0.0, height]
+    support = np.vstack([target[rng.choice(n_t, k_on, replace=False)], off])
+    weights = rng.uniform(0.0, 1.0, k)
+    weights[0] += 0.1
+    alpha = 1.5 if family == "riesz" else None
+    source = ScalarSignedMeasure(support=support, weights=weights)
+    return KernelSpec(family, alpha=alpha, epsilon=0.15), source, target
+
+
+@SETTINGS
+@given(sweep_inputs)
+@example(("newtonian", 20, 1, 2, 0.0, 558))
+@example(("riesz", 12, 3, 1, 5.0, 2))
+def test_balayage_matches_nnls_oracle(inputs):
+    spec, source, target = sweep_problem(*inputs)
+    joint = balayage_gram(spec, source, target)
+    with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as spy:
+        rep = balayage(source, target, joint)
+    event("nnls" if spy.called else "cholesky")
+    beta, mass_ratio, swept_energy, source_energy = oracle_nnls_balayage(source, target, joint)
+    assert np.all(rep.swept >= 0.0)
+    assert np.abs(rep.swept - beta).max() <= 1e-10 * max(1.0, float(beta.max()))
+    for got, want in ((rep.mass_ratio, mass_ratio), (rep.swept_energy, swept_energy),
+                      (rep.source_energy, source_energy)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert rep.potential_residual <= 1e-9
 
 
 @SETTINGS
