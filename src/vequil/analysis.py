@@ -39,7 +39,7 @@ from .kernels import (
     check_positive_definite,
     resolve_epsilon,
 )
-from .solver import Problem, SolverConfig, solve
+from .solver import Problem, SolverConfig, solve, verify_kkt
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,14 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     and mass; the box cap 1 is never binding because the weights sum to 1.
     The Gram must be strictly positive definite: ``K - pd_tol*I`` must have a
     Cholesky factor, ``pd_tol = 1e-10 * lambda_max``.
+
+    When ``K u = 1`` has a positive solution, the minimizer is ``u / sum(u)``:
+    the KKT conditions hold with zero bound multipliers.  ``u`` is solved
+    with the PD gate's factor of ``K - pd_tol*I`` and one refinement step
+    with ``K`` itself, which contracts the error by
+    ``pd_tol / (lambda_min - pd_tol) < 1``; :func:`verify_kkt` then certifies
+    it at ``grad_tol``, and ``converged`` is that certificate.  When some
+    ``u_i <= 0`` the constrained solver (:func:`solve`) runs instead.
     """
     if not _pd_gate(K)[1]:
         pd = check_positive_definite(K)
@@ -82,11 +90,23 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     plate = Plate(id=0, sign=1, nodes=K.nodes if K.nodes is not None else np.asarray(nodes, float),
                   g=np.ones(n), mass=1.0, sigma=np.ones(n))
     c = Condenser(plates=(plate,))
+    f = zero_field(c)
     cfg = config or SolverConfig(grad_tol=1e-10)
-    rep = solve(c, K, zero_field(c), cfg)
-    nu = rep.minimizer.weights[0]
-    W = rep.value
-    potential = K.entries @ nu
+    factor = K._cache["cholesky"]
+    ones = np.ones(n)
+    u = scipy.linalg.cho_solve(factor, ones, check_finite=False)
+    u += scipy.linalg.cho_solve(factor, ones - K.entries @ u, check_finite=False)
+    if u.min() > 0.0:
+        nu = u / u.sum()
+        potential = K.entries @ nu
+        W = float(nu @ potential)
+        kkt = verify_kkt(c, K, f, c.measure([nu]), cfg.grad_tol)
+        resid, converged = kkt.max_residual, kkt.ok
+    else:
+        rep = solve(c, K, f, cfg)
+        nu = rep.minimizer.weights[0]
+        potential = K.entries @ nu
+        W, resid, converged = rep.value, rep.kkt_residual, rep.converged
     violation = float((W - potential).max())
     tol = frostman_tol if frostman_tol is not None else 1e-6 * W
     return EquilibriumReport(
@@ -95,8 +115,8 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
         capacity=1.0 / float(W),
         frostman_violation=violation,
         frostman_tol=float(tol),
-        kkt_residual=rep.kkt_residual,
-        converged=rep.converged,
+        kkt_residual=resid,
+        converged=converged,
     )
 
 
@@ -158,7 +178,9 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     every weight comes out nonnegative this is the constrained optimum (the
     KKT conditions hold with zero multipliers).  Only when some weight is
     negative does ``scipy.optimize.nnls`` solve the least-squares form
-    ``min |L' (emb - omega)|`` over ``beta >= 0``.
+    ``min |L' (emb - omega)|`` over ``beta >= 0``.  A source that lies
+    wholly on target nodes is returned as it is, the exact optimum with
+    residual 0, without either solve.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
@@ -188,9 +210,12 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     np.add.at(omega, rows_s, source.weights)
     omega = omega[order]
     K_omega = K @ omega
-    beta = scipy.linalg.cho_solve((L[:n_t, :n_t], True), K_omega[:n_t])
-    if np.any(beta < 0.0):
-        beta, _ = scipy.optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
+    if not omega[n_t:].any():
+        beta = omega[:n_t]  # the source lies on the target: it is its own sweep
+    else:
+        beta = scipy.linalg.cho_solve((L[:n_t, :n_t], True), K_omega[:n_t])
+        if np.any(beta < 0.0):
+            beta, _ = scipy.optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
     emb = np.zeros(n)
     emb[:n_t] = beta
     K_emb = K @ emb

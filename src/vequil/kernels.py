@@ -378,22 +378,29 @@ def _pd_gate(G: GramMatrix) -> tuple[bool, bool]:
     :func:`check_positive_definite` unless the smallest eigenvalue lies
     within the factorization's rounding error (about ``1e-12 * lambda_max``)
     of ``-pd_tol`` or ``+pd_tol``.
+
+    When the strict factorization succeeds, its upper factor ``U`` (with
+    ``U'U = K - pd_tol*I``) stays in the cache as ``"cholesky": (U, False)``,
+    ready for ``scipy.linalg.cho_solve``; ``U`` is Fortran-ordered, so the
+    solve takes it without a copy.  It is the gate's one work matrix, kept.
     """
     if "pd_gate" not in G._cache:
         pd_tol = 1e-10 * max(G.lambda_max(), 1e-300)
         work = np.empty_like(G.entries)
 
-        def factors(shift: float) -> bool:
+        def factor(shift: float) -> np.ndarray | None:
             work[...] = G.entries
             work.reshape(-1)[:: G.size + 1] += shift
             try:
                 # work.T is Fortran-ordered and, K being symmetric, equal to
                 # work, so LAPACK factors it in place.
-                scipy.linalg.cholesky(work.T, overwrite_a=True, check_finite=False)
+                return scipy.linalg.cholesky(work.T, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError:
-                return False
-            return True
+                return None
 
-        strict = factors(-pd_tol)
-        G._cache["pd_gate"] = (strict or factors(pd_tol), strict)
+        upper = factor(-pd_tol)
+        strict = upper is not None
+        if strict:
+            G._cache["cholesky"] = (upper, False)
+        G._cache["pd_gate"] = (strict or factor(pd_tol) is not None, strict)
     return G._cache["pd_gate"]

@@ -1,7 +1,9 @@
 """Equilibrium/capacity, balayage, exhaustion, and thinness operations."""
 
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from vequil import (
     make_plate,
     zero_field,
 )
+from vequil import analysis
 from vequil.analysis import (
     balayage,
     balayage_gram,
@@ -30,7 +33,7 @@ from vequil.analysis import (
 from vequil.config import parse_config
 from vequil.errors import DimensionMismatch, VequilError
 from vequil.geometry import fibonacci_sphere, grid_nodes, ring_nodes, rotational_body
-from vequil.solver import Problem
+from vequil.solver import Problem, solve, verify_kkt
 
 from instances import two_plate_signed
 
@@ -103,6 +106,40 @@ class TestEquilibrium:
         K = assemble_gram(KernelSpec("custom_table", table=np.ones((2, 2))), [[0], [1]])
         with pytest.raises(NotPositiveDefinite, match="strictly PD Gram .min eigenvalue"):
             equilibrium([[0], [1]], K)
+
+    def test_negative_linear_solve_takes_constrained_solver(self):
+        # On a 6x6x6 grid over the unit cube, K u = 1 has 56 negative entries,
+        # so the minimizer is not u / sum(u) and the constrained solver runs.
+        nodes = grid_nodes([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [6, 6, 6])
+        K = assemble_gram(KernelSpec("newtonian"), nodes)
+        cfg = SolverConfig(grad_tol=1e-10)
+        with mock.patch.object(analysis, "solve", wraps=solve) as fallback:
+            eq = equilibrium(nodes, K, config=cfg)
+        assert fallback.call_count == 1
+        c = Condenser(plates=(make_plate(0, 1, nodes),))
+        rep = solve(c, K, zero_field(c), cfg)
+        assert eq.converged and eq.kkt_residual <= 1e-10
+        assert eq.robin_constant == pytest.approx(rep.value, rel=1e-12)
+        want = rep.minimizer.weights[0]
+        assert np.abs(eq.unit_minimizer - want).max() <= 1e-12 * want.max()
+        assert np.count_nonzero(eq.unit_minimizer == 0.0) > 0
+        assert verify_kkt(c, K, zero_field(c), c.measure([eq.unit_minimizer]), 1e-10).ok
+
+    def test_working_memory_is_one_gram_sized_matrix(self):
+        # The PD gate's factor is the one N^2 work matrix; the solves with it
+        # and the certificate add O(N).  A C-ordered factor (which cho_solve
+        # would copy) or any N^2 temporary breaks the bound.
+        n = 1500
+        nodes = fibonacci_sphere(n, radius=1.0)
+        K = assemble_gram(KernelSpec("newtonian"), nodes)
+        tracemalloc.start()
+        try:
+            eq = equilibrium(nodes, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eq.converged
+        assert peak <= 8 * n * n + 64 * 8 * n
 
 
 class TestBalayage:

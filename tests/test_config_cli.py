@@ -1,6 +1,7 @@
 """Config parsing, canonical round-trip, CLI commands, exit codes, goldens."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from vequil import analysis, kernels
+from vequil import analysis, kernels, solver
 from vequil.cli import main
 from vequil.config import parse_config, serialize_config
 from vequil.errors import ConfigError
@@ -208,6 +209,44 @@ class TestCLI:
         assert abs(record["capacity"] - 2.0) <= 0.1
         assert record["frostman_violation"] <= record["frostman_tol"]
 
+    def test_capacity_needs_no_iterative_solve(self, capsys, monkeypatch):
+        def no_iterations(*args, **kwargs):
+            raise AssertionError("projected gradient ran although K u = 1 has a positive solution")
+
+        monkeypatch.setattr(solver, "_run_projected_gradient", no_iterations)
+        code, out, _ = run_cli(["capacity", str(CONFIGS / "capacity_sphere.json")], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["converged"] is True
+        assert record["kkt_residual"] <= 1e-10
+        assert record["frostman_violation"] <= record["frostman_tol"]
+
+    def test_capacity_small_sphere_converges(self, capsys, tmp_path):
+        # A 3000-node sphere of radius 0.534 on which projected gradient
+        # stalls at a KKT residual of 1e-7; the direct solve certifies it.
+        radius = 0.5340820005757438
+        doc = {
+            "kernel": {"family": "newtonian"},
+            "plates": [{
+                "sign": 1,
+                "nodes": {"generator": "sphere", "count": 3000, "radius": radius,
+                          "center": [0.2941028698480386, 1.9521353613276058,
+                                     -1.360360172466926]},
+                "g": 1.0, "a": 1.0, "sigma": 1.0,
+            }],
+            "solver": {"algorithm": "projected_gradient", "grad_tol": 1e-10},
+            "capacity": {"plate": 0},
+        }
+        path = tmp_path / "small_sphere.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["capacity", str(path)], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["converged"] is True
+        assert record["kkt_residual"] <= 1e-10
+        # 0.0124... is the Fibonacci sphere's discretization bias at 3000 nodes
+        assert abs(record["capacity"] / radius - (1.0 + 0.012439869860406905)) <= 1e-8
+
     def test_check_pd_identity_table(self, capsys):
         code, out, _ = run_cli(["check-pd", str(CONFIGS / "check_pd_identity.json")], capsys)
         assert code == 0
@@ -378,10 +417,13 @@ class TestCLI:
 
 
 def test_console_entry_point_runs():
+    # The child imports vequil from this checkout, with or without PYTHONPATH set.
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "vequil.cli", "check-pd", str(CONFIGS / "check_pd_identity.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_pd"] is True

@@ -6,7 +6,8 @@ The node-set oracles are straightforward per-point dict loops keyed on the
 bytes of the +0.0-normalized coordinates; the library must agree with them
 bit for bit, in support order and in every weight.
 
-Balayage is compared with the NNLS-only sweep it replaced.
+Balayage is compared with the NNLS-only sweep it replaced, and the equilibrium
+measure on both of its branches with the constrained solver.
 
 The kernel properties compare the per-coordinate distance sweep with the
 expression it replaced, the Cholesky PD gate and the Lanczos largest
@@ -18,6 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
@@ -40,11 +42,12 @@ from vequil import (
     scalar_energy,
     scalar_sum,
 )
-from vequil.analysis import balayage, balayage_gram
-from vequil.condenser import CASE1
+from vequil import analysis
+from vequil.analysis import balayage, balayage_gram, equilibrium
+from vequil.condenser import CASE1, zero_field
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
-from vequil.solver import _QP, _knapsack_vertex, _simplex_qp
+from vequil.solver import _QP, SolverConfig, _knapsack_vertex, _simplex_qp, solve, verify_kkt
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -348,10 +351,12 @@ def oracle_nnls_balayage(source, target, joint):
 # (kernel, target size, source size, source points on the target, height of
 # the other source points, seed).  Targets are jittered points of a 5x5x5
 # lattice of spacing 0.5, so the joint Gram stays well conditioned.  When
-# every source point lies on a target node, the optimum is zero on the other
-# nodes and the Cholesky solve leaves round-off of either sign there, so NNLS
-# runs; otherwise the unconstrained weights come out positive.  The first
-# explicit example takes the NNLS branch, the second the Cholesky solve.
+# every source point lies on a target node, the source is returned as its own
+# sweep, with neither the Cholesky solve nor NNLS; otherwise the unconstrained
+# weights come out positive and the Cholesky solve answers.  NNLS runs only on
+# negative unconstrained weights, which these inputs do not produce
+# (tests/test_analysis.py pins that branch).  The first explicit example takes
+# the shortcut, the second the Cholesky solve.
 sweep_inputs = st.tuples(
     st.sampled_from(("newtonian", "riesz")),
     st.integers(min_value=2, max_value=30),
@@ -384,9 +389,10 @@ def sweep_problem(family, n_t, k, k_on, height, seed):
 def test_balayage_matches_nnls_oracle(inputs):
     spec, source, target = sweep_problem(*inputs)
     joint = balayage_gram(spec, source, target)
-    with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as spy:
+    with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as nnls, \
+            mock.patch.object(scipy.linalg, "cho_solve", wraps=scipy.linalg.cho_solve) as cholesky:
         rep = balayage(source, target, joint)
-    event("nnls" if spy.called else "cholesky")
+    event("nnls" if nnls.called else "cholesky" if cholesky.called else "source on target")
     beta, mass_ratio, swept_energy, source_energy = oracle_nnls_balayage(source, target, joint)
     assert np.all(rep.swept >= 0.0)
     assert np.abs(rep.swept - beta).max() <= 1e-10 * max(1.0, float(beta.max()))
@@ -394,6 +400,25 @@ def test_balayage_matches_nnls_oracle(inputs):
                       (rep.source_energy, source_energy)):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert rep.potential_residual <= 1e-9
+
+
+def test_source_on_target_is_its_own_sweep():
+    spec, source, target = sweep_problem("newtonian", 20, 3, 3, 0.0, 558)
+    joint = balayage_gram(spec, source, target)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran although the source lies on the target")
+
+    with mock.patch.object(scipy.optimize, "nnls", refuse), \
+            mock.patch.object(scipy.linalg, "cho_solve", refuse):
+        rep = balayage(source, target, joint)
+    _, source_rows = oracle_balayage_rows(source, target)
+    want = np.zeros(len(target))
+    want[source_rows] = source.weights
+    assert np.array_equal(rep.swept, want)
+    assert rep.potential_residual == 0.0
+    assert rep.mass_ratio == pytest.approx(1.0, rel=1e-15)
+    assert rep.swept_energy == rep.source_energy
 
 
 @SETTINGS
@@ -725,3 +750,52 @@ def test_knapsack_vertex_rejects_infeasible_budget(inputs, excess):
         oracle_knapsack_vertex(cost, g, sigma, a)
     with pytest.raises(InfeasibleProblem):
         _knapsack_vertex(cost, g, sigma, a)
+
+
+# ---------------------------------------------------------------------------
+# Equilibrium: the direct solve against the constrained solver
+# ---------------------------------------------------------------------------
+
+
+# (kernel, node count, seed).  Nodes are jittered points of a 6^d lattice of
+# spacing 0.24 in [-0.6, 0.6]^d: d = 2 for log_disk (inside the unit disk), 2
+# or 3 for riesz with a random alpha in (0.5, d - 0.5).  About a third of the
+# inputs have a negative entry in the solution of K u = 1 and take the
+# constrained solver; the first explicit example takes the direct solve, the
+# second the fallback.
+equilibrium_inputs = st.tuples(
+    st.sampled_from(("riesz", "log_disk")),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def equilibrium_problem(family, n, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2 if family == "log_disk" else int(rng.integers(2, 4))
+    axis = np.arange(6) * 0.24 - 0.6
+    lattice = np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim)
+    nodes = lattice[rng.choice(len(lattice), n, replace=False)]
+    nodes = nodes + rng.uniform(-0.05, 0.05, nodes.shape)
+    alpha = rng.uniform(0.5, dim - 0.5) if family == "riesz" else None
+    return nodes, assemble_gram(KernelSpec(family, alpha=alpha), nodes)
+
+
+@SETTINGS
+@given(equilibrium_inputs)
+@example(("riesz", 12, 0))
+@example(("log_disk", 30, 1))
+def test_equilibrium_matches_constrained_solve(inputs):
+    nodes, K = equilibrium_problem(*inputs)
+    assume(_pd_gate(K)[1])
+    cfg = SolverConfig(grad_tol=1e-12)
+    with mock.patch.object(analysis, "solve", wraps=solve) as fallback:
+        eq = equilibrium(nodes, K, config=cfg)
+    event("constrained solver" if fallback.called else "direct solve")
+    c = Condenser(plates=(make_plate(0, 1, K.nodes),))
+    rep = solve(c, K, zero_field(c), cfg)
+    assert eq.converged and rep.converged
+    assert abs(eq.robin_constant - rep.value) <= 1e-10 * rep.value
+    assert np.abs(eq.unit_minimizer - rep.minimizer.weights[0]).max() <= 1e-8 * eq.unit_minimizer.max()
+    assert eq.kkt_residual <= cfg.grad_tol
+    assert verify_kkt(c, K, zero_field(c), c.measure([eq.unit_minimizer]), cfg.grad_tol).ok
