@@ -22,11 +22,10 @@ from .condenser import (
     FieldSpec,
     Plate,
     ScalarSignedMeasure,
-    condenser_gram,
 )
 from .errors import ConfigError, VequilError
 from .geometry import fibonacci_sphere, grid_nodes, ring_nodes, rotational_body
-from .kernels import KernelSpec, assemble_gram, resolve_epsilon
+from .kernels import KernelSpec, assemble_gram
 from .solver import Problem, SolverConfig
 
 _GENERATORS = ("sphere", "grid", "ring", "rotational_body")
@@ -234,6 +233,8 @@ def parse_config(source) -> ParsedConfig:
         if sign not in (1, -1):
             raise _fail(f"{path}.sign", "sign must be 1 or -1")
         nodes = build_nodes(_get(pd, "nodes", path), f"{path}.nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise _fail(f"{path}.nodes", "node coordinates must be finite")
         n = nodes.shape[0]
         g = _per_node(pd.get("g", 1.0), n, f"{path}.g")
         mass = _as_float(_get(pd, "a", path), f"{path}.a")
@@ -243,11 +244,16 @@ def parse_config(source) -> ParsedConfig:
         masses.append(mass)
         sigma_descs.append(pd.get("sigma", None))
 
-    if spec.family != "custom_table":
-        try:
-            spec = resolve_epsilon(spec, np.vstack(nodes_list))
-        except VequilError as exc:
-            raise ConfigError(f"kernel.epsilon: {exc}") from exc
+    if len({nodes.shape[1] for nodes in nodes_list}) > 1:
+        raise ConfigError("plates: all plates must share one spatial dimension")
+    # One Gram over all nodes: the problem's, whose diagonal blocks also serve
+    # the equilibrium-scaled sigmas.
+    try:
+        gram = assemble_gram(spec, np.vstack(nodes_list))
+    except VequilError as exc:
+        anchor = "kernel.epsilon" if "default epsilon" in str(exc) else "kernel"
+        raise ConfigError(f"{anchor}: {exc}") from exc
+    offsets = np.cumsum([0] + [nodes.shape[0] for nodes in nodes_list])
 
     plates = []
     for k, (nodes, sign, g, mass, sdesc) in enumerate(
@@ -258,10 +264,10 @@ def parse_config(source) -> ParsedConfig:
             raise _fail(path, "missing required field")
         if isinstance(sdesc, dict):
             scale = _as_float(_get(sdesc, "equilibrium_scale", path), path)
-            from .analysis import equilibrium  # local import: avoids a cycle
+            from .analysis import _sub_gram, equilibrium  # local import: avoids a cycle
 
             try:
-                eq = equilibrium(nodes, assemble_gram(spec, nodes))
+                eq = equilibrium(nodes, _sub_gram(gram, np.arange(offsets[k], offsets[k + 1])))
             except VequilError as exc:
                 raise _fail(path, f"equilibrium-scaled sigma failed: {exc}") from exc
             sigma = scale * mass * eq.unit_minimizer
@@ -302,10 +308,6 @@ def parse_config(source) -> ParsedConfig:
             raise ConfigError(f"field.case: unknown case {case!r}")
 
     solver_cfg = _parse_solver(doc.get("solver"), "solver")
-    try:
-        gram = condenser_gram(spec, cond)
-    except VequilError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
     problem = Problem(condenser=cond, gram=gram, field=field, config=solver_cfg)
 
     n_plates = len(cond.plates)

@@ -9,14 +9,19 @@ Supported families:
 * ``custom_table`` -- entries injected as an explicit symmetric matrix; nodes
   are integer index points and geometry is bypassed entirely
 
-The diagonal of the singular families is regularized by the length ``eps``;
-a node is thereby modelled as a small charge cell of that size.  When ``eps``
-is left unset it defaults, at assembly time, to half the minimum (positive)
-inter-node spacing of the node set.
+The singular families are regularized by the length ``eps``, which enters
+every entry as ``|x-y|^2 + eps^2``; a node is thereby modelled as a small
+charge cell of that size.  When ``eps`` is left unset it defaults, at
+assembly time, to half the minimum (positive) inter-node spacing of the node
+set.
 
-Squared distances are summed one coordinate at a time, left to right, so an
-assembled Gram is exactly symmetric by construction and each entry equals the
-point evaluation of its pair bit for bit.
+A Gram is assembled by two in-place passes over its own N x N buffer, in
+row blocks of :data:`_ASSEMBLY_BLOCK` rows.  The first writes the squared
+distances, summed one coordinate at a time, left to right, and takes the
+default ``eps`` from their positive minimum; the second adds ``eps^2`` and
+applies the family.  Working memory is the Gram plus one block of scratch.
+The sum order makes an assembled Gram exactly symmetric by construction, and
+each entry equals the point evaluation of its pair bit for bit.
 
 Positive definiteness is decided two ways.  The solvers' gate
 (:func:`_pd_gate`) never computes a spectrum: it takes the largest
@@ -47,8 +52,8 @@ CUSTOM_TABLE = "custom_table"
 FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK, CUSTOM_TABLE)
 SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 
-# Row-block size of every pairwise-distance pass; bounds memory at ~block*N*dim floats.
-_ASSEMBLY_BLOCK = 512
+# Row-block size of every pairwise-distance pass: a block of N columns stays in cache.
+_ASSEMBLY_BLOCK = 32
 
 
 def _as_points(x) -> np.ndarray:
@@ -159,9 +164,10 @@ class GramMatrix:
 
         For matrices vequil computes itself: ``entries`` must be a fresh,
         exactly symmetric float array owned by nobody else; it is frozen in
-        place.  Only finiteness is checked.
+        place.  Only finiteness is checked, by ``min`` and ``max`` (which
+        propagate NaN), so without an N x N temporary.
         """
-        if not np.all(np.isfinite(entries)):
+        if not (np.isfinite(entries.min(initial=0.0)) and np.isfinite(entries.max(initial=0.0))):
             raise KernelDomainError(
                 "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
             )
@@ -242,10 +248,8 @@ def evaluate_kernel(spec: KernelSpec, x, y) -> float:
 def minimum_spacing(nodes) -> float:
     """Smallest positive pairwise distance of a node set (inf if none)."""
     pts = _as_points(nodes)
-    best = np.inf
-    for _, d2 in _sq_dist_blocks(pts, pts):
-        best = min(best, float(np.min(d2, where=d2 > 0.0, initial=np.inf)))
-    return float(np.sqrt(best))
+    blocks = _sq_dist_blocks(pts, pts)
+    return float(np.sqrt(min((_min_positive(d2) for _, d2 in blocks), default=np.inf)))
 
 
 def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
@@ -253,46 +257,74 @@ def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
 
     The default is half the minimum positive inter-node spacing.  Coincident
     nodes (legal for overlapping equal-sign plates) are ignored when taking
-    the minimum.
+    the minimum.  :func:`assemble_gram` takes the same value from its own
+    distance pass instead.
     """
     if spec.epsilon is not None or not spec.singular:
         return spec
-    h = minimum_spacing(nodes)
-    if not np.isfinite(h):
+    return spec.with_epsilon(_default_epsilon(minimum_spacing(nodes)))
+
+
+def _min_positive(d2: np.ndarray) -> float:
+    return float(np.min(d2, where=d2 > 0.0, initial=np.inf))
+
+
+def _default_epsilon(spacing: float) -> float:
+    if not np.isfinite(spacing):
         raise KernelDomainError(
             "cannot derive a default epsilon from a single node; set epsilon explicitly"
         )
-    return spec.with_epsilon(0.5 * h)
+    return 0.5 * spacing
 
 
-def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray):
-    """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block."""
+def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
+    """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block.
+
+    Each ``d2`` is a fresh array, or the view of its rows of ``out`` when given.
+    """
+    diff = np.empty((min(_ASSEMBLY_BLOCK, rows.shape[0]), cols.shape[0]))
     for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
         blk = rows[start : start + _ASSEMBLY_BLOCK]
+        t = diff[: blk.shape[0]]
+        d2 = np.empty_like(t) if out is None else out[start : start + blk.shape[0]]
         # (a_k - b_k)**2 summed over k left to right: exactly symmetric,
         # identical for every pair wherever it is evaluated.
-        d2 = np.subtract.outer(blk[:, 0], cols[:, 0])
+        np.subtract.outer(blk[:, 0], cols[:, 0], out=d2)
         np.square(d2, out=d2)
-        diff = np.empty_like(d2)
         for k in range(1, rows.shape[1]):
-            np.subtract.outer(blk[:, k], cols[:, k], out=diff)
-            np.square(diff, out=diff)
-            d2 += diff
+            np.subtract.outer(blk[:, k], cols[:, k], out=t)
+            np.square(t, out=t)
+            d2 += t
         yield start, d2
 
 
 def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> np.ndarray:
+    """The kernel of squared regularized distances ``r2``, computed in place."""
     if spec.family == LOG_DISK:
-        return -0.5 * np.log(r2)
-    return r2 ** ((float(spec.alpha) - n) / 2.0)
+        np.log(r2, out=r2)
+        r2 *= -0.5
+    else:
+        np.power(r2, (float(spec.alpha) - n) / 2.0, out=r2)
+    return r2
 
 
-def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    eps = float(spec.epsilon or 0.0)
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray,
+                   Y: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
+    """Kernel matrix of ``X`` against ``Y`` by the two passes of the module
+    notes, and the spec it used (an unset epsilon resolved by pass 1)."""
     out = np.empty((X.shape[0], Y.shape[0]))
-    for start, d2 in _sq_dist_blocks(X, Y):
-        out[start : start + d2.shape[0]] = _apply_family(spec, d2 + eps * eps, X.shape[1])
-    return out
+    min_d2 = np.inf
+    for _, d2 in _sq_dist_blocks(X, Y, out):
+        if spec.epsilon is None:
+            min_d2 = min(min_d2, _min_positive(d2))
+    if spec.epsilon is None:
+        spec = spec.with_epsilon(_default_epsilon(float(np.sqrt(min_d2))))
+    eps = float(spec.epsilon)
+    for start in range(0, out.shape[0], _ASSEMBLY_BLOCK):
+        r2 = out[start : start + _ASSEMBLY_BLOCK]
+        r2 += eps * eps
+        _apply_family(spec, r2, X.shape[1])
+    return out, spec
 
 
 def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
@@ -313,7 +345,8 @@ def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
     if spec.family == LOG_DISK:
         if np.any((X * X).sum(axis=1) >= 1.0) or np.any((Y * Y).sum(axis=1) >= 1.0):
             raise KernelDomainError("log_disk points must lie inside the open unit disk")
-    out = _kernel_matrix(spec, X, Y)
+    with np.errstate(divide="ignore"):  # a coincident pair at eps = 0 gives inf, refused below
+        out, _ = _kernel_matrix(spec.with_epsilon(spec.epsilon or 0.0), X, Y)
     if not np.all(np.isfinite(out)):
         raise KernelDomainError("cross kernel has singular entries; use epsilon > 0")
     return out
@@ -336,14 +369,13 @@ def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
     else:
         pts = _as_points(nodes)
         spec._check_dimension(pts.shape[1])
-        spec = resolve_epsilon(spec, pts)
-        if spec.singular and not spec.epsilon > 0.0:
+        if spec.epsilon is not None and not spec.epsilon > 0.0:
             raise KernelDomainError(
                 f"{spec.family} Gram assembly requires epsilon > 0 (singular diagonal)"
             )
         if spec.family == LOG_DISK and np.any((pts * pts).sum(axis=1) >= 1.0):
             raise KernelDomainError("log_disk nodes must lie inside the open unit disk")
-        entries = _kernel_matrix(spec, pts, pts)
+        entries, spec = _kernel_matrix(spec, pts, pts)
     return GramMatrix._assembled(entries, spec=spec, nodes=pts)
 
 

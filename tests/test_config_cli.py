@@ -96,6 +96,36 @@ class TestParse:
         sigma = parsed.problem.condenser.plates[0].sigma
         assert sigma.sum() == pytest.approx(2.0 * 1.0, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "kernel, nodes, message",
+        [
+            ({"family": "riesz", "alpha": 2.0}, [[0.0, 0.0, 0.0]],
+             r"kernel\.epsilon: cannot derive a default epsilon from a single node"),
+            ({"family": "riesz", "alpha": 2.0, "epsilon": 0.0}, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+             r"kernel: riesz Gram assembly requires epsilon > 0"),
+            ({"family": "log_disk"}, [[0.0, 0.0], [0.0, 1.0]],
+             r"kernel: log_disk nodes must lie inside the open unit disk"),
+        ],
+    )
+    def test_kernel_domain_anchored_error(self, kernel, nodes, message):
+        doc = minimal_config(kernel=kernel)
+        doc["plates"] = [dict(doc["plates"][0], nodes=nodes)]
+        with pytest.raises(ConfigError, match="^" + message):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_non_finite_nodes_anchored_error(self, epsilon):
+        doc = minimal_config(kernel={"family": "riesz", "alpha": 2.0, "epsilon": epsilon})
+        doc["plates"][1]["nodes"] = [[1.5, 0.0, float("nan")], [2.0, 0.0, 0.0]]
+        with pytest.raises(ConfigError, match=r"^plates\[1\]\.nodes: node coordinates"):
+            parse_config(doc)
+
+    def test_mixed_dimensions_anchored_error(self):
+        doc = minimal_config()
+        doc["plates"][1]["nodes"] = [[1.5, 0.0], [2.0, 0.0]]
+        with pytest.raises(ConfigError, match=r"^plates: all plates must share one spatial"):
+            parse_config(doc)
+
     def test_unknown_generator(self):
         doc = minimal_config()
         doc["plates"][0]["nodes"] = {"generator": "moebius", "count": 5}
@@ -142,6 +172,57 @@ def test_malformed_command_section_is_a_config_error(command, section, field_pat
     code, _, err = run_cli([command, str(path)], capsys)
     assert code == 1
     assert err.startswith(f"error: {field_path}: ")
+
+
+def count_assemblies(monkeypatch) -> list:
+    """Record ``(rows, cols)`` of every kernel matrix; forbid a separate spacing sweep."""
+
+    def no_spacing_sweep(*args, **kwargs):
+        raise AssertionError("a separate spacing sweep ran")
+
+    assemblies = []
+    kernel_matrix = kernels._kernel_matrix
+
+    def counted(spec, X, Y):
+        assemblies.append((X.shape[0], Y.shape[0]))
+        return kernel_matrix(spec, X, Y)
+
+    monkeypatch.setattr(kernels, "minimum_spacing", no_spacing_sweep)
+    monkeypatch.setattr(kernels, "resolve_epsilon", no_spacing_sweep)
+    monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+    return assemblies
+
+
+@pytest.mark.parametrize("command", ["solve", "capacity"])
+@pytest.mark.parametrize(
+    "name", ["balayage_point_to_plate", "capacity_sphere", "exhaust_two_plate", "solve_two_plate"]
+)
+def test_command_assembles_one_gram_in_one_sweep(command, name, capsys, monkeypatch):
+    path = str(CONFIGS / f"{name}.json")
+    n = parse_config(path).problem.gram.size
+    assemblies = count_assemblies(monkeypatch)
+    code, _, _ = run_cli([command, path], capsys)
+    assert code == 0
+    assert assemblies == [(n, n)]
+
+
+def test_equilibrium_scaled_sigmas_share_the_problem_gram(monkeypatch):
+    path = CONFIGS / "solve_two_plate.json"
+    base = parse_config(str(path)).problem
+    doc = json.loads(path.read_text())
+    for plate in doc["plates"]:
+        plate["sigma"] = {"equilibrium_scale": 1.5}
+    # Each plate's sigma as its own assembly, under the all-nodes epsilon, gave it.
+    expected = [
+        1.5 * p.mass * analysis.equilibrium(p.nodes, kernels.assemble_gram(base.gram.spec, p.nodes))
+        .unit_minimizer
+        for p in base.condenser.plates
+    ]
+    assemblies = count_assemblies(monkeypatch)
+    parsed = parse_config(doc)
+    assert assemblies == [(base.gram.size, base.gram.size)]
+    for plate, sigma in zip(parsed.problem.condenser.plates, expected):
+        assert np.array_equal(plate.sigma.view(np.int64), sigma.view(np.int64))
 
 
 class TestCLI:

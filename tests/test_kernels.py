@@ -1,5 +1,7 @@
 """Kernel catalog, Gram assembly, and PD diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from vequil import (
     minimum_spacing,
     resolve_epsilon,
 )
+from vequil import kernels
 from vequil.errors import DimensionMismatch
+from vequil.geometry import fibonacci_sphere
 
 
 class TestEvaluateKernel:
@@ -119,6 +123,40 @@ class TestAssembleGram:
                 [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
             )
 
+    @pytest.mark.parametrize(
+        "spec, nodes, message",
+        [
+            (KernelSpec("riesz", alpha=2.0, epsilon=0.0), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+             "requires epsilon > 0"),
+            (KernelSpec("log_disk"), [[0.0, 0.0], [1.0, 0.0]], "open unit disk"),
+            (KernelSpec("log_disk", epsilon=0.1), [[0.0, 0.0], [0.0, -1.5]], "open unit disk"),
+        ],
+    )
+    def test_domain_errors_come_before_the_distance_sweep(self, spec, nodes, message,
+                                                           monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the distance sweep ran before validation")
+
+        monkeypatch.setattr(kernels, "_sq_dist_blocks", no_sweep)
+        with pytest.raises(KernelDomainError, match=message):
+            assemble_gram(spec, nodes)
+
+    def test_working_memory_is_the_gram_plus_one_block(self):
+        # Assembly through temporaries of 512-row blocks held four of them at
+        # once (8N^2 + 16384N bytes here); two passes over the Gram's own
+        # buffer need one 32-row block of floats (256N bytes) and its mask.
+        n = 1500
+        nodes = fibonacci_sphere(n, radius=1.3)
+        for spec in (KernelSpec("newtonian"), KernelSpec("newtonian", epsilon=0.01)):
+            tracemalloc.start()
+            try:
+                G = assemble_gram(spec, nodes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert G.size == n
+            assert peak <= 8 * n * n + 1024 * n
+
     def test_custom_table_assembly(self):
         table = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
         G = assemble_gram(KernelSpec("custom_table", table=table), [[2], [0]])
@@ -140,6 +178,18 @@ class TestCrossKernel:
         for p in range(6):
             for q in range(4):
                 assert C[p, q] == evaluate_kernel(spec, X[p], Y[q])
+
+    @pytest.mark.parametrize(
+        "spec, Y",
+        [
+            (KernelSpec("riesz", alpha=1.0), [[0.0, 0.0], [1.0, 0.0]]),
+            (KernelSpec("log_disk"), [[0.0, 0.0], [0.5, 0.0]]),
+        ],
+    )
+    def test_coincident_pair_without_epsilon_is_a_domain_error(self, spec, Y):
+        # Raised as KernelDomainError, without a numpy divide-by-zero warning.
+        with pytest.raises(KernelDomainError, match="singular entries"):
+            cross_kernel(spec, [[0.0, 0.0]], Y)
 
 
 class TestPositiveDefiniteness:

@@ -9,8 +9,9 @@ bit for bit, in support order and in every weight.
 Balayage is compared with the NNLS-only sweep it replaced, and the equilibrium
 measure on both of its branches with the constrained solver.
 
-The kernel properties compare the per-coordinate distance sweep with the
-expression it replaced, the Cholesky PD gate and the Lanczos largest
+The kernel properties compare the per-coordinate distance sweep, and the
+two-pass Gram assembly with its default epsilon, with the expressions they
+replaced, the Cholesky PD gate and the Lanczos largest
 eigenvalue with a dense symmetric eigensolver, and the solver's carried
 matvec with a fresh gradient.
 """
@@ -31,11 +32,14 @@ from vequil import (
     KernelSpec,
     ScalarSignedMeasure,
     InfeasibleProblem,
+    KernelDomainError,
     VequilError,
     assemble_gram,
     check_positive_definite,
     condenser_gram,
+    cross_kernel,
     energy,
+    evaluate_kernel,
     make_plate,
     minimum_spacing,
     r_map,
@@ -497,6 +501,55 @@ def test_assembled_gram_is_exactly_symmetric(inputs):
     spec, pts = inputs
     G = assemble_gram(spec, pts)
     assert same_bits(G.entries, G.entries.T)
+
+
+@st.composite
+def two_pass_inputs(draw):
+    """A node set of 1 to 2 row blocks plus 3 nodes, with coincidences, under
+    a family, and an explicit epsilon or none."""
+    family = draw(st.sampled_from(("riesz", "newtonian", "log_disk")))
+    dim = {"newtonian": 3, "log_disk": 2}.get(family) or draw(st.integers(1, 4))
+    n = draw(st.integers(min_value=1, max_value=2 * _ASSEMBLY_BLOCK + 3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pts = rng.uniform(-0.7, 0.7, (n, dim))
+    # Coarse rounding makes coincident nodes likely; finer keeps them rare.
+    pts = np.round(pts, draw(st.sampled_from((1, 3, 17))))
+    if draw(st.booleans()):
+        pts[-1] = pts[0]
+    alpha = draw(st.sampled_from((0.5, 0.9))) * dim if family == "riesz" else None
+    epsilon = draw(st.sampled_from((None, 0.05, 0.3)))
+    return KernelSpec(family, alpha=alpha, epsilon=epsilon), pts
+
+
+@SETTINGS
+@given(two_pass_inputs())
+@example((KernelSpec("newtonian"), fibonacci_sphere(_ASSEMBLY_BLOCK, radius=0.6)))
+@example((KernelSpec("riesz", alpha=0.5), np.linspace(-0.7, 0.7, _ASSEMBLY_BLOCK + 1)[:, None]))
+@example((KernelSpec("log_disk"), np.repeat(fibonacci_sphere(_ASSEMBLY_BLOCK, 0.5)[:, :2], 2, 0)))
+def test_two_pass_assembly_matches_two_sweep_expression(inputs):
+    spec, pts = inputs
+    n = pts.shape[1]
+    d2 = oracle_sq_dist(pts, pts)
+    if spec.epsilon is None and not np.any(d2 > 0.0):
+        with pytest.raises(KernelDomainError, match="default epsilon"):
+            assemble_gram(spec, pts)
+        return
+    G = assemble_gram(spec, pts)
+    eps = spec.epsilon
+    if eps is None:
+        eps = 0.5 * minimum_spacing(pts)
+        assert same_bits(eps, 0.5 * np.sqrt(d2[d2 > 0.0].min()))
+    assert same_bits(G.spec.epsilon, eps)
+    # The family code as it stood before assembly went in place.
+    r2 = d2 + eps * eps
+    if spec.family == "log_disk":
+        expected = -0.5 * np.log(r2)
+    else:
+        expected = r2 ** ((float(spec.alpha) - n) / 2.0)
+    assert same_bits(G.entries, expected)
+    assert same_bits(cross_kernel(G.spec, pts, pts), G.entries)
+    for p, q in ((0, -1), (-1, 0), (len(pts) // 2, 0)):
+        assert same_bits(evaluate_kernel(G.spec, pts[p], pts[q]), G.entries[p, q])
 
 
 # (size, lambda_max, lambda_min / pd_tol, seed): lambda_min stays at least a
