@@ -37,6 +37,7 @@ from .kernels import (
     _pd_gate,
     assemble_gram,
     check_positive_definite,
+    cross_kernel,
     resolve_epsilon,
 )
 from .solver import Problem, SolverConfig, solve, verify_kkt
@@ -95,17 +96,17 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     factor = K._cache["cholesky"]
     ones = np.ones(n)
     u = scipy.linalg.cho_solve(factor, ones, check_finite=False)
-    u += scipy.linalg.cho_solve(factor, ones - K.entries @ u, check_finite=False)
+    u += scipy.linalg.cho_solve(factor, ones - K.matvec(u), check_finite=False)
     if u.min() > 0.0:
         nu = u / u.sum()
-        potential = K.entries @ nu
+        potential = K.matvec(nu)
         W = float(nu @ potential)
         kkt = verify_kkt(c, K, f, c.measure([nu]), cfg.grad_tol)
         resid, converged = kkt.max_residual, kkt.ok
     else:
         rep = solve(c, K, f, cfg)
         nu = rep.minimizer.weights[0]
-        potential = K.entries @ nu
+        potential = K.matvec(nu)
         W, resid, converged = rep.value, rep.kkt_residual, rep.converged
     violation = float((W - potential).max())
     tol = frostman_tol if frostman_tol is not None else 1e-6 * W
@@ -142,12 +143,19 @@ def _check_same_dimension(*point_sets: np.ndarray) -> None:
         raise DimensionMismatch(f"balayage points differ in dimension: {dims}")
 
 
-def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes) -> GramMatrix:
+def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes,
+                  target_gram: GramMatrix | None = None) -> GramMatrix:
     """Joint Gram over target and source points for :func:`balayage`.
 
     The target nodes take the first rows, in order; source points that do
     not coincide with a target node follow.  Coincident target/source
     coordinates share a row.
+
+    ``target_gram``, the Gram already assembled over the target nodes, is
+    bordered rather than assembled again: its block is copied and the source
+    rows come from :func:`cross_kernel` under its spec (``spec`` is then
+    unused).  Both run the one distance sweep, so the entries equal those of
+    an assembly over the joint nodes under that spec bit for bit.
     """
     target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
     _check_same_dimension(target, source.support)
@@ -156,7 +164,17 @@ def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes) -
     n_t = target.shape[0]
     if not np.array_equal(inverse[:n_t], np.arange(n_t)):
         raise VequilError("balayage target nodes must be distinct")
-    return assemble_gram(spec, joint[first])
+    nodes = joint[first]
+    if target_gram is None:
+        return assemble_gram(spec, nodes)
+    if target_gram.nodes is None or not np.array_equal(target_gram.nodes, target):
+        raise VequilError("balayage target_gram must be the Gram over the target nodes")
+    border = cross_kernel(target_gram.spec, nodes[n_t:], nodes)
+    entries = np.empty((nodes.shape[0], nodes.shape[0]))
+    entries[:n_t, :n_t] = target_gram.entries
+    entries[n_t:] = border
+    entries[:n_t, n_t:] = border[:, :n_t].T
+    return GramMatrix._assembled(entries, spec=target_gram.spec, nodes=nodes)
 
 
 def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
@@ -203,6 +221,7 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     order = np.concatenate([rows_t, np.setdiff1d(np.arange(n), rows_t, assume_unique=True)])
     K = _sub_gram(K_joint, order).entries
     try:
+        # numpy's LAPACK on purpose: measured after a caller's numpy BLAS work, scipy's was slower.
         L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"joint Gram is not strictly PD: {exc}") from exc
@@ -472,7 +491,7 @@ def thinness_demo(
             if a1 <= 1e-12:
                 raise VequilError("screened equilibrium places no mass on the anchor plate")
             theta_measure = ScalarSignedMeasure(support=inner, weights=theta)
-            Kj = balayage_gram(spec, theta_measure, nodes2)
+            Kj = balayage_gram(spec, theta_measure, nodes2, K2)
             bal = balayage(theta_measure, nodes2, Kj, tol=balayage_tol)
             swept_mass = float(bal.swept.sum())
             deficit = max(0.0, 1.0 - swept_mass)

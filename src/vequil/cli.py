@@ -128,9 +128,11 @@ def _cmd_balayage(args) -> int:
         raise VequilError("balayage: config has no balayage section")
     source = parsed.balayage_source
     plate_idx = section.get("target_plate", 0)
-    target = parsed.problem.condenser.plates[plate_idx].nodes
+    condenser, K = parsed.problem.condenser, parsed.problem.gram
+    target = condenser.plates[plate_idx].nodes
     tol = float(section.get("tol", 1e-9))
-    joint = balayage_gram(parsed.problem.gram.spec, source, target)
+    block = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
+    joint = balayage_gram(K.spec, source, target, block)
     rep = balayage(source, target, joint, tol=tol)
     ok = rep.potential_residual <= tol
     record = {

@@ -304,7 +304,7 @@ def _signed_concat(c: Condenser, mu: VectorMeasure) -> np.ndarray:
 
 
 def _quad_form(K: GramMatrix, z: np.ndarray) -> float:
-    return float(z @ (K.entries @ z))
+    return float(z @ K.matvec(z))
 
 
 def energy(c: Condenser, K: GramMatrix, mu: VectorMeasure) -> float:
@@ -318,7 +318,7 @@ def mutual_energy(c: Condenser, K: GramMatrix, mu: VectorMeasure, nu: VectorMeas
     check_shapes(c, mu)
     check_shapes(c, nu)
     z1, z2 = _signed_concat(c, mu), _signed_concat(c, nu)
-    return 0.5 * (float(z1 @ (K.entries @ z2)) + float(z2 @ (K.entries @ z1)))
+    return 0.5 * (float(z1 @ K.matvec(z2)) + float(z2 @ K.matvec(z1)))
 
 
 def semimetric_distance(c: Condenser, K: GramMatrix, mu: VectorMeasure, nu: VectorMeasure) -> float:

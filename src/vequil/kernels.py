@@ -32,6 +32,14 @@ definiteness by one of ``K + pd_tol*I``.  The diagnostic
 extreme eigenvalues from a dense symmetric eigensolver.  The two agree except
 for matrices whose smallest eigenvalue lies within about ``1e-12 * lambda_max``
 of ``-pd_tol`` or ``+pd_tol``, the rounding error of either method.
+
+Gram products go through :meth:`GramMatrix.matvec`, scipy's ``dsymv``, not
+numpy's ``@``.  numpy and scipy each ship their own OpenBLAS, and each
+library's worker threads spin for about 0.1 s after every call; a solve that
+alternated numpy products with scipy's Cholesky factorizations and solves
+would run each on cores the other library's idle threads still hold.  With
+one library, the Lanczos iterations, the PD gate, the solves and the
+certificate share one thread pool.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
@@ -182,15 +191,30 @@ class GramMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The Gram product ``K x``, by scipy's BLAS ``dsymv``.
+
+        ``entries.T`` is the Fortran view of the C-ordered, exactly symmetric
+        buffer, so no copy is made, and ``dsymv`` reads one triangle.  Every
+        Gram product of a solve goes through here, so a solve does all of
+        its BLAS and LAPACK work on scipy's library (see the module notes).
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.size,):  # dsymv would read the first N entries of a longer x
+            raise DimensionMismatch(f"Gram product of size {self.size} with shape {x.shape}")
+        return scipy.linalg.blas.dsymv(1.0, self.entries.T, x)
+
     def lambda_max(self) -> float:
         """Largest eigenvalue by Lanczos (start vector all ones), cached."""
         if "lambda_max" not in self._cache:
             if self.size == 1:
                 lam = float(self.entries[0, 0])
             else:
+                op = scipy.sparse.linalg.LinearOperator(
+                    self.entries.shape, matvec=self.matvec, dtype=float)
                 try:
                     (lam,) = scipy.sparse.linalg.eigsh(
-                        self.entries, k=1, which="LA", v0=np.ones(self.size),
+                        op, k=1, which="LA", v0=np.ones(self.size),
                         return_eigenvectors=False,
                     )
                 except scipy.sparse.linalg.ArpackError as exc:

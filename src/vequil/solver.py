@@ -189,7 +189,7 @@ class _QP:
 
     def product(self, w: np.ndarray) -> np.ndarray:
         """``K (s*w)``: the one matvec the objective and the gradient at ``w`` share."""
-        return self.K.entries @ (self.signs * w)
+        return self.K.matvec(self.signs * w)
 
     def objective(self, w: np.ndarray, Kz: np.ndarray) -> float:
         return float((self.signs * w) @ Kz) + 2.0 * float(self.q @ w)
@@ -198,10 +198,6 @@ class _QP:
         if Kz is None:
             Kz = self.product(w)
         return 2.0 * (self.signs * Kz + self.q)
-
-    def curvature(self, d: np.ndarray) -> float:
-        z = self.signs * d
-        return float(z @ (self.K.entries @ z))
 
     def plate_arrays(self):
         for sl, a in zip(self.slices, self.masses):

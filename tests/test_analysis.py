@@ -1,5 +1,6 @@
 """Equilibrium/capacity, balayage, exhaustion, and thinness operations."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import scipy.optimize
 
 from vequil import (
     Condenser,
+    GramMatrix,
     KernelSpec,
     NotPositiveDefinite,
     ScalarSignedMeasure,
@@ -391,3 +393,75 @@ def test_ring_nodes_on_circle():
     pts = ring_nodes(8, 0.5, center=(1.0, -1.0))
     d = np.sqrt(((pts - [1.0, -1.0]) ** 2).sum(axis=1))
     np.testing.assert_allclose(d, 0.5, rtol=1e-12)
+
+
+class NoProducts(np.ndarray):
+    """Gram entries that refuse every product but ``GramMatrix.matvec``'s ``dsymv``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a Gram product bypassed GramMatrix.matvec")
+
+    __matmul__ = __rmatmul__ = dot = _refuse
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in (np.dot, np.inner, np.vdot, np.tensordot, np.einsum):
+            self._refuse()
+        return super().__array_function__(func, types, args, kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self._refuse()
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, NoProducts) else x for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, NoProducts) else x
+                                  for x in kwargs["out"])
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def guarded(K):
+    """``K`` with entries that refuse products; its blocks (``_sub_gram``) refuse too."""
+    return GramMatrix._assembled(K.entries.copy().view(NoProducts), spec=K.spec, nodes=K.nodes)
+
+
+class TestEveryGramProductIsMatvec:
+    @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
+    def test_solve(self, algorithm):
+        problem = parse_config(str(CONFIGS / "solve_two_plate.json")).problem
+        cfg = dataclasses.replace(problem.config, algorithm=algorithm)
+        with pytest.raises(AssertionError, match="bypassed"):
+            guarded(problem.gram).entries @ np.ones(problem.gram.size)
+        want = solve(problem.condenser, problem.gram, problem.field, cfg)
+        got = solve(problem.condenser, guarded(problem.gram), problem.field, cfg)
+        assert (got.value, got.iterations, got.kkt_residual) == \
+            (want.value, want.iterations, want.kkt_residual)
+
+    @pytest.mark.parametrize("nodes, constrained", [
+        (fibonacci_sphere(200, radius=1.0), False),  # K u = 1 has a positive solution
+        (grid_nodes([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [6, 6, 6]), True),  # it does not
+    ], ids=["direct", "constrained"])
+    def test_equilibrium(self, nodes, constrained):
+        K = assemble_gram(KernelSpec("newtonian"), nodes)
+        cfg = SolverConfig(grad_tol=1e-10)
+        want = equilibrium(nodes, K, config=cfg)
+        with mock.patch.object(analysis, "solve", wraps=solve) as fallback:
+            got = equilibrium(nodes, guarded(K), config=cfg)
+        assert fallback.called == constrained
+        assert got.robin_constant == want.robin_constant
+        assert np.array_equal(got.unit_minimizer, want.unit_minimizer)
+
+    def test_lanczos(self):
+        # eigsh would turn a plain Gram into a numpy-product operator of its own.
+        K = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(200, radius=1.0))
+        with mock.patch.object(GramMatrix, "matvec", autospec=True,
+                               side_effect=GramMatrix.matvec) as matvec:
+            lam = K.lambda_max()
+        assert matvec.call_count >= 2
+        assert abs(lam - np.linalg.eigvalsh(K.entries)[-1]) <= 1e-12 * lam
+
+    def test_exhaustion_experiment(self):
+        parsed = parse_config(str(CONFIGS / "exhaust_two_plate.json"))
+        problem = parsed.problem
+        args = (parsed.exhaust["fractions"], parsed.exhaust.get("sigma_scales"))
+        want = exhaustion_experiment(problem, *args)
+        got = exhaustion_experiment(dataclasses.replace(problem, gram=guarded(problem.gram)), *args)
+        assert got == want

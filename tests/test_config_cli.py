@@ -206,6 +206,18 @@ def test_command_assembles_one_gram_in_one_sweep(command, name, capsys, monkeypa
     assert assemblies == [(n, n)]
 
 
+def test_balayage_borders_the_parse_time_gram(capsys, monkeypatch):
+    path = str(CONFIGS / "balayage_point_to_plate.json")
+    parsed = parse_config(path)
+    n = parsed.problem.gram.size
+    n_s = len(parsed.balayage_source.weights)  # the source lies off the plate
+    assemblies = count_assemblies(monkeypatch)
+    code, _, _ = run_cli(["balayage", path], capsys)
+    assert code == 0
+    # The plate's Gram once, at parse time, then only the source rows of the joint one.
+    assert assemblies == [(n, n), (n_s, n + n_s)]
+
+
 def test_equilibrium_scaled_sigmas_share_the_problem_gram(monkeypatch):
     path = CONFIGS / "solve_two_plate.json"
     base = parse_config(str(path)).problem

@@ -168,6 +168,12 @@ class TestAssembleGram:
         with pytest.raises(DimensionMismatch):
             GramMatrix(entries=np.array([[1.0, 0.1], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_product_refuses_a_vector_of_another_size(self, shape):
+        G = GramMatrix(entries=np.eye(3))
+        with pytest.raises(DimensionMismatch, match="Gram product"):
+            G.matvec(np.ones(shape))
+
 
 class TestCrossKernel:
     def test_matches_elementwise(self):

@@ -12,8 +12,8 @@ measure on both of its branches with the constrained solver.
 The kernel properties compare the per-coordinate distance sweep, and the
 two-pass Gram assembly with its default epsilon, with the expressions they
 replaced, the Cholesky PD gate and the Lanczos largest
-eigenvalue with a dense symmetric eigensolver, and the solver's carried
-matvec with a fresh gradient.
+eigenvalue with a dense symmetric eigensolver, the Gram product with numpy's,
+and the solver's carried matvec with a fresh gradient.
 """
 
 from unittest import mock
@@ -47,7 +47,7 @@ from vequil import (
     scalar_sum,
 )
 from vequil import analysis
-from vequil.analysis import balayage, balayage_gram, equilibrium
+from vequil.analysis import _sub_gram, balayage, balayage_gram, equilibrium, green_gram
 from vequil.condenser import CASE1, zero_field
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
@@ -336,6 +336,46 @@ def test_balayage_gram_rejects_iff_target_duplicate(points):
         balayage_gram(spec, source, points)
 
 
+@st.composite
+def bordering_inputs(draw):
+    """A kernel, distinct target nodes and 1-4 source points, some of them on
+    target nodes; an explicit epsilon or the target's default."""
+    family = draw(st.sampled_from(("riesz", "newtonian", "log_disk")))
+    dim = 2 if family == "log_disk" else 3
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    target = distinct(np.round(rng.uniform(-0.7, 0.7, (draw(st.integers(1, 40)), dim)), 1))
+    k = draw(st.integers(min_value=1, max_value=4))
+    k_on = min(draw(st.integers(min_value=0, max_value=k)), len(target))
+    off = np.round(rng.uniform(-0.7, 0.7, (k - k_on, dim)), draw(st.sampled_from((1, 17))))
+    support = distinct(np.vstack([target[rng.choice(len(target), k_on, replace=False)], off]))
+    source = ScalarSignedMeasure(support=support, weights=rng.uniform(0.1, 1.0, len(support)))
+    epsilon = draw(st.sampled_from((None, 0.05)))
+    assume(epsilon is not None or len(target) > 1)
+    alpha = 1.5 if family == "riesz" else None
+    return KernelSpec(family, alpha=alpha, epsilon=epsilon), source, target
+
+
+@SETTINGS
+@given(bordering_inputs())
+def test_bordered_joint_gram_equals_joint_assembly(inputs):
+    spec, source, target = inputs
+    K_t = assemble_gram(spec, target)
+    joint = balayage_gram(spec, source, target, K_t)
+    event(f"{len(joint.nodes) - len(target)} of {len(source.support)} source points off target")
+    assert joint.spec == K_t.spec
+    assert same_bits(joint.nodes, balayage_gram(K_t.spec, source, target).nodes)
+    assert same_bits(joint.entries, assemble_gram(K_t.spec, joint.nodes).entries)
+    assert joint.entries.flags.c_contiguous
+
+
+def test_bordering_refuses_a_gram_over_other_nodes():
+    spec = KernelSpec("newtonian", epsilon=0.1)
+    target = fibonacci_sphere(10, radius=1.0)
+    source = ScalarSignedMeasure(support=[[0.0, 0.0, 2.0]], weights=[1.0])
+    with pytest.raises(VequilError, match="Gram over the target nodes"):
+        balayage_gram(spec, source, target, assemble_gram(spec, target[::-1]))
+
+
 def oracle_nnls_balayage(source, target, joint):
     """The sweep with NNLS on every input: ``min |L'(emb - omega)|`` over
     ``beta >= 0`` for the Cholesky factor L of the target-first joint Gram."""
@@ -607,6 +647,40 @@ def test_lambda_max_of_assembled_gram():
     assert abs(G.lambda_max() - hi) <= 1e-12 * hi
 
 
+GRAM_PATHS = ("assemble_gram", "GramMatrix", "_sub_gram", "green_gram", "custom_table")
+
+
+def gram_by(path: str, n: int, rng) -> GramMatrix:
+    """An n-node Gram built the way ``path`` builds one."""
+    spec = KernelSpec("newtonian", epsilon=0.05)
+    pts = rng.uniform(-1.0, 1.0, (n, 3))
+    if path == "assemble_gram":
+        return assemble_gram(spec, pts)
+    if path == "GramMatrix":
+        # A Fortran-ordered input: the public constructor must still store C order.
+        return GramMatrix(entries=assemble_gram(spec, pts).entries.T)
+    if path == "_sub_gram":
+        big = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 5, 3)))
+        return _sub_gram(big, rng.permutation(n + 5)[:n])
+    if path == "green_gram":
+        return green_gram(spec, pts, rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0])
+    table = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 3, 3))).entries
+    return assemble_gram(KernelSpec("custom_table", table=table), rng.integers(0, n + 3, n))
+
+
+@SETTINGS
+@given(st.sampled_from(GRAM_PATHS), st.integers(min_value=1, max_value=70),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_gram_product_matches_numpy(path, n, seed):
+    rng = np.random.default_rng(seed)
+    G = gram_by(path, n, rng)
+    # f2py would copy a non-contiguous buffer on every product, silently.
+    assert G.entries.flags.c_contiguous
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    err = np.abs(G.matvec(x) - G.entries @ x).max()
+    assert err <= 1e-14 * np.linalg.norm(G.entries) * np.linalg.norm(x)
+
+
 @SETTINGS
 @given(condensers_with_measures())
 def test_carried_gradient_is_a_fresh_gradient(cm):
@@ -615,10 +689,10 @@ def test_carried_gradient_is_a_fresh_gradient(cm):
     qp = _QP(c, K, FieldSpec(case=CASE1, case1_values=mu.weights))
     w = mu.concat()
     Kz = qp.product(w)
-    # The expressions the objective and the gradient used before the carry.
+    # A fresh product, as the objective and the gradient took it before the carry.
     s = qp.signs
-    fresh_grad = 2.0 * (s * (K.entries @ (s * w)) + qp.q)
-    fresh_value = float((s * w) @ (K.entries @ (s * w))) + 2.0 * float(qp.q @ w)
+    fresh_grad = 2.0 * (s * K.matvec(s * w) + qp.q)
+    fresh_value = float((s * w) @ K.matvec(s * w)) + 2.0 * float(qp.q @ w)
     assert same_bits(qp.gradient(w, Kz), fresh_grad)
     assert same_bits(qp.gradient(w), fresh_grad)
     assert same_bits(qp.objective(w, Kz), fresh_value)
