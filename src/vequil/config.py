@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,11 +192,15 @@ class ParsedConfig:
     """A parsed config: the solvable bundle plus validated command sections."""
 
     problem: Problem
-    canonical: dict
     capacity: dict
     balayage: dict
     exhaust: dict
     balayage_source: ScalarSignedMeasure | None = None
+
+    @cached_property
+    def canonical(self) -> dict:
+        """The normalized config dict, built on first access: no command reads it."""
+        return canonical_form(self.problem, self.capacity, self.balayage, self.exhaust)
 
 
 def parse_config(source) -> ParsedConfig:
@@ -335,10 +340,8 @@ def parse_config(source) -> ParsedConfig:
             for k, v in enumerate(values):
                 _as_float(v, f"exhaust.{key}[{k}]")
 
-    canonical = canonical_form(problem, capacity, balayage_doc, exhaust)
     return ParsedConfig(
         problem=problem,
-        canonical=canonical,
         capacity=capacity,
         balayage=balayage_doc,
         exhaust=exhaust,

@@ -12,13 +12,16 @@ optimality.  Two independent algorithms are provided:
 * ``frank_wolfe`` -- conditional gradient whose linear oracle is a
   fractional-knapsack greedy per plate (sort by gradient/g, fill cheapest
   g-mass first); after each new vertex the objective is re-optimized exactly
-  over the hull of collected vertices (fully corrective).  That corrective
-  step is an active-set simplex QP whose equality-constrained solve on each
-  working support is one Cholesky solve with the support atoms' Gram, which
-  is positive definite exactly when those atoms are linearly independent;
-  only for linearly dependent atoms does it fall back to least squares on
-  the bordered KKT system.  The textbook 2/(k+2) step rule converges far too
-  slowly to certify tight KKT residuals, so it is not used.
+  over the hull of collected vertices (fully corrective).  The hull's Gram
+  keeps its upper Cholesky factor across rounds, so a round that admits the
+  new vertex without dropping one costs one triangular solve for the
+  factor's new row and one pair of triangular solves for the weights.  A
+  round whose vertex is linearly dependent on the hull, or whose weights
+  must back off to the simplex boundary, goes to an active-set simplex QP
+  that solves each working support by Cholesky (least squares on the
+  bordered KKT system only for dependent atoms); the factor is then rebuilt.
+  The textbook 2/(k+2) step rule converges far too slowly to certify tight
+  KKT residuals, so it is not used.
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .condenser import (
     CASE1,
@@ -355,12 +358,36 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
     return w, G, resid, taus, iters, resid <= cfg.grad_tol, trace
 
 
+def _back_off(alpha: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Step from ``alpha`` toward the support optimum ``x`` until a weight hits zero.
+
+    ``x`` holds the weights on ``idx``.  The zeroed atoms are dropped and the
+    rest renormalized.
+    """
+    cur = alpha[idx]
+    neg = x < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = cur[neg] / (cur[neg] - x[neg])
+    t = float(min(1.0, np.min(ratios)))
+    stepped = cur + t * (x - cur)
+    stepped[stepped < 1e-15] = 0.0
+    out = np.zeros_like(alpha)
+    out[idx] = stepped
+    total = out.sum()
+    return out / total if total > 0.0 else out
+
+
 def _simplex_qp(Q: np.ndarray, b: np.ndarray, warm: np.ndarray) -> np.ndarray:
     """Minimize ``a'Qa + 2b'a`` over the probability simplex (active set).
 
     Lawson-Hanson-style loop: solve the equality-constrained system on the
     working support, step toward it while staying nonnegative, and admit the
-    worst KKT violator until none remains.  ``warm`` must be feasible.
+    worst KKT violator until none remains.  ``warm`` must be feasible, and
+    ``b`` must lie in the range of ``Q`` (as ``b_i = <q, atom_i>`` does for a
+    Gram ``Q`` of atoms): otherwise the objective is unbounded below on the
+    affine hull of dependent atoms and least squares answers a different
+    problem.  Frank-Wolfe calls it only for the rounds that leave the carried
+    factor (see :func:`_corrective_step`).
     """
     n = Q.shape[0]
     alpha = warm.copy()
@@ -391,19 +418,7 @@ def _simplex_qp(Q: np.ndarray, b: np.ndarray, warm: np.ndarray) -> np.ndarray:
             rhs = np.concatenate([-2.0 * b[idx], [1.0]])
             x = np.linalg.lstsq(sys_mat, rhs, rcond=None)[0][:k]
         if np.any(x < -1e-14):
-            # Back off along the segment to the boundary, drop the zeroed atom.
-            cur = alpha[idx]
-            neg = x < 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = cur[neg] / (cur[neg] - x[neg])
-            t = float(min(1.0, np.min(ratios)))
-            stepped = cur + t * (x - cur)
-            stepped[stepped < 1e-15] = 0.0
-            alpha[:] = 0.0
-            alpha[idx] = stepped
-            total = alpha.sum()
-            if total > 0.0:
-                alpha /= total
+            alpha = _back_off(alpha, idx, x)
             support = alpha > 0.0
             if not support.any():
                 support[int(np.argmin(b))] = True
@@ -422,16 +437,74 @@ def _simplex_qp(Q: np.ndarray, b: np.ndarray, warm: np.ndarray) -> np.ndarray:
     return alpha
 
 
+# Below this share of its own Gram entry, a new atom's Cholesky pivot counts as
+# zero: the atom is (numerically) a combination of the hull's atoms.
+_DEPENDENT_PIVOT = 1e-10
+
+
+def _hull_factor(Q: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of a hull Gram, or ``None`` when its atoms are dependent."""
+    R, info = dpotrf(Q, lower=0, clean=1)
+    return R if info == 0 else None
+
+
+def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.ndarray | None):
+    """Re-optimize the hull weights after one atom was appended to the hull.
+
+    ``Q`` and ``lin`` cover the hull with the new atom last, ``alpha`` is the
+    optimum over the old hull (every weight positive) and ``R`` the upper
+    Cholesky factor of the old hull's Gram, or ``None``.  Returns the new
+    weights and the factor of ``Q`` when the carried path produced one.
+
+    ``alpha`` is already stationary on its support, so the new atom's reduced
+    gradient there decides without a solve whether it enters.  If it does,
+    ``R`` gains one row, ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)``
+    (Gill, Golub, Murray & Saunders, *Math. Comp.* 28, 1974), and one
+    ``dpotrs`` with it gives the equality-constrained optimum on the enlarged
+    support.  A dependent new atom (the pivot not safely positive) or a
+    missing factor leaves the round to :func:`_simplex_qp` from the same warm
+    start; a negative weight backs off to the simplex boundary first, as
+    :func:`_simplex_qp` would, and hands it the shrunken support.
+    """
+    n = alpha.size
+    warm = np.append(alpha, 0.0)
+    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(lin).max()))
+    grad = 2.0 * (Q @ warm + lin)
+    if grad[n] - float(grad[:n].mean()) >= -1e-13 * scale:
+        return warm, None  # the new atom does not enter
+    if R is not None:
+        r = dtrtrs(R, Q[:n, n], lower=0, trans=1)[0]
+        pivot = float(Q[n, n]) - float(r @ r)
+        if pivot > _DEPENDENT_PIVOT * float(Q[n, n]):
+            R_new = np.zeros((n + 1, n + 1), order="F")
+            R_new[:n, :n] = R
+            R_new[:n, n] = r
+            R_new[n, n] = np.sqrt(pivot)
+            uv = dpotrs(R_new, np.column_stack([lin, np.ones(n + 1)]), lower=0)[0]
+            x = ((1.0 + uv[:, 0].sum()) / uv[:, 1].sum()) * uv[:, 1] - uv[:, 0]
+            if np.any(x < -1e-14):
+                return _simplex_qp(Q, lin, _back_off(warm, np.arange(n + 1), x)), None
+            x = np.maximum(x, 0.0)
+            return x / x.sum(), R_new
+    return _simplex_qp(Q, lin, warm), None
+
+
 def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     """Fully corrective conditional gradient over the knapsack vertex hull.
 
     Each round calls the per-plate knapsack oracle for a new vertex, then
     re-optimizes exactly over the convex hull of the vertices collected so
-    far (a small simplex QP); zero-weight vertices are pruned.  The classic
-    2/(k+2) step decreases the objective only at an O(1/k) rate and lets the
-    vertex set proliferate, which is far too slow to certify tight KKT
-    residuals; the corrective variant keeps the same oracle and converges
-    linearly in practice.
+    far (a small simplex QP, :func:`_corrective_step`); zero-weight vertices
+    are pruned, so the hull is always the support.  The upper Cholesky factor
+    ``R`` of the hull Gram ``Q`` is carried from round to round and grows by
+    one row per admitted vertex; a round that drops a vertex or leaves the
+    carried path rebuilds it with one ``dpotrf`` (``None`` while the hull's
+    atoms are dependent).  A new vertex that does not enter leaves ``w``
+    unchanged, so the oracle would propose it again: the loop stops there.
+    The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
+    and lets the vertex set proliferate, which is far too slow to certify
+    tight KKT residuals; the corrective variant keeps the same oracle and
+    converges linearly in practice.
     """
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     if rng is None:
@@ -443,6 +516,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     lin = np.array([float(qp.q @ v0)])
     Q = np.array([[float(v0 @ (qp.signs * qp.product(v0)))]])  # K-metric Gram of the hull rows
     alpha = np.array([1.0])
+    R = _hull_factor(Q)  # upper Cholesky factor of Q, carried across rounds
     w = v0.copy()
     Kz = qp.product(w)  # carried from each iterate into the next gradient
     G = qp.objective(w, Kz)
@@ -473,12 +547,17 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         Q = Q_new
         A = np.vstack([A, s])
         lin = np.append(lin, float(qp.q @ s))
-        alpha = _simplex_qp(Q, lin, np.append(alpha, 0.0))
+        alpha, R = _corrective_step(Q, lin, alpha, R)
         keep = alpha > 1e-15
+        if not keep[-1]:
+            break  # the new vertex does not enter the hull: w cannot move
         if not keep.all():
             A, lin, Q = A[keep], lin[keep], Q[np.ix_(keep, keep)]
             alpha = alpha[keep]
             alpha = alpha / alpha.sum()
+            R = None
+        if R is None:
+            R = _hull_factor(Q)
         w = alpha @ A
         Kz = qp.product(w)
         G_new = qp.objective(w, Kz)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from vequil import analysis, kernels, solver
+from vequil import analysis, config, kernels, solver
 from vequil.cli import main
 from vequil.config import parse_config, serialize_config
 from vequil.errors import ConfigError
@@ -64,6 +64,20 @@ class TestParse:
         text1 = serialize_config(parsed.canonical)
         text2 = serialize_config(parse_config(text1).canonical)
         assert text1 == text2
+
+    def test_canonical_is_built_on_first_access(self, monkeypatch):
+        calls = []
+        canonical_form = config.canonical_form
+
+        def counted(*args):
+            calls.append(1)
+            return canonical_form(*args)
+
+        monkeypatch.setattr(config, "canonical_form", counted)
+        parsed = parse_config(minimal_config())
+        assert calls == []
+        assert parsed.canonical is parsed.canonical
+        assert calls == [1]
 
     def test_missing_field_anchored_error(self):
         doc = minimal_config()
@@ -403,6 +417,55 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(["exhaust", str(path)], capsys)
         assert code == 0
+        fw = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(fw) == len(pg) == 4
+        for a, b in zip(fw, pg):
+            assert a["converged"] and a["full_converged"]
+            assert abs(a["value"] - b["value"]) <= 1e-10
+        assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
+
+    def test_frank_wolfe_exhaust_carries_the_hull_factor(self, capsys, tmp_path, monkeypatch):
+        # Each round appends one row to the hull's Cholesky factor.  Only a
+        # solve's first hull and a round that drops an atom are factored from
+        # scratch, and the back-off path factors only supports it shrank.
+        code, out, _ = run_cli(["exhaust", str(CONFIGS / "exhaust_two_plate.json")], capsys)
+        assert code == 0
+        pg = [json.loads(line) for line in out.strip().splitlines()]
+
+        counts = dict.fromkeys(("dposv", "dpotrf", "solve", "rounds", "dropping", "dropped"), 0)
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("dposv", "dpotrf"):
+            counted(solver, name)
+        counted(analysis, "solve")
+        step = solver._corrective_step
+
+        def counted_step(*args):
+            alpha, R = step(*args)
+            dropped = int(np.count_nonzero(alpha <= 1e-15))
+            counts["rounds"] += 1
+            counts["dropping"] += dropped > 0
+            counts["dropped"] += dropped
+            return alpha, R
+
+        monkeypatch.setattr(solver, "_corrective_step", counted_step)
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["algorithm"] = "frank_wolfe"
+        path = tmp_path / "fw.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["exhaust", str(path)], capsys)
+        assert code == 0
+        assert counts["rounds"] > 10 * counts["solve"]
+        assert counts["dpotrf"] <= counts["solve"] + counts["dropping"]
+        assert counts["dposv"] <= counts["dropped"]
         fw = [json.loads(line) for line in out.strip().splitlines()]
         assert len(fw) == len(pg) == 4
         for a, b in zip(fw, pg):

@@ -13,7 +13,9 @@ The kernel properties compare the per-coordinate distance sweep, and the
 two-pass Gram assembly with its default epsilon, with the expressions they
 replaced, the Cholesky PD gate and the Lanczos largest
 eigenvalue with a dense symmetric eigensolver, the Gram product with numpy's,
-and the solver's carried matvec with a fresh gradient.
+and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
+corrective step on its carried hull factor is compared, one appended atom at
+a time, with the active-set oracle that solves every support by least squares.
 """
 
 from unittest import mock
@@ -46,12 +48,21 @@ from vequil import (
     scalar_energy,
     scalar_sum,
 )
-from vequil import analysis
+from vequil import analysis, solver
 from vequil.analysis import _sub_gram, balayage, balayage_gram, equilibrium, green_gram
 from vequil.condenser import CASE1, zero_field
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
-from vequil.solver import _QP, SolverConfig, _knapsack_vertex, _simplex_qp, solve, verify_kkt
+from vequil.solver import (
+    _QP,
+    SolverConfig,
+    _corrective_step,
+    _hull_factor,
+    _knapsack_vertex,
+    _simplex_qp,
+    solve,
+    verify_kkt,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -837,6 +848,107 @@ def test_simplex_qp_dependent_atoms_use_least_squares(monkeypatch):
     assert calls and calls[0] == 4
     assert np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12
     assert abs(simplex_objective(Q, b, x) - simplex_objective(Q, b, ref)) <= 1e-12
+
+
+def assert_simplex_optimum(Q, b, x, ref):
+    """``x`` is as good as the oracle's ``ref`` and satisfies the simplex KKT conditions."""
+    assert np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-12
+    f, f_ref = simplex_objective(Q, b, x), simplex_objective(Q, b, ref)
+    assert abs(f - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
+    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(b).max()))
+    grad = 2.0 * (Q @ x + b)
+    assert float(grad[x > 0.0].max()) - float(grad.min()) <= 1e-12 * scale
+
+
+def grow_hull(Q, b):
+    """Admit atoms 1, 2, ... one at a time through the carried corrective step,
+    pruning as Frank-Wolfe does; yields each round's hull Gram, linear term,
+    warm start, weights and returned factor."""
+    hull, alpha, R = [0], np.array([1.0]), _hull_factor(Q[:1, :1])
+    for j in range(1, Q.shape[0]):
+        idx = hull + [j]
+        Q_h, b_h = Q[np.ix_(idx, idx)], b[idx]
+        warm = np.append(alpha, 0.0)
+        x, R_new = _corrective_step(Q_h, b_h, alpha, R)
+        yield Q_h, b_h, warm, x, R_new
+        keep = x > 1e-15
+        if not keep[-1]:
+            continue  # the atom did not enter: Frank-Wolfe stops, the property goes on
+        hull = [i for i, k in zip(idx, keep) if k]
+        alpha = x[keep] / x[keep].sum()
+        R = R_new if keep.all() and R_new is not None else _hull_factor(Q[np.ix_(hull, hull)])
+
+
+@SETTINGS
+@given(simplex_inputs)
+@example((12, 12, -1, 3))
+@example((12, 5, -1, 4))
+@example((6, 0, -1, 5))
+def test_carried_step_matches_least_squares_oracle(inputs):
+    Q, b, _ = simplex_problem(*inputs)
+    for Q_h, b_h, warm, x, R in grow_hull(Q, b):
+        assert_simplex_optimum(Q_h, b_h, x, oracle_simplex_qp(Q_h, b_h, warm))
+        if R is not None:
+            # A returned factor is the upper Cholesky factor of the whole hull Gram.
+            assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
+            assert np.abs(R.T @ R - Q_h).max() <= 1e-13 * max(1.0, float(np.abs(Q_h).max()))
+
+
+# Three unit atoms e_0, e_1, e_2 (and their sum), with the objective
+# |x - p|^2 - |p|^2 over their hull: Q = V V', b = -V p.  The hull {e_0, e_1}
+# is at its optimum before the third atom arrives.
+def corrective_round(third, p, monkeypatch):
+    V = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], third])
+    Q, b = V @ V.T, -V @ np.asarray(p)
+    alpha = np.array([0.5 + 0.5 * (p[0] - p[1]), 0.5 - 0.5 * (p[0] - p[1])])
+    calls = {"_simplex_qp": 0, "dtrtrs": 0}
+
+    def counted(name):
+        inner = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    x, R = _corrective_step(Q, b, alpha, _hull_factor(Q[:2, :2]))
+    assert_simplex_optimum(Q, b, x, oracle_simplex_qp(Q, b, np.append(alpha, 0.0)))
+    return x, R, calls
+
+
+def test_carried_step_appends_one_row(monkeypatch):
+    x, R, calls = corrective_round([0.0, 0.0, 1.0], [0.2, 0.3, 0.5], monkeypatch)
+    np.testing.assert_allclose(x, [0.2, 0.3, 0.5], atol=1e-15)
+    assert calls == {"_simplex_qp": 0, "dtrtrs": 1}
+    np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
+
+
+# e_0 + e_1 is outside the segment [e_0, e_1] but in the span of its atoms: the
+# appended pivot is zero.  Lifted by 1e-6 out of that span, the pivot is 1e-12,
+# still below the share that counts as dependent.
+@pytest.mark.parametrize("lift", [0.0, 1e-6])
+def test_carried_step_dependent_atom_falls_back(lift, monkeypatch):
+    x, R, calls = corrective_round([1.0, 1.0, lift], [0.9, 0.6, 0.0], monkeypatch)
+    np.testing.assert_allclose(x, [0.4, 0.1, 0.5], atol=1e-9)
+    assert calls == {"_simplex_qp": 1, "dtrtrs": 1} and R is None
+
+
+def test_carried_step_backs_off(monkeypatch):
+    # The affine optimum (-0.2, 0.3, 0.9) is outside the triangle: e_0 leaves.
+    x, R, calls = corrective_round([0.0, 0.0, 1.0], [-0.2, 0.3, 0.9], monkeypatch)
+    np.testing.assert_allclose(x, [0.0, 0.2, 0.8], atol=1e-15)
+    assert calls == {"_simplex_qp": 1, "dtrtrs": 1} and R is None
+
+
+# The new atom's reduced gradient is 2, or 0 (a tie, which does not enter either).
+@pytest.mark.parametrize("p", [[0.5, 0.5, -1.0], [0.5, 0.5, 0.0]])
+def test_carried_step_new_atom_does_not_enter(p, monkeypatch):
+    x, R, calls = corrective_round([0.0, 0.0, 1.0], p, monkeypatch)
+    np.testing.assert_array_equal(x, [0.5, 0.5, 0.0])
+    assert calls == {"_simplex_qp": 0, "dtrtrs": 0} and R is None
 
 
 COST_LATTICE = (-1.0, -0.5, 0.0, 0.5, 1.0)

@@ -18,6 +18,7 @@ from vequil import (
     weighted_energy,
     zero_field,
 )
+from vequil import solver
 from vequil.condenser import CASE1, FieldSpec, r_map
 from vequil.solver import _knapsack_vertex
 
@@ -152,6 +153,25 @@ class TestSolve:
             rf = solve(c, K, f, SolverConfig(algorithm="frank_wolfe", grad_tol=1e-10))
             assert abs(rp.value - rf.value) <= 1e-6
             assert semimetric_distance(c, K, rp.minimizer, rf.minimizer) <= 1e-4
+
+    def test_frank_wolfe_stops_when_the_new_vertex_does_not_enter(self, monkeypatch):
+        # A new vertex left at zero weight is pruned and w stays where it was,
+        # so the oracle would propose that same vertex until max_iters.
+        rng = np.random.default_rng(2)
+        c = two_plate_signed(rng, n_per=10)
+        K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
+        f = random_case1_field(rng, c)
+        rounds = []
+
+        def refused(Q, lin, alpha, R):
+            rounds.append(alpha.size)
+            return np.append(alpha, 0.0), R
+
+        monkeypatch.setattr(solver, "_corrective_step", refused)
+        rep = solve(c, K, f, SolverConfig(algorithm="frank_wolfe", max_iters=500))
+        assert rounds == [1]
+        assert rep.iterations == 1 and not rep.converged
+        assert rep.objective_trace.size == 1
 
     def test_infinite_field_nodes_clamped(self):
         c = Condenser(
