@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -230,7 +231,9 @@ def _add_common(sub: argparse.ArgumentParser, with_config: bool = True) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vequil",
         description="Constrained weighted-energy problems on signed condensers",

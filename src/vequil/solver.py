@@ -11,7 +11,8 @@ optimality.  Two independent algorithms are provided:
   backtracking safeguard.
 * ``frank_wolfe`` -- conditional gradient whose linear oracle is a
   fractional-knapsack greedy per plate (sort by gradient/g, fill cheapest
-  g-mass first); after each new vertex the objective is re-optimized exactly
+  g-mass first; one stable sort keyed by plate, then gradient/g, serves all
+  plates); after each new vertex the objective is re-optimized exactly
   over the hull of collected vertices (fully corrective).  The hull's Gram
   keeps its upper Cholesky factor across rounds, so a round that admits the
   new vertex without dropping one costs one triangular solve for the
@@ -22,6 +23,15 @@ optimality.  Two independent algorithms are provided:
   bordered KKT system only for dependent atoms); the factor is then rebuilt.
   The textbook 2/(k+2) step rule converges far too slowly to certify tight
   KKT residuals, so it is not used.
+
+Every round costs a fixed number of array operations for the whole
+condenser.  ``_QP`` computes the per-solve constants once: the plate tuples,
+each plate's ``<g, sigma>`` and degeneracy, the plate starts and per-node
+plate ids, and the per-node active band with ``sigma - band``.  The KKT
+residual classifies all coordinates in one pass, sums each plate's
+multiplier over its interior coordinates with ``np.add.reduceat`` and takes
+the worst violation from one vector; only a plate with no interior
+coordinate (or a degenerate one) runs the per-plate multiplier rule.
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -35,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .condenser import (
@@ -152,27 +163,46 @@ def project_plate(v, g, sigma, a, tol: float = 1e-12) -> np.ndarray:
     return np.clip(v - 0.5 * (lo + hi) * g, 0.0, sigma)
 
 
-def _knapsack_vertex(cost, g, sigma, a) -> np.ndarray:
-    """Linear minimization over one plate: fill cheapest g-mass first.
+def _knapsack_vertex(cost, g, sigma, a, plate_of=None, slices=None) -> np.ndarray:
+    """Linear minimization over one plate, or over several: fill cheapest g-mass first.
 
     Sorts by ``cost/g`` (stable, so ties break by node index); each node
     takes what is left of the g-mass budget ``a`` after all cheaper nodes
     are saturated, clipped to ``[0, sigma]``, so the marginal node gets the
-    exact fractional remainder.
+    exact fractional remainder.  Several plates share one stable sort keyed
+    by ``(plate_of, cost/g)``: ``slices`` are their consecutive node ranges
+    and ``a`` is the budget per node.  Each plate sums only its own cheaper
+    nodes, so it gets the vertex it would get alone.
     """
-    order = np.argsort(cost / g, kind="stable")
-    g_o = g[order]
-    mass = g_o * sigma[order]
-    before = np.concatenate(([0.0], np.cumsum(mass[:-1])))  # g-mass of cheaper nodes
+    if plate_of is None:
+        order, slices = np.argsort(cost / g, kind="stable"), (slice(0, g.size),)
+    else:
+        order = np.lexsort((cost / g, plate_of))
+    g_o, sigma_o = g[order], sigma[order]
+    mass = g_o * sigma_o
+    before = np.empty_like(mass)  # g-mass of the same plate's cheaper nodes
+    for sl in slices:
+        before[sl.start] = 0.0
+        np.cumsum(mass[sl.start:sl.stop - 1], out=before[sl.start + 1:sl.stop])
     v = np.empty_like(g)
-    v[order] = np.clip((a - before) / g_o, 0.0, sigma[order])
-    if a - float(g @ v) > 1e-9 * max(1.0, a):
-        raise InfeasibleProblem("knapsack budget not exhausted; plate infeasible")
+    v[order] = np.clip((a - before) / g_o, 0.0, sigma_o)
+    for sl in slices:
+        a_p = float(a if plate_of is None else a[sl.start])
+        if a_p - float(g[sl] @ v[sl]) > 1e-9 * max(1.0, a_p):
+            raise InfeasibleProblem("knapsack budget not exhausted; plate infeasible")
     return v
 
 
 class _QP:
-    """Concatenated arrays and callables for one solve instance."""
+    """Concatenated arrays and callables for one solve instance.
+
+    Everything that depends only on the instance is computed here once per
+    solve: the plate tuples ``(slice, g, sigma, a)``, each plate's ``<g, sigma>``
+    and whether its box is degenerate, the plate starts and per-node plate ids,
+    and the per-node active band with ``sigma - band`` and the coordinates that
+    carry a condition: not pinned (a box at most two bands wide) and not on a
+    degenerate plate.
+    """
 
     def __init__(self, c: Condenser, K: GramMatrix, f: FieldSpec):
         self.c = c
@@ -188,7 +218,20 @@ class _QP:
         self.q = q
         self.sigma = sigma
         self.g = np.concatenate([p.g for p in c.plates])
+        self.g2 = self.g * self.g
         self.masses = [p.mass for p in c.plates]
+        self.plates = tuple((sl, self.g[sl], sigma[sl], a) for sl, a in zip(self.slices, self.masses))
+        self.caps = [float(g @ s) for _, g, s, _ in self.plates]
+        # Degenerate plate: the feasible set is the single point sigma.
+        self.degenerate = np.array([cap - a <= 1e-12 * max(1.0, cap)
+                                    for cap, a in zip(self.caps, self.masses)])
+        self.starts = np.array([sl.start for sl in self.slices])
+        self.plate_of = np.repeat(np.arange(len(c.plates)), [p.n_nodes for p in c.plates])
+        self.budget = np.array(self.masses)[self.plate_of]  # each node's plate mass
+        self.off_degenerate = ~self.degenerate[self.plate_of]
+        self.band = np.array([_active_band(a, g) for _, g, _, a in self.plates])[self.plate_of]
+        self.room = sigma - self.band
+        self.free = (sigma > 2.0 * self.band) & self.off_degenerate
 
     def product(self, w: np.ndarray) -> np.ndarray:
         """``K (s*w)``: the one matvec the objective and the gradient at ``w`` share."""
@@ -202,27 +245,19 @@ class _QP:
             Kz = self.product(w)
         return 2.0 * (self.signs * Kz + self.q)
 
-    def plate_arrays(self):
-        for sl, a in zip(self.slices, self.masses):
-            yield sl, self.g[sl], self.sigma[sl], a
-
     def project(self, v: np.ndarray, tol: float) -> np.ndarray:
         w = np.empty_like(v)
-        for sl, g, sigma, a in self.plate_arrays():
+        for sl, g, sigma, a in self.plates:
             w[sl] = project_plate(v[sl], g, sigma, a, tol)
         return w
 
     def lmo(self, grad: np.ndarray) -> np.ndarray:
-        v = np.empty_like(grad)
-        for sl, g, sigma, a in self.plate_arrays():
-            v[sl] = _knapsack_vertex(grad[sl], g, sigma, a)
-        return v
+        return _knapsack_vertex(grad, self.g, self.sigma, self.budget, self.plate_of, self.slices)
 
     def initial(self, seed: int | None, tol: float) -> np.ndarray:
         w0 = np.empty(self.sigma.shape[0])
         rng = None if seed is None else np.random.default_rng(seed)
-        for sl, g, sigma, a in self.plate_arrays():
-            cap = float(g @ sigma)
+        for (sl, g, sigma, a), cap in zip(self.plates, self.caps):
             base = sigma * (a / cap) if cap > 0.0 else np.zeros_like(sigma)
             if rng is not None:
                 base = base * rng.uniform(0.05, 1.0, base.shape[0])
@@ -232,7 +267,7 @@ class _QP:
     def snap(self, w: np.ndarray, tol: float) -> np.ndarray:
         """Snap near-bound weights onto the bounds, then restore the mass."""
         out = np.empty_like(w)
-        for sl, g, sigma, a in self.plate_arrays():
+        for sl, g, sigma, a in self.plates:
             ws = w[sl].copy()
             band = 1e-12 * max(1.0, a / float(g.min()))
             ws[ws < band] = 0.0
@@ -246,54 +281,63 @@ def _active_band(a: float, g: np.ndarray) -> float:
     return max(1e-14, 1e-9 * a / float(g.min()))
 
 
+def _plate_multiplier(w, g, sigma, grad, band: float, degenerate: bool) -> float:
+    """Multiplier of one plate without interior coordinates.
+
+    A degenerate plate takes the largest active ratio ``grad/g`` (zero when
+    every node is pinned).  Otherwise the multiplier separates the ratios at
+    the caps from those at zero when they can be separated, and is the
+    g-weighted average over the support when they cannot.
+    """
+    pinned = sigma <= 2.0 * band  # zero-width box: no condition
+    if degenerate:
+        ratios = grad[~pinned] / g[~pinned]
+        return float(ratios.max()) if ratios.size else 0.0
+    lo = (w <= band) & ~pinned
+    hi = (w >= sigma - band) & ~pinned
+    lo_r, hi_r = grad[lo] / g[lo], grad[hi] / g[hi]
+    if hi_r.size and lo_r.size:
+        if hi_r.max() <= lo_r.min():
+            return 0.5 * (float(hi_r.max()) + float(lo_r.min()))
+        sup = w > band
+        return float(g[sup] @ grad[sup]) / float(g[sup] @ g[sup])
+    if hi_r.size:
+        return float(hi_r.max())
+    if lo_r.size:
+        return float(lo_r.min())
+    return 0.0
+
+
 def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray, band_scale: float = 1.0):
     """Max stationarity/complementarity violation and per-plate multipliers.
 
-    The multiplier is the g-weighted average of the gradient over interior
-    coordinates; with no interior coordinates it falls back to the active
-    ratios (a plate whose feasible set is a single point contributes zero).
+    A coordinate within the active band of zero or of its cap is at that
+    bound; one whose box is at most two bands wide is pinned and carries no
+    condition.  The multiplier is the g-weighted average of the gradient over
+    interior coordinates, summed for all plates at once; a plate with no
+    interior coordinate (or a degenerate one, whose feasible set is a single
+    point and which contributes no violation) takes :func:`_plate_multiplier`.
     """
-    worst = 0.0
-    taus = []
-    for sl, g, sigma, a in qp.plate_arrays():
-        ws, gs, rs = w[sl], g, grad[sl]
-        band = _active_band(a, gs) * band_scale
-        pinned = sigma <= 2.0 * band  # zero-width box: no condition
-        lo = (ws <= band) & ~pinned
-        hi = (ws >= sigma - band) & ~pinned
-        interior = ~lo & ~hi & ~pinned
-        cap = float(gs @ sigma)
-        if cap - a <= 1e-12 * max(1.0, cap):
-            # Degenerate plate: the feasible set is the single point sigma.
-            ratios = rs[~pinned] / gs[~pinned]
-            taus.append(float(ratios.max()) if ratios.size else 0.0)
-            continue
-        if interior.any():
-            tau = float(gs[interior] @ rs[interior]) / float(gs[interior] @ gs[interior])
-        else:
-            lo_r = rs[lo] / gs[lo]
-            hi_r = rs[hi] / gs[hi]
-            if hi_r.size and lo_r.size:
-                if hi_r.max() <= lo_r.min():
-                    tau = 0.5 * (float(hi_r.max()) + float(lo_r.min()))
-                else:
-                    sup = ws > band
-                    tau = float(gs[sup] @ rs[sup]) / float(gs[sup] @ gs[sup])
-            elif hi_r.size:
-                tau = float(hi_r.max())
-            elif lo_r.size:
-                tau = float(lo_r.min())
-            else:
-                tau = 0.0
-        taus.append(tau)
-        r = rs - tau * gs
-        if lo.any():
-            worst = max(worst, float(np.maximum(0.0, -r[lo]).max()))
-        if hi.any():
-            worst = max(worst, float(np.maximum(0.0, r[hi]).max()))
-        if interior.any():
-            worst = max(worst, float(np.abs(r[interior]).max()))
-    return worst, tuple(taus)
+    band, room, free = qp.band, qp.room, qp.free
+    if band_scale != 1.0:
+        band = qp.band * band_scale
+        room = qp.sigma - band
+        free = (qp.sigma > 2.0 * band) & qp.off_degenerate
+    lo = (w <= band) & free
+    hi = (w >= room) & free
+    interior = free & ~(lo | hi)
+    has_interior = np.logical_or.reduceat(interior, qp.starts)
+    num = np.add.reduceat(np.where(interior, qp.g * grad, 0.0), qp.starts)
+    den = np.add.reduceat(np.where(interior, qp.g2, 0.0), qp.starts)
+    tau = num / np.where(has_interior, den, 1.0)
+    for p, has in enumerate(has_interior.tolist()):
+        if not has:
+            sl, g, sigma, _ = qp.plates[p]
+            tau[p] = _plate_multiplier(w[sl], g, sigma, grad[sl], float(band[sl.start]),
+                                       bool(qp.degenerate[p]))
+    r = grad - tau[qp.plate_of] * qp.g
+    viol = np.where(interior, np.abs(r), r * np.subtract(hi, lo, dtype=float))
+    return max(0.0, float(viol.max())), tuple(tau.tolist())
 
 
 def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure, tol: float,
@@ -456,9 +500,12 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
     Cholesky factor of the old hull's Gram, or ``None``.  Returns the new
     weights and the factor of ``Q`` when the carried path produced one.
 
-    ``alpha`` is already stationary on its support, so the new atom's reduced
-    gradient there decides without a solve whether it enters.  If it does,
-    ``R`` gains one row, ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)``
+    ``alpha`` is already stationary on its support: the old hull's half
+    gradient ``Q alpha + lin`` takes one value there, read off its first row.
+    Against it the new atom's component, one row of ``Q``, decides without a
+    solve whether the atom enters (with half the simplex QP's 1e-13 tolerance
+    on the full gradient).  If it does, ``R`` gains one row,
+    ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)``
     (Gill, Golub, Murray & Saunders, *Math. Comp.* 28, 1974), and one
     ``dpotrs`` with it gives the equality-constrained optimum on the enlarged
     support.  A dependent new atom (the pivot not safely positive) or a
@@ -467,11 +514,11 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
     :func:`_simplex_qp` would, and hands it the shrunken support.
     """
     n = alpha.size
-    warm = np.append(alpha, 0.0)
-    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(lin).max()))
-    grad = 2.0 * (Q @ warm + lin)
-    if grad[n] - float(grad[:n].mean()) >= -1e-13 * scale:
-        return warm, None  # the new atom does not enter
+    # Q is a Gram, so its largest entry in magnitude sits on its diagonal.
+    scale = max(1.0, float(Q.diagonal().max()), float(lin.max()), -float(lin.min()))
+    stationary = float(Q[0, :n] @ alpha) + float(lin[0])
+    if float(Q[n, :n] @ alpha) + float(lin[n]) - stationary >= -0.5e-13 * scale:
+        return np.append(alpha, 0.0), None  # the new atom does not enter
     if R is not None:
         r = dtrtrs(R, Q[:n, n], lower=0, trans=1)[0]
         pivot = float(Q[n, n]) - float(r @ r)
@@ -480,13 +527,18 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
             R_new[:n, :n] = R
             R_new[:n, n] = r
             R_new[n, n] = np.sqrt(pivot)
-            uv = dpotrs(R_new, np.column_stack([lin, np.ones(n + 1)]), lower=0)[0]
-            x = ((1.0 + uv[:, 0].sum()) / uv[:, 1].sum()) * uv[:, 1] - uv[:, 0]
-            if np.any(x < -1e-14):
+            rhs = np.ones((n + 1, 2), order="F")
+            rhs[:, 0] = lin
+            uv = dpotrs(R_new, rhs, lower=0, overwrite_b=1)[0]
+            sum_u, sum_v = uv.sum(axis=0).tolist()
+            x = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
+            if x.min() < -1e-14:
+                warm = np.append(alpha, 0.0)
                 return _simplex_qp(Q, lin, _back_off(warm, np.arange(n + 1), x)), None
-            x = np.maximum(x, 0.0)
-            return x / x.sum(), R_new
-    return _simplex_qp(Q, lin, warm), None
+            np.maximum(x, 0.0, out=x)
+            x /= x.sum()
+            return x, R_new
+    return _simplex_qp(Q, lin, np.append(alpha, 0.0)), None
 
 
 def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
@@ -495,11 +547,13 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     Each round calls the per-plate knapsack oracle for a new vertex, then
     re-optimizes exactly over the convex hull of the vertices collected so
     far (a small simplex QP, :func:`_corrective_step`); zero-weight vertices
-    are pruned, so the hull is always the support.  The upper Cholesky factor
-    ``R`` of the hull Gram ``Q`` is carried from round to round and grows by
-    one row per admitted vertex; a round that drops a vertex or leaves the
-    carried path rebuilds it with one ``dpotrf`` (``None`` while the hull's
-    atoms are dependent).  A new vertex that does not enter leaves ``w``
+    are pruned, so the hull is always the support.  The hull's vertices, its
+    linear term and its Gram ``Q`` live in the leading rows of buffers that
+    double when full, and the hull products run on scipy's ``dgemv``.  The
+    upper Cholesky factor ``R`` of ``Q`` is carried from round to round and
+    grows by one row per admitted vertex; a round that drops a vertex or
+    leaves the carried path rebuilds it with one ``dpotrf`` (``None`` while the
+    hull's atoms are dependent).  A new vertex that does not enter leaves ``w``
     unchanged, so the oracle would propose it again: the loop stops there.
     The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
     and lets the vertex set proliferate, which is far too slow to certify
@@ -512,11 +566,15 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     else:
         start_dir = rng.standard_normal(qp.sigma.shape[0])
     v0 = qp.lmo(start_dir)
-    A = v0[None, :]  # hull vertices, one per row
-    lin = np.array([float(qp.q @ v0)])
-    Q = np.array([[float(v0 @ (qp.signs * qp.product(v0)))]])  # K-metric Gram of the hull rows
+    atoms = np.empty((16, v0.size))  # hull vertices, one per row, in the first n rows
+    lin = np.empty(16)  # <q, vertex>
+    Q = np.empty((16, 16))  # K-metric Gram of the hull rows
+    n = 1
+    atoms[0] = v0
+    lin[0] = float(qp.q @ v0)
+    Q[0, 0] = float(v0 @ (qp.signs * qp.product(v0)))
     alpha = np.array([1.0])
-    R = _hull_factor(Q)  # upper Cholesky factor of Q, carried across rounds
+    R = _hull_factor(Q[:1, :1])  # upper Cholesky factor of the hull Gram, carried across rounds
     w = v0.copy()
     Kz = qp.product(w)  # carried from each iterate into the next gradient
     G = qp.objective(w, Kz)
@@ -534,31 +592,35 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         gap = float(grad @ (w - s))
         if gap <= 1e-15 * (1.0 + abs(G)):
             break  # duality gap at the float floor
-        if (A == s).all(axis=1).any():
+        if (atoms[:n] == s).all(axis=1).any():
             break  # oracle re-proposes a hull vertex: correction cannot improve
+        if n == lin.size:  # buffers full: double them
+            atoms = np.concatenate([atoms, np.empty_like(atoms)])
+            lin = np.concatenate([lin, np.empty_like(lin)])
+            Q = np.pad(Q, (0, n))
         hs = qp.signs * qp.product(s)
-        col = A @ hs
-        n_old = A.shape[0]
-        Q_new = np.empty((n_old + 1, n_old + 1))
-        Q_new[:n_old, :n_old] = Q
-        Q_new[:n_old, n_old] = col
-        Q_new[n_old, :n_old] = col
-        Q_new[n_old, n_old] = float(s @ hs)
-        Q = Q_new
-        A = np.vstack([A, s])
-        lin = np.append(lin, float(qp.q @ s))
-        alpha, R = _corrective_step(Q, lin, alpha, R)
+        col = dgemv(1.0, atoms[:n].T, hs, trans=1)  # the old hull rows against s
+        Q[:n, n] = col
+        Q[n, :n] = col
+        Q[n, n] = float(s @ hs)
+        atoms[n] = s
+        lin[n] = float(qp.q @ s)
+        n += 1
+        alpha, R = _corrective_step(Q[:n, :n], lin[:n], alpha, R)
         keep = alpha > 1e-15
         if not keep[-1]:
             break  # the new vertex does not enter the hull: w cannot move
         if not keep.all():
-            A, lin, Q = A[keep], lin[keep], Q[np.ix_(keep, keep)]
+            idx = np.flatnonzero(keep)
+            atoms[:idx.size], lin[:idx.size] = atoms[idx], lin[idx]
+            Q[:idx.size, :idx.size] = Q[np.ix_(idx, idx)]
+            n = idx.size
             alpha = alpha[keep]
             alpha = alpha / alpha.sum()
             R = None
         if R is None:
-            R = _hull_factor(Q)
-        w = alpha @ A
+            R = _hull_factor(Q[:n, :n])
+        w = dgemv(1.0, atoms[:n].T, alpha)
         Kz = qp.product(w)
         G_new = qp.objective(w, Kz)
         G = min(G, G_new)
@@ -599,8 +661,8 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
         )
     qp = _QP(c, K, f)
     # Re-check feasibility after locking +inf field nodes (sigma forced to 0).
-    for sl, g, sigma, a in qp.plate_arrays():
-        if float(g @ sigma) < a - 1e-12 * max(1.0, a):
+    for cap, a in zip(qp.caps, qp.masses):
+        if cap < a - 1e-12 * max(1.0, a):
             raise InfeasibleProblem("plate infeasible after excluding +inf field nodes")
     max_iters = cfg.max_iters if cfg.max_iters is not None else max(1000, 50 * c.total_nodes)
     if cfg.algorithm == PROJECTED_GRADIENT:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from vequil import analysis, config, kernels, solver
+from vequil import analysis, cli, config, kernels, solver
 from vequil.cli import main
 from vequil.config import parse_config, serialize_config
 from vequil.errors import ConfigError
@@ -473,6 +473,43 @@ class TestCLI:
             assert abs(a["value"] - b["value"]) <= 1e-10
         assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
 
+    def test_frank_wolfe_exhaust_takes_per_plate_multipliers_only_without_interior(
+            self, capsys, tmp_path, monkeypatch):
+        # The KKT residual sums the multipliers of all plates at once; the
+        # per-plate rule runs only for a plate with no interior coordinate.
+        code, out, _ = run_cli(["exhaust", str(CONFIGS / "exhaust_two_plate.json"), "--seed", "3"],
+                               capsys)
+        assert code == 0
+        pg = [json.loads(line) for line in out.strip().splitlines()]
+        calls = {"plate": 0, "residual": 0}
+        per_plate, residual = solver._plate_multiplier, solver._kkt_residual
+
+        def spied_plate(w, g, sigma, grad, band, degenerate):
+            interior = (w > band) & (w < sigma - band) & (sigma > 2.0 * band)
+            assert degenerate or not interior.any()
+            calls["plate"] += 1
+            return per_plate(w, g, sigma, grad, band, degenerate)
+
+        def spied_residual(*args, **kwargs):
+            calls["residual"] += 1
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_plate_multiplier", spied_plate)
+        monkeypatch.setattr(solver, "_kkt_residual", spied_residual)
+        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
+        doc["solver"]["algorithm"] = "frank_wolfe"
+        path = tmp_path / "fw.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["exhaust", str(path), "--seed", "3"], capsys)
+        assert code == 0
+        assert calls["plate"] < calls["residual"]
+        fw = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(fw) == len(pg) == 4
+        for a, b in zip(fw, pg):
+            assert a["converged"] and a["full_converged"]
+            assert abs(a["value"] - b["value"]) <= 1e-10
+        assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
+
     @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
     def test_exhaust_full_stage_reuses_full_solve(self, capsys, tmp_path, monkeypatch,
                                                   algorithm):
@@ -570,6 +607,28 @@ class TestCLI:
         assert len(records) == 2
         assert records[0]["capacity"] == records[1]["capacity"]
         assert "not certified" in records[0]["note"]
+
+
+def test_cached_parser_keeps_no_arguments_between_commands(capsys, tmp_path, monkeypatch):
+    # The parser is built once per process; each command parses its own argv.
+    seen = []
+    for name, command in list(cli._DISPATCH.items()):
+        def recorded(args, command=command):
+            seen.append(dict(vars(args)))
+            return command(args)
+
+        monkeypatch.setitem(cli._DISPATCH, name, recorded)
+    solve_cfg, pd_cfg = str(CONFIGS / "solve_two_plate.json"), str(CONFIGS / "check_pd_identity.json")
+    out = tmp_path / "solve.csv"
+    assert main(["solve", solve_cfg, "--seed", "3", "--format", "csv", "--out", str(out)]) == 0
+    assert main(["check-pd", pd_cfg]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert seen == [
+        {"command": "solve", "config": solve_cfg, "seed": 3, "format": "csv", "out": str(out)},
+        {"command": "check-pd", "config": pd_cfg, "seed": None, "format": "json", "out": None},
+    ]
+    assert out.read_text().startswith("command,value,")
+    assert json.loads(capsys.readouterr().out)["command"] == "check-pd"
 
 
 def test_console_entry_point_runs():

@@ -16,6 +16,8 @@ eigenvalue with a dense symmetric eigensolver, the Gram product with numpy's,
 and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
 corrective step on its carried hull factor is compared, one appended atom at
 a time, with the active-set oracle that solves every support by least squares.
+The one-pass KKT residual is compared with the per-plate loop it replaced, and
+the one-sort knapsack oracle over all plates with the one-plate knapsack.
 """
 
 from unittest import mock
@@ -58,6 +60,7 @@ from vequil.solver import (
     SolverConfig,
     _corrective_step,
     _hull_factor,
+    _kkt_residual,
     _knapsack_vertex,
     _simplex_qp,
     solve,
@@ -989,6 +992,159 @@ def test_knapsack_vertex_rejects_infeasible_budget(inputs, excess):
         oracle_knapsack_vertex(cost, g, sigma, a)
     with pytest.raises(InfeasibleProblem):
         _knapsack_vertex(cost, g, sigma, a)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass KKT residual and the one-sort oracle against their per-plate forms
+# ---------------------------------------------------------------------------
+
+
+def oracle_kkt_residual(plates, w, grad, band_scale):
+    """The per-plate KKT residual: a loop over ``(slice, g, sigma, a)`` plates."""
+    worst = 0.0
+    taus = []
+    for sl, gs, sigma, a in plates:
+        ws, rs = w[sl], grad[sl]
+        band = max(1e-14, 1e-9 * a / float(gs.min())) * band_scale
+        pinned = sigma <= 2.0 * band  # zero-width box: no condition
+        lo = (ws <= band) & ~pinned
+        hi = (ws >= sigma - band) & ~pinned
+        interior = ~lo & ~hi & ~pinned
+        cap = float(gs @ sigma)
+        if cap - a <= 1e-12 * max(1.0, cap):
+            # Degenerate plate: the feasible set is the single point sigma.
+            ratios = rs[~pinned] / gs[~pinned]
+            taus.append(float(ratios.max()) if ratios.size else 0.0)
+            continue
+        if interior.any():
+            tau = float(gs[interior] @ rs[interior]) / float(gs[interior] @ gs[interior])
+        else:
+            lo_r = rs[lo] / gs[lo]
+            hi_r = rs[hi] / gs[hi]
+            if hi_r.size and lo_r.size:
+                if hi_r.max() <= lo_r.min():
+                    tau = 0.5 * (float(hi_r.max()) + float(lo_r.min()))
+                else:
+                    sup = ws > band
+                    tau = float(gs[sup] @ rs[sup]) / float(gs[sup] @ gs[sup])
+            elif hi_r.size:
+                tau = float(hi_r.max())
+            elif lo_r.size:
+                tau = float(lo_r.min())
+            else:
+                tau = 0.0
+        taus.append(tau)
+        r = rs - tau * gs
+        if lo.any():
+            worst = max(worst, float(np.maximum(0.0, -r[lo]).max()))
+        if hi.any():
+            worst = max(worst, float(np.maximum(0.0, r[hi]).max()))
+        if interior.any():
+            worst = max(worst, float(np.abs(r[interior]).max()))
+    return worst, tuple(taus)
+
+
+def plates_qp(plates):
+    """``_QP`` over same-signed plates ``(g, sigma, mass)`` on a line, zero field."""
+    c = Condenser(plates=tuple(
+        make_plate(i, 1, np.column_stack([np.arange(g.size) + 100.0 * i,
+                                          np.zeros(g.size), np.zeros(g.size)]),
+                   g=g, mass=a, sigma=sigma)
+        for i, (g, sigma, a) in enumerate(plates)
+    ))
+    K = condenser_gram(KernelSpec("riesz", alpha=0.5, epsilon=0.3), c)
+    return _QP(c, K, zero_field(c))
+
+
+# A weight at zero, inside the band of zero, at the cap, inside the band of
+# the cap, or strictly inside the box; a plate of kind "bounds" has no
+# interior weight, and one of kind "degenerate" has mass <g, sigma>.
+BOUND_SPOTS = ("zero", "near_zero", "cap", "near_cap")
+KKT_SIGMA_LATTICE = (0.0, 1e-12, 0.1, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def kkt_inputs(draw):
+    band_scale = draw(st.sampled_from((1.0, 0.01, 30.0)))
+    plates = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.integers(min_value=1, max_value=8))
+        g = np.array(draw(st.lists(st.sampled_from(G_LATTICE), min_size=m, max_size=m)))
+        sigma = np.array(draw(st.lists(st.sampled_from(KKT_SIGMA_LATTICE), min_size=m, max_size=m)))
+        sigma[0] = max(sigma[0], 0.1)  # a positive mass is feasible
+        kind = draw(st.sampled_from(("mixed", "bounds", "degenerate")))
+        cap = float(g @ sigma)
+        a = cap if kind == "degenerate" else draw(st.floats(min_value=0.05, max_value=0.95)) * cap
+        spots = BOUND_SPOTS if kind == "bounds" else BOUND_SPOTS + ("interior",)
+        where = draw(st.lists(st.sampled_from(spots), min_size=m, max_size=m))
+        plates.append((g, sigma, a, where))
+    return plates, band_scale, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def kkt_point(plates, band_scale, seed):
+    """Weights at the drawn spots of each box and a gradient of scale 0.1 to 10."""
+    rng = np.random.default_rng(seed)
+    w = []
+    for g, sigma, a, where in plates:
+        band = max(1e-14, 1e-9 * a / float(g.min())) * band_scale
+        spot = {"zero": np.zeros_like(sigma), "near_zero": np.minimum(0.5 * band, sigma),
+                "cap": sigma, "near_cap": np.maximum(sigma - 0.5 * band, 0.0),
+                "interior": sigma * rng.uniform(0.2, 0.8, sigma.size)}
+        w.append(np.array([spot[k][j] for j, k in enumerate(where)]))
+    w = np.concatenate(w)
+    return w, rng.normal(size=w.size) * 10.0 ** rng.uniform(-1.0, 1.0)
+
+
+@SETTINGS
+@given(kkt_inputs())
+@example(([(np.array([1.0, 0.5]), np.array([0.5, 0.0]), 0.25, ["interior", "zero"])], 1.0, 0))
+@example(([(np.array([1.0, 3.0]), np.array([0.5, 0.25]), 1.25, ["cap", "near_cap"]),
+           (np.array([0.25]), np.array([1.0]), 0.125, ["near_zero"])], 30.0, 1))
+def test_one_pass_kkt_residual_matches_per_plate_loop(inputs):
+    plates, band_scale, seed = inputs
+    qp = plates_qp([(g, sigma, a) for g, sigma, a, _ in plates])
+    w, grad = kkt_point(plates, band_scale, seed)
+    resid, taus = _kkt_residual(qp, w, grad, band_scale)
+    ref, ref_taus = oracle_kkt_residual(qp.plates, w, grad, band_scale)
+    # The interior sums add in another order: both may move at round-off.
+    assert abs(resid - ref) <= 1e-14 * max(1.0, float(np.abs(grad).max()))
+    assert len(taus) == len(ref_taus)
+    for tau, ref_tau in zip(taus, ref_taus):
+        assert abs(tau - ref_tau) <= 1e-14 * max(1.0, abs(ref_tau))
+
+
+@st.composite
+def oracle_inputs(draw):
+    plates = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        cost, g, sigma, a = draw(knapsack_inputs())
+        sigma[0] = max(sigma[0], 0.1)  # a positive mass is feasible
+        cap = float(g @ sigma)
+        plates.append((cost, g, sigma, min(max(a, 0.01 * cap), cap)))
+    return plates, draw(st.integers(min_value=0, max_value=len(plates))), draw(
+        st.floats(min_value=1e-6, max_value=10.0))
+
+
+@SETTINGS
+@given(oracle_inputs())
+def test_one_sort_oracle_matches_per_plate_knapsack(inputs):
+    plates, short, excess = inputs
+    cost = np.concatenate([p[0] for p in plates])
+    qp = plates_qp([(g, sigma, a) for _, g, sigma, a in plates])
+    v = qp.lmo(cost)
+    for (sl, g, sigma, a), (c, _, _, _) in zip(qp.plates, plates):
+        ref = _knapsack_vertex(c, g, sigma, a)
+        assert np.array_equal(v[sl] > 0.0, ref > 0.0)
+        assert np.abs(v[sl] - ref).max() <= 1e-15 * max(1.0, a)
+    if short < len(plates):
+        # One plate's budget exceeds <g, sigma>: both forms refuse it.
+        _, g, sigma, _ = plates[short]
+        plates[short] = (plates[short][0], g, sigma, float(g @ sigma) + excess)
+        qp = plates_qp([(g, sigma, a) for _, g, sigma, a in plates])
+        with pytest.raises(InfeasibleProblem):
+            _knapsack_vertex(plates[short][0], g, sigma, plates[short][3])
+        with pytest.raises(InfeasibleProblem):
+            qp.lmo(cost)
 
 
 # ---------------------------------------------------------------------------
