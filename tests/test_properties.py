@@ -995,6 +995,54 @@ def test_knapsack_vertex_rejects_infeasible_budget(inputs, excess):
 
 
 # ---------------------------------------------------------------------------
+# Plate projection: box, exact mass, idempotence, variational inequality
+# ---------------------------------------------------------------------------
+
+
+# Kinks v/g and (v - sigma)/g drawn from one lattice tie often, and so do the
+# kinks of equal g; a zero sigma is a zero-width box.  The mass a sits at 0,
+# just above it, anywhere inside, just below <g, sigma> or at it.
+KINK_LATTICE = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0)
+MASS_SHARES = (0.0, 1e-15, 1e-9, 1.0 - 1e-9, 1.0 - 1e-15, 1.0)
+
+
+@st.composite
+def projection_inputs(draw):
+    m = draw(st.integers(min_value=1, max_value=30))
+    entries = lambda values: st.lists(values, min_size=m, max_size=m)  # noqa: E731
+    if draw(st.booleans()):
+        g = np.full(m, draw(st.sampled_from(G_LATTICE)))
+    else:
+        g = np.array(draw(entries(st.one_of(st.sampled_from(G_LATTICE),
+                                            st.floats(min_value=0.1, max_value=10.0)))))
+    sigma = np.array(draw(entries(st.one_of(st.sampled_from(SIGMA_LATTICE),
+                                            st.floats(min_value=0.0, max_value=2.0)))))
+    kinks = np.array(draw(entries(st.one_of(st.sampled_from(KINK_LATTICE),
+                                            st.floats(min_value=-3.0, max_value=3.0)))))
+    share = draw(st.one_of(st.sampled_from(MASS_SHARES), st.floats(min_value=0.0, max_value=1.0)))
+    return kinks * g, g, sigma, share * float(g @ sigma)
+
+
+@SETTINGS
+@given(projection_inputs())
+# The mass at the kink where node 0 reaches zero rounds to 4.4e-16 > a, so the
+# bracketing segment is the zero-width one at node 1's tied kinks: no free node.
+@example((np.array([-1.3, -0.65]), np.array([1.3, 1.3]), np.array([1.0, 0.0]), 1e-100))
+def test_plate_projection_is_exact(inputs):
+    v, g, sigma, a = inputs
+    w = solver.project_plate(v, g, sigma, a)
+    assert np.all(w >= 0.0) and np.all(w <= sigma)
+    scale = float(g @ (sigma + np.abs(v)))  # the magnitudes the mass adds up
+    assert abs(float(g @ w) - a) <= 1e-12 * scale
+    again = solver.project_plate(w, g, sigma, a)
+    assert np.abs(again - w).max() <= 1e-12 * max(1.0, float(sigma.max()))
+    # (v - w).(s - w) is largest over the plate at a knapsack vertex s.
+    r = v - w
+    s = _knapsack_vertex(-r, g, sigma, a)
+    assert float(r @ (s - w)) <= 1e-12 * (1.0 + float(np.abs(r) @ np.abs(s - w)))
+
+
+# ---------------------------------------------------------------------------
 # The one-pass KKT residual and the one-sort oracle against their per-plate forms
 # ---------------------------------------------------------------------------
 
