@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .condenser import (
     CASE1,
@@ -234,7 +233,9 @@ def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
     else:
         beta = scipy.linalg.cho_solve((L[:n_t, :n_t], True), K_omega[:n_t])
         if np.any(beta < 0.0):
-            beta, _ = scipy.optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
+            from scipy import optimize  # imported only on this path: the import is slow
+
+            beta, _ = optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
     emb = np.zeros(n)
     emb[:n_t] = beta
     K_emb = K @ emb

@@ -56,6 +56,14 @@ def _as_float(value, path: str) -> float:
         raise _fail(path, f"expected a number, got {value!r}") from None
 
 
+def _as_int(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
 def build_nodes(desc, path: str) -> np.ndarray:
     """Inline coordinate list or generator description to a node array."""
     if isinstance(desc, list):
@@ -74,7 +82,7 @@ def build_nodes(desc, path: str) -> np.ndarray:
     try:
         if gen == "sphere":
             return fibonacci_sphere(
-                count=int(_get(desc, "count", path)),
+                count=_as_int(_get(desc, "count", path), f"{path}.count"),
                 radius=_as_float(_get(desc, "radius", path, required=False, default=1.0), path),
                 center=desc.get("center", (0.0, 0.0, 0.0)),
             )
@@ -86,7 +94,7 @@ def build_nodes(desc, path: str) -> np.ndarray:
             )
         if gen == "ring":
             return ring_nodes(
-                count=int(_get(desc, "count", path)),
+                count=_as_int(_get(desc, "count", path), f"{path}.count"),
                 radius=_as_float(_get(desc, "radius", path, required=False, default=1.0), path),
                 center=desc.get("center", (0.0, 0.0)),
                 phase=float(desc.get("phase", 0.0)),
@@ -105,7 +113,9 @@ def build_nodes(desc, path: str) -> np.ndarray:
                 r_max=_as_float(_get(desc, "r_max", path), path),
                 **kwargs,
             )
-    except VequilError as exc:
+    except ConfigError:
+        raise
+    except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.generator", f"unknown generator {gen!r}; choose from {_GENERATORS}")
 
@@ -168,21 +178,20 @@ def _parse_solver(d, path: str) -> SolverConfig:
         return SolverConfig()
     if not isinstance(d, dict):
         raise _fail(path, "solver must be an object")
-    known = {"algorithm", "max_iters", "grad_tol", "step_rule", "projection_tol", "seed"}
+    known = {"algorithm", "max_iters", "grad_tol", "seed"}
     unknown = set(d) - known
     if unknown:
         raise _fail(f"{path}.{sorted(unknown)[0]}", "unknown solver field")
+    max_iters, seed = d.get("max_iters"), d.get("seed")
     try:
         return SolverConfig(
             algorithm=d.get("algorithm", SolverConfig.algorithm),
-            max_iters=None if d.get("max_iters") is None else int(d["max_iters"]),
+            max_iters=None if max_iters is None else _as_int(max_iters, f"{path}.max_iters"),
             grad_tol=_as_float(d.get("grad_tol", SolverConfig.grad_tol), f"{path}.grad_tol"),
-            step_rule=d.get("step_rule", SolverConfig.step_rule),
-            projection_tol=_as_float(
-                d.get("projection_tol", SolverConfig.projection_tol), f"{path}.projection_tol"
-            ),
-            seed=None if d.get("seed") is None else int(d["seed"]),
+            seed=None if seed is None else _as_int(seed, f"{path}.seed"),
         )
+    except ConfigError:
+        raise
     except VequilError as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -392,8 +401,6 @@ def canonical_form(problem: Problem, capacity=None, balayage_doc=None, exhaust=N
         "algorithm": cfg.algorithm,
         "max_iters": cfg.max_iters,
         "grad_tol": cfg.grad_tol,
-        "step_rule": cfg.step_rule,
-        "projection_tol": cfg.projection_tol,
         "seed": cfg.seed,
     }
     out = {"kernel": kernel, "plates": plates, "field": field, "solver": solver}

@@ -5,10 +5,9 @@ sets ``{0 <= w <= sigma, <g, w> = a}``.  With a positive definite Gram the
 objective is a convex quadratic, so first-order KKT residuals certify global
 optimality.  Two independent algorithms are provided:
 
-* ``projected_gradient`` -- projection onto each plate's feasible set via a
-  bisection/exact-segment search for the mass multiplier; steps are either a
-  fixed inverse-Lipschitz step or a Barzilai-Borwein step with a monotone
-  backtracking safeguard.
+* ``projected_gradient`` -- exact projection onto each plate's feasible set
+  (one sort of the mass multiplier's breakpoints, :func:`project_plate`);
+  Barzilai-Borwein steps with a monotone backtracking safeguard.
 * ``frank_wolfe`` -- conditional gradient whose linear oracle is a
   fractional-knapsack greedy per plate (sort by gradient/g, fill cheapest
   g-mass first; one stable sort keyed by plate, then gradient/g, serves all
@@ -63,8 +62,6 @@ from .kernels import GramMatrix, _pd_gate, check_positive_definite
 
 PROJECTED_GRADIENT = "projected_gradient"
 FRANK_WOLFE = "frank_wolfe"
-FIXED_LIPSCHITZ = "fixed_lipschitz"
-BACKTRACKING = "backtracking"
 
 
 @dataclass(frozen=True)
@@ -79,19 +76,15 @@ class SolverConfig:
     algorithm: str = PROJECTED_GRADIENT
     max_iters: int | None = None
     grad_tol: float = 1e-8
-    step_rule: str = BACKTRACKING
-    projection_tol: float = 1e-12
     seed: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in (PROJECTED_GRADIENT, FRANK_WOLFE):
             raise VequilError(f"unknown algorithm {self.algorithm!r}")
-        if self.step_rule not in (FIXED_LIPSCHITZ, BACKTRACKING):
-            raise VequilError(f"unknown step rule {self.step_rule!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise VequilError("max_iters must be >= 1")
-        if not (self.grad_tol > 0.0 and self.projection_tol > 0.0):
-            raise VequilError("tolerances must be positive")
+        if not self.grad_tol > 0.0:
+            raise VequilError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,13 +106,19 @@ class KKTReport:
     multipliers: tuple
 
 
-def project_plate(v, g, sigma, a, tol: float = 1e-12) -> np.ndarray:
+def project_plate(v, g, sigma, a) -> np.ndarray:
     """Euclidean projection onto ``{w: 0 <= w <= sigma, <g, w> = a}``.
 
     The projection is ``clip(v - tau*g, 0, sigma)`` where the multiplier tau
-    makes the g-mass exact.  The mass as a function of tau is continuous and
-    nonincreasing, so tau is bracketed by bisection to ``tol`` and then
-    solved exactly on the final linear segment.
+    makes the g-mass exact.  The mass is continuous, nonincreasing and
+    piecewise linear in tau, with kinks where a node leaves its cap,
+    ``(v - sigma)/g`` (slope ``-g^2``), and where it reaches zero, ``v/g``
+    (slope ``+g^2``).  One sort of the kinks and the cumulative slope sums
+    give the mass at every kink (Helgason, Kennington & Lall 1980; Kiwiel,
+    *Math. Program.* 112, 2008); tau is then solved exactly on the segment
+    that brackets ``a``, from its free and upper sets.  Rounded kink masses
+    can pick a segment without a free node (flat, or of zero width); any of
+    its points serves, and tau is its end.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -133,34 +132,24 @@ def project_plate(v, g, sigma, a, tol: float = 1e-12) -> np.ndarray:
         return np.zeros_like(v)
     if a >= cap:
         return sigma.copy()
-
-    def mass(tau: float) -> float:
-        return float(g @ np.clip(v - tau * g, 0.0, sigma))
-
-    lo = float(np.min((v - sigma) / g))  # mass(lo) = cap >= a
-    hi = float(np.max(v / g))  # mass(hi) = 0 <= a
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
-            # Exact multiplier on the linear segment selected by mid.
-            x = v - mid * g
-            free = (x > 0.0) & (x < sigma)
-            upper = x >= sigma
-            denom = float(g[free] @ g[free])
-            if denom > 0.0:
-                tau = (float(g[free] @ v[free]) + float(g[upper] @ sigma[upper]) - a) / denom
-            else:
-                tau = mid
-            w = np.clip(v - tau * g, 0.0, sigma)
-            if abs(float(g @ w) - a) <= 1e-11 * max(1.0, a):
-                return w
-            # Pattern not yet stable; tighten the bracket and retry.
-            tol = tol * 0.01
-        if mass(mid) >= a:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * g, 0.0, sigma)
+    m = v.size
+    kinks = np.concatenate([v / g, (v - sigma) / g])
+    order = np.argsort(kinks, kind="stable")
+    t = kinks[order]
+    slope = np.cumsum(np.where(order < m, -1.0, 1.0) * (g * g)[order % m])  # -mass' after each kink
+    mass = cap - np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
+    mass[-1] = 0.0  # every node at zero
+    j = int(np.argmax(mass <= a))  # the segment (t[j-1], t[j]) brackets a
+    passed = np.zeros(2 * m, dtype=bool)
+    passed[order[:j]] = True  # the kinks at or below the segment's start
+    upper = ~passed[m:]
+    free = passed[m:] & ~passed[:m]
+    denom = float(g[free] @ g[free])
+    if denom > 0.0:
+        tau = (float(g[free] @ v[free]) + float(g[upper] @ sigma[upper]) - a) / denom
+    else:
+        tau = float(t[j])
+    return np.clip(v - tau * g, 0.0, sigma)
 
 
 def _knapsack_vertex(cost, g, sigma, a, plate_of=None, slices=None) -> np.ndarray:
@@ -245,26 +234,26 @@ class _QP:
             Kz = self.product(w)
         return 2.0 * (self.signs * Kz + self.q)
 
-    def project(self, v: np.ndarray, tol: float) -> np.ndarray:
+    def project(self, v: np.ndarray) -> np.ndarray:
         w = np.empty_like(v)
         for sl, g, sigma, a in self.plates:
-            w[sl] = project_plate(v[sl], g, sigma, a, tol)
+            w[sl] = project_plate(v[sl], g, sigma, a)
         return w
 
     def lmo(self, grad: np.ndarray) -> np.ndarray:
         return _knapsack_vertex(grad, self.g, self.sigma, self.budget, self.plate_of, self.slices)
 
-    def initial(self, seed: int | None, tol: float) -> np.ndarray:
+    def initial(self, seed: int | None) -> np.ndarray:
         w0 = np.empty(self.sigma.shape[0])
         rng = None if seed is None else np.random.default_rng(seed)
         for (sl, g, sigma, a), cap in zip(self.plates, self.caps):
             base = sigma * (a / cap) if cap > 0.0 else np.zeros_like(sigma)
             if rng is not None:
                 base = base * rng.uniform(0.05, 1.0, base.shape[0])
-            w0[sl] = project_plate(base, g, sigma, a, tol)
+            w0[sl] = project_plate(base, g, sigma, a)
         return w0
 
-    def snap(self, w: np.ndarray, tol: float) -> np.ndarray:
+    def snap(self, w: np.ndarray) -> np.ndarray:
         """Snap near-bound weights onto the bounds, then restore the mass."""
         out = np.empty_like(w)
         for sl, g, sigma, a in self.plates:
@@ -273,7 +262,7 @@ class _QP:
             ws[ws < band] = 0.0
             at_cap = sigma - ws < band
             ws[at_cap] = sigma[at_cap]
-            out[sl] = project_plate(ws, g, sigma, a, tol)
+            out[sl] = project_plate(ws, g, sigma, a)
         return out
 
 
@@ -353,7 +342,7 @@ def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure, tol
 
 def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
     eta_safe = 1.0 / (2.0 * max(qp.K.lambda_max(), 1e-300))
-    w = qp.initial(cfg.seed, cfg.projection_tol)
+    w = qp.initial(cfg.seed)
     Kz = qp.product(w)  # carried from each accepted point into the next gradient
     G = qp.objective(w, Kz)
     trace = [G]
@@ -366,21 +355,18 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
         resid, taus = _kkt_residual(qp, w, grad)
         if resid <= cfg.grad_tol:
             return w, G, resid, taus, iters - 1, True, trace
-        if cfg.step_rule == FIXED_LIPSCHITZ:
-            eta = eta_safe
-        else:
-            eta = eta_safe
-            if prev_w is not None:
-                s = w - prev_w
-                y = grad - prev_grad
-                sy = float(s @ y)
-                if sy > 0.0:
-                    eta = float(s @ s) / sy
-            eta = min(max(eta, 1e-3 * eta_safe), 1e8 * eta_safe)
+        eta = eta_safe
+        if prev_w is not None:
+            s = w - prev_w
+            y = grad - prev_grad
+            sy = float(s @ y)
+            if sy > 0.0:
+                eta = float(s @ s) / sy
+        eta = min(max(eta, 1e-3 * eta_safe), 1e8 * eta_safe)
         accepted = False
         slack = 1e-13 * (1.0 + abs(G))
         while True:
-            w_new = qp.project(w - eta * grad, cfg.projection_tol)
+            w_new = qp.project(w - eta * grad)
             Kz_new = qp.product(w_new)
             G_new = qp.objective(w_new, Kz_new)
             if G_new <= G + slack:
@@ -554,7 +540,11 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     grows by one row per admitted vertex; a round that drops a vertex or
     leaves the carried path rebuilds it with one ``dpotrf`` (``None`` while the
     hull's atoms are dependent).  A new vertex that does not enter leaves ``w``
-    unchanged, so the oracle would propose it again: the loop stops there.
+    unchanged, so the oracle would propose it again: the loop stops there.  A
+    re-proposed hull vertex has its copy's row of ``Q``, so it does not enter
+    either, unless the carried weights' stationarity error exceeds the entry
+    tolerance (seen only under fields of 1e4 and more): it then enters as a
+    dependent atom, and the run stops a few rounds later.
     The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
     and lets the vertex set proliferate, which is far too slow to certify
     tight KKT residuals; the corrective variant keeps the same oracle and
@@ -562,7 +552,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     """
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     if rng is None:
-        start_dir = qp.gradient(qp.initial(None, cfg.projection_tol))
+        start_dir = qp.gradient(qp.initial(None))
     else:
         start_dir = rng.standard_normal(qp.sigma.shape[0])
     v0 = qp.lmo(start_dir)
@@ -592,8 +582,6 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         gap = float(grad @ (w - s))
         if gap <= 1e-15 * (1.0 + abs(G)):
             break  # duality gap at the float floor
-        if (atoms[:n] == s).all(axis=1).any():
-            break  # oracle re-proposes a hull vertex: correction cannot improve
         if n == lin.size:  # buffers full: double them
             atoms = np.concatenate([atoms, np.empty_like(atoms)])
             lin = np.concatenate([lin, np.empty_like(lin)])
@@ -626,7 +614,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         G = min(G, G_new)
         trace.append(G_new)
     # Final polish: exact bounds help the complementarity classification.
-    snapped = qp.snap(w, cfg.projection_tol)
+    snapped = qp.snap(w)
     Kz_snap = qp.product(snapped)
     r_snap, t_snap = _kkt_residual(qp, snapped, qp.gradient(snapped, Kz_snap))
     grad = qp.gradient(w, Kz)

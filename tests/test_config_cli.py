@@ -162,6 +162,14 @@ def test_case2_round_trip():
 _SOURCE = {"support": [[0.0, 3.0, 0.0]], "weights": [1.0]}
 
 
+def _sphere_plates(**nodes):
+    """The minimal config's plates with the first one's nodes on a sphere generator."""
+    plates = minimal_config()["plates"]
+    plates[0]["nodes"] = {"generator": "sphere", "count": 4, "radius": 0.25,
+                          "center": [-2.0, 0.0, 0.0], **nodes}
+    return plates
+
+
 @pytest.mark.parametrize(
     "command, section, field_path",
     [
@@ -175,6 +183,13 @@ _SOURCE = {"support": [[0.0, 3.0, 0.0]], "weights": [1.0]}
         ("exhaust", {"exhaust": {"fractions": ["half"]}}, "exhaust.fractions[0]"),
         ("exhaust", {"exhaust": {"fractions": [0.5, 1.0], "sigma_scales": 5}},
          "exhaust.sigma_scales"),
+        ("solve", {"solver": {"max_iters": "many"}}, "solver.max_iters"),
+        ("solve", {"solver": {"max_iters": 2.7}}, "solver.max_iters"),
+        ("solve", {"solver": {"seed": "x"}}, "solver.seed"),
+        ("solve", {"solver": {"seed": [1]}}, "solver.seed"),
+        ("solve", {"plates": _sphere_plates(count="ten")}, "plates[0].nodes.count"),
+        ("solve", {"plates": _sphere_plates(center=[-2.0, 0.0])}, "plates[0].nodes"),
+        ("solve", {"solver": {"step_rule": "backtracking"}}, "solver.step_rule"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,
@@ -300,7 +315,7 @@ class TestCLI:
 
     def test_unconverged_exit_code(self, capsys, tmp_path):
         doc = minimal_config()
-        doc["solver"] = {"grad_tol": 1e-14, "max_iters": 2, "step_rule": "fixed_lipschitz"}
+        doc["solver"] = {"grad_tol": 1e-14, "max_iters": 2}
         path = tmp_path / "slow.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(["solve", str(path)], capsys)
@@ -642,3 +657,16 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["is_pd"] is True
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize serves only balayage's NNLS fallback, which imports it itself.
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, vequil.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

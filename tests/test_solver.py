@@ -126,14 +126,12 @@ class TestSolve:
             solve(c, K, zero_field(c))
 
     @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
-    @pytest.mark.parametrize("step_rule", ["fixed_lipschitz", "backtracking"])
-    def test_trace_monotone_and_constraints(self, algorithm, step_rule):
+    def test_trace_monotone_and_constraints(self, algorithm):
         rng = np.random.default_rng(2)
         c = two_plate_signed(rng, n_per=10)
         K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
         f = random_case1_field(rng, c)
-        rep = solve(c, K, f, SolverConfig(algorithm=algorithm, step_rule=step_rule,
-                                          grad_tol=1e-9))
+        rep = solve(c, K, f, SolverConfig(algorithm=algorithm, grad_tol=1e-9))
         assert rep.converged
         tr = rep.objective_trace
         assert np.all(tr[1:] <= tr[:-1] + 1e-12 * (1.0 + np.abs(tr[:-1])))
@@ -172,6 +170,38 @@ class TestSolve:
         assert rounds == [1]
         assert rep.iterations == 1 and not rep.converged
         assert rep.objective_trace.size == 1
+
+    def test_frank_wolfe_stops_when_the_oracle_reproposes_a_hull_vertex(self, monkeypatch):
+        # A re-proposed hull vertex has its copy's row of Q, so the corrective
+        # step leaves it out and the run ends in that round.  On this instance
+        # the field of +-100 makes the duality gap's round-off clear the gap
+        # floor when the oracle re-proposes a hull vertex in round 2.
+        rng = np.random.default_rng(1)
+        c = two_plate_signed(rng, n_per=6)
+        K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
+        f = FieldSpec(case=CASE1, case1_values=(np.full(6, 100.0), np.full(6, -100.0)))
+        lmo, step = solver._QP.lmo, solver._corrective_step
+        proposals, hull, repeats = [], [], []
+
+        def oracle(qp, grad):
+            proposals.append(lmo(qp, grad))
+            if len(proposals) == 1:
+                hull.append(proposals[0])  # the starting vertex
+            return proposals[-1]
+
+        def corrective(Q, lin, alpha, R):
+            new, R = step(Q, lin, alpha, R)
+            s = proposals[-1]
+            if any(np.array_equal(s, h) for h in hull):
+                repeats.append((len(proposals) - 1, float(new[-1])))
+            hull[:] = [h for h, x in zip(hull + [s], new) if x > 1e-15]  # the solver's pruning
+            return new, R
+
+        monkeypatch.setattr(solver._QP, "lmo", oracle)
+        monkeypatch.setattr(solver, "_corrective_step", corrective)
+        rep = solve(c, K, f, SolverConfig(algorithm="frank_wolfe", grad_tol=1e-300, max_iters=500))
+        assert repeats == [(2, 0.0)]
+        assert rep.iterations == 2 and len(proposals) == 3
 
     def test_infinite_field_nodes_clamped(self):
         c = Condenser(
