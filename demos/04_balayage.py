@@ -9,17 +9,18 @@ and (for targets that do not surround the source) some mass escapes.
 
 import numpy as np
 
-from vequil import KernelSpec, ScalarSignedMeasure
-from vequil.analysis import balayage, balayage_gram
+from vequil import KernelSpec, ScalarSignedMeasure, assemble_gram, cross_kernel
+from vequil.analysis import balayage
 from vequil.geometry import fibonacci_sphere, grid_nodes
 
 spec = KernelSpec("newtonian")
 
 print("1) point charge above a square plate")
 plate = grid_nodes([-1, -1, 0], [1, 1, 0], [12, 12, 1])
+K_plate = assemble_gram(spec, plate)
 for height in (0.25, 0.5, 1.0, 2.0):
     src = ScalarSignedMeasure(support=[[0.0, 0.0, height]], weights=[1.0])
-    rep = balayage(src, plate, balayage_gram(spec, src, plate))
+    rep = balayage(src, K_plate)
     print(f"   height {height:4.2f}: swept mass {rep.mass_ratio:.4f}, "
           f"energy {rep.swept_energy:.4f} <= {rep.source_energy:.4f}, "
           f"KKT residual {rep.potential_residual:.1e}")
@@ -28,14 +29,12 @@ print("   closer sources sweep more of their mass onto the plate.")
 print("\n2) unit charge at distance d = 2 from a unit sphere")
 sphere = fibonacci_sphere(400, radius=1.0)
 src = ScalarSignedMeasure(support=[[2.0, 0.0, 0.0]], weights=[1.0])
-joint = balayage_gram(spec, src, sphere)
-rep = balayage(src, sphere, joint)
+K_sphere = assemble_gram(spec, sphere)
+rep = balayage(src, K_sphere)
 print(f"   swept mass fraction = {rep.mass_ratio:.4f} (classical value R/d = 0.5)")
 charged = rep.swept > 0
-K = joint.entries
-emb = np.zeros(K.shape[0]); emb[:400] = rep.swept
-omega = np.zeros(K.shape[0]); omega[len(sphere)] = 1.0
-dev = (K @ (emb - omega))[:400]
+source_potential = cross_kernel(K_sphere.spec, sphere, src.support) @ src.weights
+dev = K_sphere.entries @ rep.swept - source_potential
 print(f"   potential match on charged part: max |dev| = {np.abs(dev[charged]).max():.2e}")
 near = rep.swept[sphere[:, 0] > 0.5].sum() / rep.swept.sum()
 print(f"   whole sphere charged ({charged.sum()} of 400), "

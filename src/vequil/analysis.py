@@ -3,7 +3,8 @@
 The capacity of a node set is read off its unit-mass energy minimizer (the
 discrete Robin problem); balayage is the energy-metric projection of a
 nonnegative measure onto the cone of nonnegative measures on a target node
-set.  The two experiment drivers reproduce the structural behavior of the
+set, computed from the Gram over the target nodes and the source rows
+alone.  The two experiment drivers reproduce the structural behavior of the
 constrained problem: value continuity under exhaustion of the node sets, and
 the bounded-vs-divergent capacity dichotomy of thinning rotational bodies.
 """
@@ -136,123 +137,82 @@ class BalayageReport:
     source_energy: float
 
 
-def _check_same_dimension(*point_sets: np.ndarray) -> None:
-    dims = sorted({pts.shape[1] for pts in point_sets})
-    if len(dims) > 1:
-        raise DimensionMismatch(f"balayage points differ in dimension: {dims}")
-
-
-def balayage_gram(spec: KernelSpec, source: ScalarSignedMeasure, target_nodes,
-                  target_gram: GramMatrix | None = None) -> GramMatrix:
-    """Joint Gram over target and source points for :func:`balayage`.
-
-    The target nodes take the first rows, in order; source points that do
-    not coincide with a target node follow.  Coincident target/source
-    coordinates share a row.
-
-    ``target_gram``, the Gram already assembled over the target nodes, is
-    bordered rather than assembled again: its block is copied and the source
-    rows come from :func:`cross_kernel` under its spec (``spec`` is then
-    unused).  Both run the one distance sweep, so the entries equal those of
-    an assembly over the joint nodes under that spec bit for bit.
-    """
-    target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
-    _check_same_dimension(target, source.support)
-    joint = np.vstack([target, source.support])
-    first, inverse = _merge_points(joint)
-    n_t = target.shape[0]
-    if not np.array_equal(inverse[:n_t], np.arange(n_t)):
-        raise VequilError("balayage target nodes must be distinct")
-    nodes = joint[first]
-    if target_gram is None:
-        return assemble_gram(spec, nodes)
-    if target_gram.nodes is None or not np.array_equal(target_gram.nodes, target):
-        raise VequilError("balayage target_gram must be the Gram over the target nodes")
-    border = cross_kernel(target_gram.spec, nodes[n_t:], nodes)
-    entries = np.empty((nodes.shape[0], nodes.shape[0]))
-    entries[:n_t, :n_t] = target_gram.entries
-    entries[n_t:] = border
-    entries[:n_t, n_t:] = border[:, :n_t].T
-    return GramMatrix._assembled(entries, spec=target_gram.spec, nodes=nodes)
-
-
-def balayage(source: ScalarSignedMeasure, target_nodes, K_joint: GramMatrix,
-             tol: float = 1e-9) -> BalayageReport:
-    """Sweep a nonnegative measure onto a target node set.
+def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageReport:
+    """Sweep a nonnegative measure onto the nodes of a target Gram.
 
     Minimizes the energy-metric distance to the source over nonnegative
-    weights on the target.  The rows of ``K_joint`` that hold the target
-    nodes and the source points are found by merging those points with
-    ``K_joint.nodes``; a point that is not a node of ``K_joint`` is an
-    error.  The optimality contract is the discrete balayage
-    property: the swept potential dominates the source potential on the
-    target, with equality where the swept measure is charged; the maximum
-    violation is reported as ``potential_residual``.
+    weights on ``target_gram.nodes``.  The optimality contract is the
+    discrete balayage property: the swept potential dominates the source
+    potential on the target, with equality where the swept measure is
+    charged; the maximum violation is reported as ``potential_residual``.
 
-    The joint Gram is factored once by Cholesky, target rows first (a
-    refusal raises :class:`NotPositiveDefinite`).  The target block of that
-    factor solves the normal equations ``K_tt beta = (K omega)_t``; when
-    every weight comes out nonnegative this is the constrained optimum (the
-    KKT conditions hold with zero multipliers).  Only when some weight is
-    negative does ``scipy.optimize.nnls`` solve the least-squares form
-    ``min |L' (emb - omega)|`` over ``beta >= 0``.  A source that lies
-    wholly on target nodes is returned as it is, the exact optimum with
-    residual 0, without either solve.
+    Only the target block ``K_tt`` and the source potential on the target,
+    ``(K omega)_t``, enter.  The source rows come from :func:`cross_kernel`
+    under the Gram's spec, so a source point on a node gets that node's Gram
+    row bit for bit.  ``K_tt = L L'`` is factored once by Cholesky (a
+    refusal raises :class:`NotPositiveDefinite`) and solves the normal
+    equations ``K_tt beta = (K omega)_t``; when every weight comes out
+    nonnegative this is the constrained optimum (the KKT conditions hold
+    with zero multipliers).  Only when some weight is negative does
+    ``scipy.optimize.nnls`` solve the least-squares form
+    ``min |L' beta - L^-1 (K omega)_t|`` over ``beta >= 0``, the same
+    objective up to a constant.  A source that lies wholly on target nodes
+    is returned as it is, the exact optimum with residual 0, without
+    factoring ``K_tt``.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
     if source.total <= 0.0:
         raise VequilError("balayage source must carry positive mass")
-    target = np.atleast_2d(np.asarray(target_nodes, dtype=float))
+    target, spec = target_gram.nodes, target_gram.spec
+    if target is None or spec is None:
+        raise VequilError("balayage needs a target Gram that records its nodes and kernel")
+    support, w = source.support, source.weights
+    if support.shape[1] != target.shape[1]:
+        raise DimensionMismatch(f"balayage source has dimension {support.shape[1]}, "
+                                f"target nodes {target.shape[1]}")
     n_t = target.shape[0]
-    if K_joint.nodes is None:
-        raise VequilError("balayage needs a joint Gram that records its nodes")
-    n = K_joint.size
-    _check_same_dimension(K_joint.nodes, target, source.support)
-    first, inverse = _merge_points(np.vstack([K_joint.nodes, target, source.support]))
-    rows = first[inverse[n:]]
-    if np.any(rows >= n):
-        raise VequilError("balayage target and source points must be nodes of the joint Gram")
-    rows_t, rows_s = rows[:n_t], rows[n_t:]
-    if np.unique(rows_t).size < n_t:
+    points = np.vstack([target, support])
+    _, inverse = _merge_points(points)
+    if not np.array_equal(inverse[:n_t], np.arange(n_t)):
         raise VequilError("balayage target nodes must be distinct")
-    # Target rows first, so the factor's leading block is that of K_tt.
-    order = np.concatenate([rows_t, np.setdiff1d(np.arange(n), rows_t, assume_unique=True)])
-    K = _sub_gram(K_joint, order).entries
+    rows = inverse[n_t:]
+    # The source rows against the target nodes, then against the source itself.
+    cross = cross_kernel(spec, support, points)
+    source_energy = float(np.sqrt(max(0.0, w @ cross[:, n_t:] @ w)))
+    if not w[rows >= n_t].any():  # the source lies on the target: it is its own sweep
+        on = rows < n_t
+        beta = np.zeros(n_t)
+        beta[rows[on]] = w[on]
+        return BalayageReport(swept=beta, potential_residual=0.0,
+                              mass_ratio=float(beta.sum()) / source.total,
+                              swept_energy=source_energy, source_energy=source_energy)
+    K = target_gram.entries
     try:
         # numpy's LAPACK on purpose: measured after a caller's numpy BLAS work, scipy's was slower.
-        L = np.linalg.cholesky(K)
+        U = np.linalg.cholesky(K).T  # Fortran-ordered upper factor: the solves copy nothing
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"joint Gram is not strictly PD: {exc}") from exc
-    omega = np.zeros(n)
-    np.add.at(omega, rows_s, source.weights)
-    omega = omega[order]
-    K_omega = K @ omega
-    if not omega[n_t:].any():
-        beta = omega[:n_t]  # the source lies on the target: it is its own sweep
-    else:
-        beta = scipy.linalg.cho_solve((L[:n_t, :n_t], True), K_omega[:n_t])
-        if np.any(beta < 0.0):
-            from scipy import optimize  # imported only on this path: the import is slow
+        raise NotPositiveDefinite(f"target Gram is not strictly PD: {exc}") from exc
+    K_omega = w @ cross[:, :n_t]
+    beta = scipy.linalg.cho_solve((U, False), K_omega, check_finite=False)
+    if np.any(beta < 0.0):
+        from scipy import optimize  # imported only on this path: the import is slow
 
-            beta, _ = optimize.nnls(L.T[:, :n_t], L.T @ omega, maxiter=max(200, 50 * n_t))
-    emb = np.zeros(n)
-    emb[:n_t] = beta
-    K_emb = K @ emb
-    diff_potential = K_emb[:n_t] - K_omega[:n_t]
+        rhs = scipy.linalg.solve_triangular(U, K_omega, trans="T", check_finite=False)
+        beta, _ = optimize.nnls(U, rhs, maxiter=max(200, 50 * n_t))
+    K_beta = K @ beta
+    diff_potential = K_beta - K_omega
     charged = beta > 0.0
     violation = 0.0
     if charged.any():
         violation = float(np.abs(diff_potential[charged]).max())
     if (~charged).any():
         violation = max(violation, float(np.maximum(0.0, -diff_potential[~charged]).max()))
-    swept_energy = float(np.sqrt(max(0.0, emb @ K_emb)))
-    source_energy = float(np.sqrt(max(0.0, omega @ K_omega)))
     return BalayageReport(
         swept=beta,
         potential_residual=violation,
         mass_ratio=float(beta.sum()) / source.total,
-        swept_energy=swept_energy,
+        swept_energy=float(np.sqrt(max(0.0, beta @ K_beta))),
         source_energy=source_energy,
     )
 
@@ -439,12 +399,6 @@ def thinness_demo(
     *,
     q: float = 1.0,
     include_gap: bool = True,
-    capacity_config: SolverConfig | None = None,
-    solve_config: SolverConfig | None = None,
-    body_kwargs: dict | None = None,
-    anchor_nodes=None,
-    source_nodes=None,
-    balayage_tol: float = 1e-8,
 ) -> ThinnessReport:
     """Capacity growth and balayage-candidate gap for a thinning body.
 
@@ -461,21 +415,17 @@ def thinness_demo(
     radii = sorted(float(r) for r in truncation_radii)
     if not radii:
         raise VequilError("need at least one truncation radius")
-    body_kwargs = dict(body_kwargs or {})
-    anchor = (np.asarray(anchor_nodes, dtype=float) if anchor_nodes is not None
-              else fibonacci_sphere(48, radius=0.6, center=(-2.5, 0.0, 0.0)))
-    src = (np.asarray(source_nodes, dtype=float) if source_nodes is not None
-           else fibonacci_sphere(32, radius=0.4, center=(-5.0, 0.0, 0.0)))
-    body_full = rotational_body(profile, s, q, radii[-1], **body_kwargs)
+    anchor = fibonacci_sphere(48, radius=0.6, center=(-2.5, 0.0, 0.0))
+    src = fibonacci_sphere(32, radius=0.4, center=(-5.0, 0.0, 0.0))
+    body_full = rotational_body(profile, s, q, radii[-1])
     spec = resolve_epsilon(KernelSpec("newtonian"),
                            np.vstack([anchor, src, body_full]))
-    cap_cfg = capacity_config or SolverConfig(grad_tol=1e-9)
-    cfg = solve_config or SolverConfig(grad_tol=1e-9)
+    cfg = SolverConfig(grad_tol=1e-9)
     stages = []
     for r in radii:
-        nodes2 = rotational_body(profile, s, q, r, **body_kwargs)
+        nodes2 = rotational_body(profile, s, q, r)
         K2 = assemble_gram(spec, nodes2)
-        eq = equilibrium(nodes2, K2, config=cap_cfg)
+        eq = equilibrium(nodes2, K2, config=cfg)
         mass_center = float("nan")
         gap = float("nan")
         swept_mass = float("nan")
@@ -483,7 +433,7 @@ def thinness_demo(
         if include_gap:
             inner = np.vstack([anchor, src])
             Gg = green_gram(spec, inner, nodes2)
-            eq_g = equilibrium(inner, Gg, config=cap_cfg)
+            eq_g = equilibrium(inner, Gg, config=cfg)
             theta = eq_g.unit_minimizer
             theta_anchor = theta[: anchor.shape[0]]
             theta_src = theta[anchor.shape[0]:]
@@ -492,8 +442,7 @@ def thinness_demo(
             if a1 <= 1e-12:
                 raise VequilError("screened equilibrium places no mass on the anchor plate")
             theta_measure = ScalarSignedMeasure(support=inner, weights=theta)
-            Kj = balayage_gram(spec, theta_measure, nodes2, K2)
-            bal = balayage(theta_measure, nodes2, Kj, tol=balayage_tol)
+            bal = balayage(theta_measure, K2)
             swept_mass = float(bal.swept.sum())
             deficit = max(0.0, 1.0 - swept_mass)
             sigma2 = bal.swept + _annulus_allowance(nodes2, deficit, q)

@@ -24,7 +24,6 @@ import numpy as np
 from .analysis import (
     _sub_gram,
     balayage,
-    balayage_gram,
     equilibrium,
     exhaustion_experiment,
     thinness_demo,
@@ -102,9 +101,7 @@ def _cmd_capacity(args) -> int:
     # assembly over the plate's nodes would compute, under the same epsilon.
     gram = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
     tol = section.get("frostman_tol")
-    cfg = parsed.problem.config
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _with_seed(parsed.problem, args.seed).config
     eq = equilibrium(plate.nodes, gram, frostman_tol=tol, config=cfg)
     record = {
         "command": "capacity",
@@ -130,11 +127,9 @@ def _cmd_balayage(args) -> int:
     source = parsed.balayage_source
     plate_idx = section.get("target_plate", 0)
     condenser, K = parsed.problem.condenser, parsed.problem.gram
-    target = condenser.plates[plate_idx].nodes
     tol = float(section.get("tol", 1e-9))
     block = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
-    joint = balayage_gram(K.spec, source, target, block)
-    rep = balayage(source, target, joint, tol=tol)
+    rep = balayage(source, block)
     ok = rep.potential_residual <= tol
     record = {
         "command": "balayage",

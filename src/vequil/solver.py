@@ -217,10 +217,9 @@ class _QP:
         self.starts = np.array([sl.start for sl in self.slices])
         self.plate_of = np.repeat(np.arange(len(c.plates)), [p.n_nodes for p in c.plates])
         self.budget = np.array(self.masses)[self.plate_of]  # each node's plate mass
-        self.off_degenerate = ~self.degenerate[self.plate_of]
         self.band = np.array([_active_band(a, g) for _, g, _, a in self.plates])[self.plate_of]
         self.room = sigma - self.band
-        self.free = (sigma > 2.0 * self.band) & self.off_degenerate
+        self.free = (sigma > 2.0 * self.band) & ~self.degenerate[self.plate_of]
 
     def product(self, w: np.ndarray) -> np.ndarray:
         """``K (s*w)``: the one matvec the objective and the gradient at ``w`` share."""
@@ -297,7 +296,7 @@ def _plate_multiplier(w, g, sigma, grad, band: float, degenerate: bool) -> float
     return 0.0
 
 
-def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray, band_scale: float = 1.0):
+def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
     """Max stationarity/complementarity violation and per-plate multipliers.
 
     A coordinate within the active band of zero or of its cap is at that
@@ -308,10 +307,6 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray, band_scale: float = 
     point and which contributes no violation) takes :func:`_plate_multiplier`.
     """
     band, room, free = qp.band, qp.room, qp.free
-    if band_scale != 1.0:
-        band = qp.band * band_scale
-        room = qp.sigma - band
-        free = (qp.sigma > 2.0 * band) & qp.off_degenerate
     lo = (w <= band) & free
     hi = (w >= room) & free
     interior = free & ~(lo | hi)
@@ -329,14 +324,14 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray, band_scale: float = 
     return max(0.0, float(viol.max())), tuple(tau.tolist())
 
 
-def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure, tol: float,
-               band_scale: float = 1.0) -> KKTReport:
+def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure,
+               tol: float) -> KKTReport:
     """Independent first-order optimality certificate for a candidate measure."""
     check_shapes(c, mu)
     qp = _QP(c, K, f)
     w = mu.concat()
     grad = qp.gradient(w)
-    resid, taus = _kkt_residual(qp, w, grad, band_scale)
+    resid, taus = _kkt_residual(qp, w, grad)
     return KKTReport(ok=resid <= tol, max_residual=resid, multipliers=taus)
 
 
@@ -648,10 +643,6 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
             "refusing a possibly unbounded objective"
         )
     qp = _QP(c, K, f)
-    # Re-check feasibility after locking +inf field nodes (sigma forced to 0).
-    for cap, a in zip(qp.caps, qp.masses):
-        if cap < a - 1e-12 * max(1.0, a):
-            raise InfeasibleProblem("plate infeasible after excluding +inf field nodes")
     max_iters = cfg.max_iters if cfg.max_iters is not None else max(1000, 50 * c.total_nodes)
     if cfg.algorithm == PROJECTED_GRADIENT:
         w, G, resid, taus, iters, ok, trace = _run_projected_gradient(qp, cfg, max_iters)

@@ -27,7 +27,7 @@ from vequil import (
     weighted_energy,
     zero_field,
 )
-from vequil.analysis import balayage, balayage_gram, equilibrium, exhaustion_experiment, thinness_demo
+from vequil.analysis import balayage, equilibrium, exhaustion_experiment, thinness_demo
 from vequil.condenser import CASE2, FieldSpec
 from vequil.geometry import fibonacci_sphere, grid_nodes
 from vequil.solver import Problem
@@ -248,8 +248,7 @@ def test_criterion_08_balayage_kkt():
     spec = KernelSpec("newtonian")
     target = grid_nodes([-1, -1, 0], [1, 1, 0], [10, 10, 1])
     source = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
-    joint = balayage_gram(spec, source, target)
-    rep = balayage(source, target, joint, tol=1e-6)
+    rep = balayage(source, assemble_gram(spec, target))
     elapsed = time.time() - t0
     ok = (
         rep.potential_residual <= 1e-6

@@ -20,13 +20,13 @@ from vequil import (
     assemble_gram,
     check_positive_definite,
     condenser_gram,
+    cross_kernel,
     make_plate,
     zero_field,
 )
 from vequil import analysis
 from vequil.analysis import (
     balayage,
-    balayage_gram,
     equilibrium,
     exhaustion_experiment,
     green_gram,
@@ -149,7 +149,7 @@ class TestBalayage:
         spec = KernelSpec("newtonian", epsilon=0.1)
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 0.0]], weights=[2.0])
         y = np.array([[0.5, 0.5, 0.5]])
-        rep = balayage(src, y, balayage_gram(spec, src, y))
+        rep = balayage(src, assemble_gram(spec, y))
         from vequil import evaluate_kernel
 
         expected = max(0.0, 2.0 * evaluate_kernel(spec, y[0], [0, 0, 0])
@@ -160,7 +160,7 @@ class TestBalayage:
         spec = KernelSpec("newtonian", epsilon=0.2)
         target = grid_nodes([-1, -1, 0], [1, 1, 0], [4, 4, 1])
         src = ScalarSignedMeasure(support=target[:3], weights=[0.2, 0.3, 0.5])
-        rep = balayage(src, target, balayage_gram(spec, src, target))
+        rep = balayage(src, assemble_gram(spec, target))
         np.testing.assert_allclose(rep.swept[:3], [0.2, 0.3, 0.5], atol=1e-12)
         np.testing.assert_allclose(rep.swept[3:], 0.0, atol=1e-14)
         assert rep.potential_residual <= 1e-10
@@ -169,18 +169,14 @@ class TestBalayage:
         spec = KernelSpec("newtonian")
         target = grid_nodes([-1, -1, 0], [1, 1, 0], [10, 10, 1])
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
-        joint = balayage_gram(spec, src, target)
-        rep = balayage(src, target, joint, tol=1e-8)
+        K_t = assemble_gram(spec, target)
+        rep = balayage(src, K_t)
         assert rep.potential_residual <= 1e-8
         assert rep.mass_ratio <= 1.0 + 1e-8
         assert rep.swept_energy <= rep.source_energy + 1e-8
         # independent gradient evaluation on the support of the swept measure
-        K = joint.entries
-        emb = np.zeros(K.shape[0])
-        emb[: len(target)] = rep.swept
-        omega = np.zeros(K.shape[0])
-        omega[len(target)] = 1.0
-        grad = (K @ (emb - omega))[: len(target)]
+        source_potential = cross_kernel(K_t.spec, target, src.support) @ src.weights
+        grad = K_t.entries @ rep.swept - source_potential
         assert np.abs(grad[rep.swept > 0]).max() <= 1e-8
 
     def test_energy_contraction(self):
@@ -191,14 +187,14 @@ class TestBalayage:
             support=rng.uniform(-1, 1, (5, 3)) + [0, 0, 2.5],
             weights=rng.uniform(0.1, 1.0, 5),
         )
-        rep = balayage(src, target, balayage_gram(spec, src, target))
+        rep = balayage(src, assemble_gram(spec, target))
         assert rep.swept_energy <= rep.source_energy + 1e-8
 
     def test_signed_source_rejected(self):
         spec = KernelSpec("newtonian", epsilon=0.2)
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[-1.0])
         with pytest.raises(VequilError):
-            balayage(src, [[0.0, 0.0, 0.0]], balayage_gram(spec, src, [[0.0, 0.0, 0.0]]))
+            balayage(src, assemble_gram(spec, [[0.0, 0.0, 0.0]]))
 
     def test_negative_unconstrained_weights_take_nnls(self, monkeypatch):
         # An inner sphere shielded by an outer one: the unconstrained solve of
@@ -214,49 +210,54 @@ class TestBalayage:
         spec = KernelSpec("newtonian")
         target = np.vstack([fibonacci_sphere(60, radius=1.0), fibonacci_sphere(20, radius=0.5)])
         src = ScalarSignedMeasure(support=[[2.5, 0.0, 0.0]], weights=[1.0])
-        rep = balayage(src, target, balayage_gram(spec, src, target), tol=1e-9)
+        rep = balayage(src, assemble_gram(spec, target))
         assert calls == [80]
         assert np.all(rep.swept >= 0.0)
         assert np.all(rep.swept[60:] == 0.0)
         assert rep.potential_residual <= 1e-9
 
-    @pytest.mark.parametrize("outer_radius", [1.0, None])
-    def test_joint_gram_row_order_does_not_matter(self, outer_radius):
-        # With and without the outer sphere, so both the Cholesky solve and the
-        # NNLS fallback see a joint Gram whose target rows are not first.
-        spec = KernelSpec("newtonian", epsilon=0.15)
-        inner = fibonacci_sphere(20, radius=0.5)
-        target = inner if outer_radius is None else np.vstack(
-            [fibonacci_sphere(60, radius=outer_radius), inner])
-        src = ScalarSignedMeasure(support=[[2.5, 0.0, 0.0], inner[3]], weights=[1.0, 0.25])
-        joint = balayage_gram(spec, src, target)
-        perm = np.random.default_rng(4).permutation(joint.size)
-        shuffled = assemble_gram(spec, joint.nodes[perm])
-        ref = balayage(src, target, joint)
-        rep = balayage(src, target, shuffled)
-        assert np.array_equal(rep.swept, ref.swept)
-        assert (rep.potential_residual, rep.mass_ratio, rep.swept_energy, rep.source_energy) == (
-            ref.potential_residual, ref.mass_ratio, ref.swept_energy, ref.source_energy)
-
     def test_duplicate_target_nodes_rejected(self):
         spec = KernelSpec("newtonian", epsilon=0.2)
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
-        joint = balayage_gram(spec, src, [[0.0, 0.0, 0.0]])
         with pytest.raises(VequilError, match="target nodes must be distinct"):
-            balayage(src, [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]], joint)
+            balayage(src, assemble_gram(spec, [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]]))
 
     def test_dimension_mismatch_raises(self):
-        spec = KernelSpec("newtonian", epsilon=0.2)
+        spec = KernelSpec("riesz", alpha=1.0, epsilon=0.2)
         src2 = ScalarSignedMeasure(support=[[0.0, 1.0]], weights=[1.0])
-        target3 = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        K_3 = assemble_gram(spec, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatch):
-            balayage_gram(spec, src2, target3)
+            balayage(src2, K_3)
         src3 = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
-        joint = balayage_gram(spec, src3, target3)
         with pytest.raises(DimensionMismatch):
-            balayage(src2, target3, joint)
-        with pytest.raises(DimensionMismatch):
-            balayage(src3, [[0.0, 0.0], [1.0, 0.0]], joint)
+            balayage(src3, assemble_gram(spec, [[0.0, 0.0], [1.0, 0.0]]))
+
+    def test_target_gram_must_record_nodes_and_kernel(self):
+        src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
+        K = assemble_gram(KernelSpec("newtonian", epsilon=0.2), [[0.0, 0.0, 0.0]])
+        for bare in (GramMatrix._assembled(K.entries, spec=K.spec),
+                     GramMatrix._assembled(K.entries, nodes=K.nodes)):
+            with pytest.raises(VequilError, match="records its nodes and kernel"):
+                balayage(src, bare)
+
+    def test_working_memory_is_one_factor(self):
+        # The Cholesky factor of K_tt is the one n_t^2 work matrix; the source
+        # rows, the solve with the factor and the diagnostics add O(n_t).  A
+        # joint (target + source) Gram, a C-ordered factor (which cho_solve
+        # would copy) or any other n_t^2 temporary breaks the bound.
+        n = 32 * 32
+        target = grid_nodes([-1, -1, 0], [1, 1, 0], [32, 32, 1])
+        K_t = assemble_gram(KernelSpec("newtonian"), target)
+        src = ScalarSignedMeasure(support=[[0.1, -0.2, 0.5], [0.3, 0.4, 1.2], [-0.6, 0.0, 0.8]],
+                                  weights=[0.5, 0.3, 0.9])
+        tracemalloc.start()
+        try:
+            rep = balayage(src, K_t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.potential_residual <= 1e-8
+        assert peak <= 8 * n * n + 64 * 8 * n
 
 
 class TestGreenGram:

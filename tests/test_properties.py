@@ -51,7 +51,7 @@ from vequil import (
     scalar_sum,
 )
 from vequil import analysis, solver
-from vequil.analysis import _sub_gram, balayage, balayage_gram, equilibrium, green_gram
+from vequil.analysis import _sub_gram, balayage, equilibrium, green_gram
 from vequil.condenser import CASE1, zero_field
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
@@ -223,12 +223,6 @@ def spacing_inputs(draw):
     return np.vstack([coarse, fine])
 
 
-@st.composite
-def balayage_inputs(draw):
-    target = distinct(draw(lattice_points(3)))
-    return draw(scalar_measures(3)), target
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -324,78 +318,24 @@ def test_minimum_spacing_across_row_blocks():
 
 
 @SETTINGS
-@given(balayage_inputs())
-def test_balayage_gram_shares_coincident_rows(inputs):
-    source, target = inputs
-    spec = KernelSpec("riesz", alpha=1.0, epsilon=0.2)
-    rows, source_rows = oracle_balayage_rows(source, target)
-    joint = balayage_gram(spec, source, target)
-    assert same_bits(joint.nodes, rows)
-    assert same_bits(joint.entries, assemble_gram(spec, rows).entries)
-    # Each source point owns exactly one row: the target's row when it lies
-    # on the target (-0.0 == +0.0 here), a row after the target otherwise.
-    for pt, row in zip(source.support, source_rows):
-        assert np.flatnonzero((joint.nodes == pt).all(axis=1)).tolist() == [row]
-
-
-@SETTINGS
 @given(point_sets)
 def test_balayage_gram_rejects_iff_target_duplicate(points):
     source = ScalarSignedMeasure(support=np.full((1, points.shape[1]), 7.0), weights=[1.0])
-    spec = KernelSpec("riesz", alpha=0.5, epsilon=0.2)
+    K_t = assemble_gram(KernelSpec("riesz", alpha=0.5, epsilon=0.2), points)
     if oracle_has_duplicate(points):
         with pytest.raises(VequilError, match="target nodes must be distinct"):
-            balayage_gram(spec, source, points)
+            balayage(source, K_t)
     else:
-        balayage_gram(spec, source, points)
+        balayage(source, K_t)
 
 
-@st.composite
-def bordering_inputs(draw):
-    """A kernel, distinct target nodes and 1-4 source points, some of them on
-    target nodes; an explicit epsilon or the target's default."""
-    family = draw(st.sampled_from(("riesz", "newtonian", "log_disk")))
-    dim = 2 if family == "log_disk" else 3
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    target = distinct(np.round(rng.uniform(-0.7, 0.7, (draw(st.integers(1, 40)), dim)), 1))
-    k = draw(st.integers(min_value=1, max_value=4))
-    k_on = min(draw(st.integers(min_value=0, max_value=k)), len(target))
-    off = np.round(rng.uniform(-0.7, 0.7, (k - k_on, dim)), draw(st.sampled_from((1, 17))))
-    support = distinct(np.vstack([target[rng.choice(len(target), k_on, replace=False)], off]))
-    source = ScalarSignedMeasure(support=support, weights=rng.uniform(0.1, 1.0, len(support)))
-    epsilon = draw(st.sampled_from((None, 0.05)))
-    assume(epsilon is not None or len(target) > 1)
-    alpha = 1.5 if family == "riesz" else None
-    return KernelSpec(family, alpha=alpha, epsilon=epsilon), source, target
-
-
-@SETTINGS
-@given(bordering_inputs())
-def test_bordered_joint_gram_equals_joint_assembly(inputs):
-    spec, source, target = inputs
-    K_t = assemble_gram(spec, target)
-    joint = balayage_gram(spec, source, target, K_t)
-    event(f"{len(joint.nodes) - len(target)} of {len(source.support)} source points off target")
-    assert joint.spec == K_t.spec
-    assert same_bits(joint.nodes, balayage_gram(K_t.spec, source, target).nodes)
-    assert same_bits(joint.entries, assemble_gram(K_t.spec, joint.nodes).entries)
-    assert joint.entries.flags.c_contiguous
-
-
-def test_bordering_refuses_a_gram_over_other_nodes():
-    spec = KernelSpec("newtonian", epsilon=0.1)
-    target = fibonacci_sphere(10, radius=1.0)
-    source = ScalarSignedMeasure(support=[[0.0, 0.0, 2.0]], weights=[1.0])
-    with pytest.raises(VequilError, match="Gram over the target nodes"):
-        balayage_gram(spec, source, target, assemble_gram(spec, target[::-1]))
-
-
-def oracle_nnls_balayage(source, target, joint):
+def oracle_nnls_balayage(spec, source, target):
     """The sweep with NNLS on every input: ``min |L'(emb - omega)|`` over
-    ``beta >= 0`` for the Cholesky factor L of the target-first joint Gram."""
-    K = joint.entries
+    ``beta >= 0`` for the Cholesky factor L of the joint Gram, assembled over
+    the target nodes followed by the source points off the target."""
+    rows, source_rows = oracle_balayage_rows(source, target)
+    K = assemble_gram(spec, rows).entries
     n_t = len(target)
-    _, source_rows = oracle_balayage_rows(source, target)
     L = np.linalg.cholesky(K)
     omega = np.zeros(K.shape[0])
     np.add.at(omega, source_rows, source.weights)
@@ -406,17 +346,21 @@ def oracle_nnls_balayage(source, target, joint):
             float(np.sqrt(max(0.0, omega @ (K @ omega)))))
 
 
-# (kernel, target size, source size, source points on the target, height of
-# the other source points, seed).  Targets are jittered points of a 5x5x5
-# lattice of spacing 0.5, so the joint Gram stays well conditioned.  When
-# every source point lies on a target node, the source is returned as its own
-# sweep, with neither the Cholesky solve nor NNLS; otherwise the unconstrained
-# weights come out positive and the Cholesky solve answers.  NNLS runs only on
-# negative unconstrained weights, which these inputs do not produce
-# (tests/test_analysis.py pins that branch).  The first explicit example takes
-# the shortcut, the second the Cholesky solve.
+# (kernel, layout, target size, source size, source points on the target,
+# height of the other source points, seed).
+# - "lattice": jittered points of a 5x5x5 lattice of spacing 0.5, so the joint
+#   Gram stays well conditioned.  The unconstrained weights come out positive
+#   and the Cholesky solve answers.
+# - "shells": an inner sphere of radius 0.5 shielded by an outer one of radius
+#   1, both randomly rotated, with the other source points (one at least)
+#   outside the outer one.  Under the newtonian kernel the unconstrained solve
+#   charges inner nodes negatively, so NNLS runs.
+# When every source point lies on a target node, the source is returned as its
+# own sweep, with neither the Cholesky solve nor NNLS.  The explicit examples
+# take the shortcut, the Cholesky solve and NNLS, in that order.
 sweep_inputs = st.tuples(
     st.sampled_from(("newtonian", "riesz")),
+    st.sampled_from(("lattice", "shells")),
     st.integers(min_value=2, max_value=30),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=4),
@@ -425,13 +369,23 @@ sweep_inputs = st.tuples(
 )
 
 
-def sweep_problem(family, n_t, k, k_on, height, seed):
+def sweep_problem(family, layout, n_t, k, k_on, height, seed):
     rng = np.random.default_rng(seed)
-    lattice = np.stack(np.meshgrid(*[np.arange(5) * 0.5 - 1.0] * 3), axis=-1).reshape(-1, 3)
-    target = lattice[rng.choice(len(lattice), n_t, replace=False)]
-    target = target + rng.uniform(-0.1, 0.1, target.shape)
-    k_on = min(k_on, k, n_t)
-    off = rng.uniform(-1.0, 1.0, (k - k_on, 3)) + [0.0, 0.0, height]
+    if layout == "lattice":
+        lattice = np.stack(np.meshgrid(*[np.arange(5) * 0.5 - 1.0] * 3), axis=-1).reshape(-1, 3)
+        target = lattice[rng.choice(len(lattice), n_t, replace=False)]
+        target = target + rng.uniform(-0.1, 0.1, target.shape)
+        k_on = min(k_on, k, n_t)
+        off = rng.uniform(-1.0, 1.0, (k - k_on, 3)) + [0.0, 0.0, height]
+    else:
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        n_outer = 30 + 2 * n_t
+        target = np.vstack([fibonacci_sphere(n_outer, radius=1.0),
+                            fibonacci_sphere(n_t, radius=0.5)]) @ rotation
+        n_t = len(target)
+        k_on = min(k_on, k - 1)  # one source point at least lies outside
+        directions = rng.normal(size=(k - k_on, 3))
+        off = directions / np.linalg.norm(directions, axis=1)[:, None] * (1.5 + height)
     support = np.vstack([target[rng.choice(n_t, k_on, replace=False)], off])
     weights = rng.uniform(0.0, 1.0, k)
     weights[0] += 0.1
@@ -442,16 +396,16 @@ def sweep_problem(family, n_t, k, k_on, height, seed):
 
 @SETTINGS
 @given(sweep_inputs)
-@example(("newtonian", 20, 1, 2, 0.0, 558))
-@example(("riesz", 12, 3, 1, 5.0, 2))
+@example(("newtonian", "lattice", 20, 1, 2, 0.0, 558))
+@example(("riesz", "lattice", 12, 3, 1, 5.0, 2))
+@example(("newtonian", "shells", 20, 1, 0, 1.0, 0))
 def test_balayage_matches_nnls_oracle(inputs):
     spec, source, target = sweep_problem(*inputs)
-    joint = balayage_gram(spec, source, target)
     with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as nnls, \
             mock.patch.object(scipy.linalg, "cho_solve", wraps=scipy.linalg.cho_solve) as cholesky:
-        rep = balayage(source, target, joint)
+        rep = balayage(source, assemble_gram(spec, target))
     event("nnls" if nnls.called else "cholesky" if cholesky.called else "source on target")
-    beta, mass_ratio, swept_energy, source_energy = oracle_nnls_balayage(source, target, joint)
+    beta, mass_ratio, swept_energy, source_energy = oracle_nnls_balayage(spec, source, target)
     assert np.all(rep.swept >= 0.0)
     assert np.abs(rep.swept - beta).max() <= 1e-10 * max(1.0, float(beta.max()))
     for got, want in ((rep.mass_ratio, mass_ratio), (rep.swept_energy, swept_energy),
@@ -461,15 +415,14 @@ def test_balayage_matches_nnls_oracle(inputs):
 
 
 def test_source_on_target_is_its_own_sweep():
-    spec, source, target = sweep_problem("newtonian", 20, 3, 3, 0.0, 558)
-    joint = balayage_gram(spec, source, target)
+    spec, source, target = sweep_problem("newtonian", "lattice", 20, 3, 3, 0.0, 558)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a solve ran although the source lies on the target")
 
     with mock.patch.object(scipy.optimize, "nnls", refuse), \
             mock.patch.object(scipy.linalg, "cho_solve", refuse):
-        rep = balayage(source, target, joint)
+        rep = balayage(source, assemble_gram(spec, target))
     _, source_rows = oracle_balayage_rows(source, target)
     want = np.zeros(len(target))
     want[source_rows] = source.weights
@@ -1047,13 +1000,13 @@ def test_plate_projection_is_exact(inputs):
 # ---------------------------------------------------------------------------
 
 
-def oracle_kkt_residual(plates, w, grad, band_scale):
+def oracle_kkt_residual(plates, w, grad):
     """The per-plate KKT residual: a loop over ``(slice, g, sigma, a)`` plates."""
     worst = 0.0
     taus = []
     for sl, gs, sigma, a in plates:
         ws, rs = w[sl], grad[sl]
-        band = max(1e-14, 1e-9 * a / float(gs.min())) * band_scale
+        band = max(1e-14, 1e-9 * a / float(gs.min()))
         pinned = sigma <= 2.0 * band  # zero-width box: no condition
         lo = (ws <= band) & ~pinned
         hi = (ws >= sigma - band) & ~pinned
@@ -1113,7 +1066,7 @@ KKT_SIGMA_LATTICE = (0.0, 1e-12, 0.1, 0.25, 0.5, 1.0, 2.0)
 
 @st.composite
 def kkt_inputs(draw):
-    band_scale = draw(st.sampled_from((1.0, 0.01, 30.0)))
+    spot_scale = draw(st.sampled_from((1.0, 0.01, 30.0)))
     plates = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         m = draw(st.integers(min_value=1, max_value=8))
@@ -1126,15 +1079,20 @@ def kkt_inputs(draw):
         spots = BOUND_SPOTS if kind == "bounds" else BOUND_SPOTS + ("interior",)
         where = draw(st.lists(st.sampled_from(spots), min_size=m, max_size=m))
         plates.append((g, sigma, a, where))
-    return plates, band_scale, draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return plates, spot_scale, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
-def kkt_point(plates, band_scale, seed):
-    """Weights at the drawn spots of each box and a gradient of scale 0.1 to 10."""
+def kkt_point(plates, spot_scale, seed):
+    """Weights at the drawn spots of each box and a gradient of scale 0.1 to 10.
+
+    The "near" spots lie half a band from their bound, the band scaled by
+    ``spot_scale``: at 0.01 deep inside the active band, at 30 well outside
+    it.  The residuals classify them with the real band.
+    """
     rng = np.random.default_rng(seed)
     w = []
     for g, sigma, a, where in plates:
-        band = max(1e-14, 1e-9 * a / float(g.min())) * band_scale
+        band = max(1e-14, 1e-9 * a / float(g.min())) * spot_scale
         spot = {"zero": np.zeros_like(sigma), "near_zero": np.minimum(0.5 * band, sigma),
                 "cap": sigma, "near_cap": np.maximum(sigma - 0.5 * band, 0.0),
                 "interior": sigma * rng.uniform(0.2, 0.8, sigma.size)}
@@ -1149,11 +1107,11 @@ def kkt_point(plates, band_scale, seed):
 @example(([(np.array([1.0, 3.0]), np.array([0.5, 0.25]), 1.25, ["cap", "near_cap"]),
            (np.array([0.25]), np.array([1.0]), 0.125, ["near_zero"])], 30.0, 1))
 def test_one_pass_kkt_residual_matches_per_plate_loop(inputs):
-    plates, band_scale, seed = inputs
+    plates, spot_scale, seed = inputs
     qp = plates_qp([(g, sigma, a) for g, sigma, a, _ in plates])
-    w, grad = kkt_point(plates, band_scale, seed)
-    resid, taus = _kkt_residual(qp, w, grad, band_scale)
-    ref, ref_taus = oracle_kkt_residual(qp.plates, w, grad, band_scale)
+    w, grad = kkt_point(plates, spot_scale, seed)
+    resid, taus = _kkt_residual(qp, w, grad)
+    ref, ref_taus = oracle_kkt_residual(qp.plates, w, grad)
     # The interior sums add in another order: both may move at round-off.
     assert abs(resid - ref) <= 1e-14 * max(1.0, float(np.abs(grad).max()))
     assert len(taus) == len(ref_taus)

@@ -117,6 +117,12 @@ class TestSolve:
         K = condenser_gram(KernelSpec("riesz", alpha=1.0, epsilon=0.3), c)
         with pytest.raises(InfeasibleProblem, match="plate 0"):
             solve(c, K, zero_field(c))
+        # Feasible only through a +inf field node, which may not carry charge.
+        c = Condenser(plates=(make_plate(0, 1, [[0.0, 0.0], [1.0, 0.0]], sigma=1.0, mass=1.5),))
+        K = condenser_gram(KernelSpec("riesz", alpha=1.0, epsilon=0.3), c)
+        f = FieldSpec(case=CASE1, case1_values=(np.array([0.0, np.inf]),))
+        with pytest.raises(InfeasibleProblem, match="plate 0"):
+            solve(c, K, f)
 
     def test_non_pd_gram_refused(self):
         table = np.array([[1.0, 2.0], [2.0, 1.0]])
