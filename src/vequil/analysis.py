@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .condenser import (
     CASE1,
@@ -25,7 +27,6 @@ from .condenser import (
     ScalarSignedMeasure,
     _merge_points,
     check_feasibility,
-    condenser_gram,
     semimetric_distance,
     zero_field,
 )
@@ -76,27 +77,35 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
 
     When ``K u = 1`` has a positive solution, the minimizer is ``u / sum(u)``:
     the KKT conditions hold with zero bound multipliers.  ``u`` is solved
-    with the PD gate's factor of ``K - pd_tol*I`` and one refinement step
-    with ``K`` itself, which contracts the error by
-    ``pd_tol / (lambda_min - pd_tol) < 1``; :func:`verify_kkt` then certifies
-    it at ``grad_tol``, and ``converged`` is that certificate.  When some
+    with the PD gate's factor of ``K - pd_tol*I``, while the gate holds it
+    inside the Gram's buffer, and one refinement step with ``K`` itself,
+    which contracts the error by ``pd_tol / (lambda_min - pd_tol) < 1``.
+    Once the buffer is restored, :func:`verify_kkt` certifies ``u / sum(u)``
+    at ``grad_tol``, and ``converged`` is that certificate.  When some
     ``u_i <= 0`` the constrained solver (:func:`solve`) runs instead.
+    Working memory is the Gram plus O(N) vectors.
     """
-    if not _pd_gate(K)[1]:
+    n = K.size
+    ones = np.ones(n)
+    u = None
+
+    def solve_ones(c, d):
+        # K x = dsymv(c, x) + (d - diag c) x while c holds the factor (GramMatrix._factored).
+        nonlocal u
+        u = scipy.linalg.lapack.dpotrs(c, ones, lower=1)[0]
+        Ku = scipy.linalg.blas.dsymv(1.0, c, u) + (d - c.diagonal()) * u
+        u += scipy.linalg.lapack.dpotrs(c, ones - Ku, lower=1)[0]
+
+    if not _pd_gate(K, solve_ones)[1]:
         pd = check_positive_definite(K)
         raise NotPositiveDefinite(
             f"equilibrium needs a strictly PD Gram (min eigenvalue {pd.min_eigenvalue:.3e})"
         )
-    n = K.size
     plate = Plate(id=0, sign=1, nodes=K.nodes if K.nodes is not None else np.asarray(nodes, float),
                   g=np.ones(n), mass=1.0, sigma=np.ones(n))
     c = Condenser(plates=(plate,))
     f = zero_field(c)
     cfg = config or SolverConfig(grad_tol=1e-10)
-    factor = K._cache["cholesky"]
-    ones = np.ones(n)
-    u = scipy.linalg.cho_solve(factor, ones, check_finite=False)
-    u += scipy.linalg.cho_solve(factor, ones - K.matvec(u), check_finite=False)
     if u.min() > 0.0:
         nu = u / u.sum()
         potential = K.matvec(nu)
@@ -217,25 +226,32 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     )
 
 
-def green_gram(spec: KernelSpec, inner_nodes, screen_nodes) -> GramMatrix:
-    """Gram of the kernel screened by a node set, via linear sweeping.
+def green_gram(inner_nodes, screen_gram: GramMatrix) -> GramMatrix:
+    """Gram of the kernel screened by the nodes of a Gram, via linear sweeping.
 
     The screened kernel is ``kappa(x, y) - kappa(x, swept delta_y)`` with the
-    sweep onto the screen nodes; on a joint Gram this is exactly the Schur
-    complement of the screen block.  Inner and screen nodes must be disjoint.
+    sweep onto the screen nodes: on the joint Gram over inner and screen
+    nodes, exactly the Schur complement ``A - B C^-1 B'`` of the screen block
+    ``C``, here ``screen_gram``.  ``A`` and ``B`` are the inner rows, one
+    :func:`cross_kernel` under the screen Gram's spec, bit for bit the joint
+    Gram's; ``C`` is factored inside its own buffer
+    (:meth:`GramMatrix._factored`).  Inner and screen nodes must be disjoint.
     """
+    screen, spec = screen_gram.nodes, screen_gram.spec
+    if screen is None or spec is None:
+        raise VequilError("green_gram needs a screen Gram that records its nodes and kernel")
     inner = np.asarray(inner_nodes, dtype=float)
-    screen = np.asarray(screen_nodes, dtype=float)
     n_i = inner.shape[0]
-    joint = assemble_gram(spec, np.vstack([inner, screen]))
-    A = joint.entries[:n_i, :n_i]
-    B = joint.entries[:n_i, n_i:]
-    C = joint.entries[n_i:, n_i:]
-    try:
-        cho = scipy.linalg.cho_factor(C, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"screen block is not strictly PD: {exc}") from exc
-    S = A - B @ scipy.linalg.cho_solve(cho, B.T)
+    rows = cross_kernel(spec, inner, np.vstack([inner, screen]))
+    B = rows[:, n_i:]
+    S = None
+
+    def schur(c, d):
+        nonlocal S
+        S = rows[:, :n_i] - B @ scipy.linalg.lapack.dpotrs(c, B.T, lower=1)[0]
+
+    if not screen_gram._factored(0.0, schur):
+        raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
     S = 0.5 * (S + S.T)  # exactly symmetric: IEEE addition commutes
     return GramMatrix._assembled(S, nodes=inner)
 
@@ -269,7 +285,7 @@ class ExhaustionTrace:
 def _sub_gram(K: GramMatrix, rows: np.ndarray) -> GramMatrix:
     """The principal block of ``K`` on ``rows``; ``K`` itself when that is all of it.
 
-    Returning ``K`` keeps its cached Lanczos and Cholesky results.
+    Returning ``K`` keeps its cached largest eigenvalue and PD-gate decisions.
     """
     if np.array_equal(rows, np.arange(K.size)):
         return K
@@ -432,7 +448,7 @@ def thinness_demo(
         converged = eq.converged
         if include_gap:
             inner = np.vstack([anchor, src])
-            Gg = green_gram(spec, inner, nodes2)
+            Gg = green_gram(inner, K2)
             eq_g = equilibrium(inner, Gg, config=cfg)
             theta = eq_g.unit_minimizer
             theta_anchor = theta[: anchor.shape[0]]
@@ -451,7 +467,12 @@ def thinness_demo(
             plate2 = Plate(id=1, sign=-1, nodes=nodes2, g=np.ones(nodes2.shape[0]),
                            mass=1.0, sigma=sigma2)
             cond = Condenser(plates=(plate1, plate2))
-            Kc = condenser_gram(spec, cond)
+            # The condenser Gram borders K2 with the anchor rows: the body block is not recomputed.
+            nodes_c, n1 = cond.all_nodes(), anchor.shape[0]
+            rows = cross_kernel(spec, anchor, nodes_c)
+            joint = np.empty((nodes_c.shape[0],) * 2)
+            joint[:n1], joint[n1:, :n1], joint[n1:, n1:] = rows, rows[:, n1:].T, K2.entries
+            Kc = GramMatrix._assembled(joint, spec=spec, nodes=nodes_c)
             zeta = ScalarSignedMeasure(support=src, weights=theta_src)
             field = FieldSpec(case=CASE2, case2_zeta=zeta)
             rep = solve(cond, Kc, field, cfg)

@@ -27,9 +27,12 @@ Positive definiteness is decided two ways.  The solvers' gate
 (:func:`_pd_gate`) never computes a spectrum: it takes the largest
 eigenvalue from Lanczos, sets ``pd_tol = 1e-10 * lambda_max``, and certifies
 strict definiteness by a Cholesky factorization of ``K - pd_tol*I`` and
-definiteness by one of ``K + pd_tol*I``.  The diagnostic
-:func:`check_positive_definite` (the ``check-pd`` command) reports both
-extreme eigenvalues from a dense symmetric eigensolver.  The two agree except
+definiteness by one of ``K + pd_tol*I``.  Each factorization is made inside
+the Gram's own buffer, which is restored bit for bit before the gate returns
+(:meth:`GramMatrix._factored`): the gate allocates no N x N matrix and keeps
+none, and a Gram must not be read from another thread while it is gated.  The
+diagnostic :func:`check_positive_definite` (the ``check-pd`` command) reports
+both extreme eigenvalues from a dense symmetric eigensolver.  The two agree except
 for matrices whose smallest eigenvalue lies within about ``1e-12 * lambda_max``
 of ``-pd_tol`` or ``+pd_tol``, the rounding error of either method.
 
@@ -47,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
@@ -61,7 +64,8 @@ CUSTOM_TABLE = "custom_table"
 FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK, CUSTOM_TABLE)
 SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 
-# Row-block size of every pairwise-distance pass: a block of N columns stays in cache.
+# Row-block size of every pairwise-distance pass, and of the PD gate's restore:
+# a block of N columns stays in cache.
 _ASSEMBLY_BLOCK = 32
 
 
@@ -145,6 +149,9 @@ class GramMatrix:
     ``nodes`` record how the matrix was assembled so downstream operations
     (external fields, balayage rows) can evaluate the same kernel off, or
     locate points in, the stored node set.
+
+    ``entries`` is read-only but for :meth:`_factored`, its one writer, which
+    restores it bit for bit; the buffer must belong to this Gram alone.
     """
 
     entries: np.ndarray
@@ -172,9 +179,10 @@ class GramMatrix:
         """Wrap entries that are symmetric by construction, without a copy.
 
         For matrices vequil computes itself: ``entries`` must be a fresh,
-        exactly symmetric float array owned by nobody else; it is frozen in
-        place.  Only finiteness is checked, by ``min`` and ``max`` (which
-        propagate NaN), so without an N x N temporary.
+        exactly symmetric float array owned by nobody else (the PD gate
+        factors in it, see :meth:`_factored`); it is frozen in place.  Only
+        finiteness is checked, by ``min`` and ``max`` (which propagate NaN),
+        so without an N x N temporary.
         """
         if not (np.isfinite(entries.min(initial=0.0)) and np.isfinite(entries.max(initial=0.0))):
             raise KernelDomainError(
@@ -221,6 +229,40 @@ class GramMatrix:
                     raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
             self._cache["lambda_max"] = float(lam)
         return self._cache["lambda_max"]
+
+    def _factored(self, shift: float, use=None) -> bool:
+        """Whether ``K + shift*I`` has a Cholesky factor, made inside ``entries``.
+
+        The one writer of ``entries``.  ``matvec``'s ``dsymv`` reads the
+        C-lower triangle, so LAPACK's ``dpotrf`` on the Fortran view
+        ``entries.T`` (``lower=1``) writes the factor ``L``, ``L L' = K +
+        shift*I``, into the C-upper triangle and the diagonal; ``K``'s
+        diagonal is kept in an N-vector ``d``.  When the factorization
+        succeeds, ``use(c, d)`` runs while the factor is in place: ``c`` is
+        the Fortran view, ready for ``dpotrs(c, b, lower=1)``, and ``K x =
+        dsymv(c, x) + (d - diag c) * x``.  Then, whatever happened, the upper
+        triangle is copied back from the lower one by row blocks and the
+        diagonal from ``d``.  ``K`` being exactly symmetric, ``entries`` is
+        bit for bit what it was, and the only scratch is ``d`` and one block.
+        """
+        ent = self.entries
+        d = ent.diagonal().copy()
+        ent.setflags(write=True)
+        try:
+            np.fill_diagonal(ent, d + shift)
+            c, info = scipy.linalg.lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
+            if info == 0 and use is not None:
+                use(c, d)
+            return info == 0
+        finally:
+            upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)
+            for i in range(0, self.size, _ASSEMBLY_BLOCK):
+                j = min(i + _ASSEMBLY_BLOCK, self.size)
+                blk, mask = ent[i:j, i:j], upper[: j - i, : j - i]
+                blk[mask] = blk.T[mask]
+                ent[i:j, j:] = ent[j:, i:j].T
+            np.fill_diagonal(ent, d)
+            ent.setflags(write=False)
 
     def eig_extremes(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue, cached after the first call."""
@@ -424,39 +466,26 @@ def check_positive_definite(G: GramMatrix, pd_tol: float | None = None) -> PDRep
     )
 
 
-def _pd_gate(G: GramMatrix) -> tuple[bool, bool]:
+def _pd_gate(G: GramMatrix, use=None) -> tuple[bool, bool]:
     """``(is_pd, is_strictly_pd)`` of a Gram by Cholesky factorizations, cached.
 
     With ``pd_tol = 1e-10 * lambda_max``, strict definiteness holds when
     ``K - pd_tol*I`` has a Cholesky factor, and definiteness when that one or
-    the one of ``K + pd_tol*I`` does.  One copy of ``K`` is shifted and
-    factored in place.  The decisions equal those of
+    the one of ``K + pd_tol*I`` does.  Each is factored in place inside the
+    Gram's buffer, which is restored bit for bit (:meth:`GramMatrix._factored`);
+    only the two decisions are cached.  They equal those of
     :func:`check_positive_definite` unless the smallest eigenvalue lies
     within the factorization's rounding error (about ``1e-12 * lambda_max``)
     of ``-pd_tol`` or ``+pd_tol``.
 
-    When the strict factorization succeeds, its upper factor ``U`` (with
-    ``U'U = K - pd_tol*I``) stays in the cache as ``"cholesky": (U, False)``,
-    ready for ``scipy.linalg.cho_solve``; ``U`` is Fortran-ordered, so the
-    solve takes it without a copy.  It is the gate's one work matrix, kept.
+    ``use``, when given, is passed on to the strict factorization: it runs
+    with the factor of ``K - pd_tol*I`` in place when there is one.  A Gram
+    already certified strictly PD is factored once more for it.
     """
-    if "pd_gate" not in G._cache:
+    gate = G._cache.get("pd_gate")
+    if gate is None or (use is not None and gate[1]):
         pd_tol = 1e-10 * max(G.lambda_max(), 1e-300)
-        work = np.empty_like(G.entries)
-
-        def factor(shift: float) -> np.ndarray | None:
-            work[...] = G.entries
-            work.reshape(-1)[:: G.size + 1] += shift
-            try:
-                # work.T is Fortran-ordered and, K being symmetric, equal to
-                # work, so LAPACK factors it in place.
-                return scipy.linalg.cholesky(work.T, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                return None
-
-        upper = factor(-pd_tol)
-        strict = upper is not None
-        if strict:
-            G._cache["cholesky"] = (upper, False)
-        G._cache["pd_gate"] = (strict or factor(pd_tol) is not None, strict)
-    return G._cache["pd_gate"]
+        strict = G._factored(-pd_tol, use)
+        if gate is None:
+            gate = G._cache["pd_gate"] = (strict or G._factored(pd_tol), strict)
+    return gate

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from vequil import (
@@ -127,13 +128,14 @@ class TestEquilibrium:
         assert np.count_nonzero(eq.unit_minimizer == 0.0) > 0
         assert verify_kkt(c, K, zero_field(c), c.measure([eq.unit_minimizer]), 1e-10).ok
 
-    def test_working_memory_is_one_gram_sized_matrix(self):
-        # The PD gate's factor is the one N^2 work matrix; the solves with it
-        # and the certificate add O(N).  A C-ordered factor (which cho_solve
-        # would copy) or any N^2 temporary breaks the bound.
-        n = 1500
+    def test_working_memory_is_the_gram_plus_vectors(self):
+        # The PD gate factors inside the Gram's own buffer and restores it; the
+        # solves with the factor, Lanczos and the certificate add O(N).  An N^2
+        # work matrix, a cached factor or any other N^2 temporary breaks the bound.
+        n = 1000
         nodes = fibonacci_sphere(n, radius=1.0)
         K = assemble_gram(KernelSpec("newtonian"), nodes)
+        before = K.entries.copy()
         tracemalloc.start()
         try:
             eq = equilibrium(nodes, K)
@@ -141,7 +143,23 @@ class TestEquilibrium:
         finally:
             tracemalloc.stop()
         assert eq.converged
-        assert peak <= 8 * n * n + 64 * 8 * n
+        assert peak <= 64 * 8 * n
+        assert np.array_equal(K.entries, before)
+
+    def test_gate_inside_solve_adds_only_vectors(self):
+        # solve's gate factors inside the Gram too; the iterations add O(N).
+        n = 1000
+        nodes = fibonacci_sphere(n, radius=1.0)
+        K = assemble_gram(KernelSpec("newtonian"), nodes)
+        c = Condenser(plates=(make_plate(0, 1, nodes),))
+        tracemalloc.start()
+        try:
+            rep = solve(c, K, zero_field(c), SolverConfig(max_iters=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations <= 3
+        assert peak <= 64 * 8 * n
 
 
 class TestBalayage:
@@ -235,8 +253,9 @@ class TestBalayage:
     def test_target_gram_must_record_nodes_and_kernel(self):
         src = ScalarSignedMeasure(support=[[0.0, 0.0, 1.0]], weights=[1.0])
         K = assemble_gram(KernelSpec("newtonian", epsilon=0.2), [[0.0, 0.0, 0.0]])
-        for bare in (GramMatrix._assembled(K.entries, spec=K.spec),
-                     GramMatrix._assembled(K.entries, nodes=K.nodes)):
+        # Copies: a Gram's buffer belongs to it alone (the PD gate factors in it).
+        for bare in (GramMatrix._assembled(K.entries.copy(), spec=K.spec),
+                     GramMatrix._assembled(K.entries.copy(), nodes=K.nodes)):
             with pytest.raises(VequilError, match="records its nodes and kernel"):
                 balayage(src, bare)
 
@@ -266,7 +285,7 @@ class TestGreenGram:
         inner = rng.uniform(-1, 1, (12, 3)) + [-3.0, 0.0, 0.0]
         screen = rng.uniform(-1, 1, (20, 3)) + [3.0, 0.0, 0.0]
         spec = KernelSpec("newtonian", epsilon=0.15)
-        G = green_gram(spec, inner, screen)
+        G = green_gram(inner, assemble_gram(spec, screen))
         assert check_positive_definite(G).is_strictly_pd
         plain = assemble_gram(spec, inner)
         # screening only removes energy
@@ -275,6 +294,25 @@ class TestGreenGram:
             w = rng2.uniform(0.0, 1.0, 12)
             assert w @ G.entries @ w <= w @ plain.entries @ w + 1e-10
 
+
+    def test_equals_the_joint_schur_complement_bit_for_bit(self):
+        # The inner rows come from one cross kernel and the screen block is the
+        # screen Gram itself, factored in place: the Schur complement of the
+        # joint Gram, entry for entry, and the screen Gram left as it was.
+        rng = np.random.default_rng(6)
+        inner = rng.uniform(-1, 1, (12, 3)) + [-3.0, 0.0, 0.0]
+        screen = rng.uniform(-1, 1, (40, 3)) + [3.0, 0.0, 0.0]
+        spec = KernelSpec("newtonian", epsilon=0.15)
+        K_s = assemble_gram(spec, screen)
+        before = K_s.entries.copy()
+        G = green_gram(inner, K_s)
+        assert np.array_equal(K_s.entries, before)
+        joint = assemble_gram(spec, np.vstack([inner, screen])).entries
+        A, B, C = joint[:12, :12], joint[:12, 12:], joint[12:, 12:]
+        S = A - B @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(C, lower=True), B.T)
+        assert np.array_equal(G.entries, 0.5 * (S + S.T))
+        with pytest.raises(VequilError, match="records its nodes and kernel"):
+            green_gram(inner, GramMatrix(entries=K_s.entries))
 
 def loose_two_plate(rng, n_per=40):
     # masses small enough that 25% head-truncations stay feasible

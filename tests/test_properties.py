@@ -12,8 +12,9 @@ measure on both of its branches with the constrained solver.
 The kernel properties compare the per-coordinate distance sweep, and the
 two-pass Gram assembly with its default epsilon, with the expressions they
 replaced, the Cholesky PD gate and the Lanczos largest
-eigenvalue with a dense symmetric eigensolver, the Gram product with numpy's,
-and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
+eigenvalue with a dense symmetric eigensolver (the gate and ``equilibrium``
+also leave the Gram's entries bit for bit as they were), the Gram product
+with numpy's, and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
 corrective step on its carried hull factor is compared, one appended atom at
 a time, with the active-set oracle that solves every support by least squares.
 The one-pass KKT residual is compared with the per-plate loop it replaced, and
@@ -37,6 +38,7 @@ from vequil import (
     ScalarSignedMeasure,
     InfeasibleProblem,
     KernelDomainError,
+    NotPositiveDefinite,
     VequilError,
     assemble_gram,
     check_positive_definite,
@@ -601,6 +603,46 @@ def test_pd_gate_matches_eigenvalue_classification(spectrum):
 
 @SETTINGS
 @given(spectra)
+@example((1, 1.0, 5.0, 0))
+@example((70, 1.0, 5.0, 1))  # three restore blocks, the last one partial
+@example((33, 2.0, -0.3, 2))
+@example((65, 1.0, -1e12, 3))
+def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
+    # The gate factors inside the Gram's buffer: strict, definite-only and
+    # indefinite spectra take different branches, each must leave the entries
+    # as they were and cache no N x N array.  So must equilibrium, which
+    # factors again on a gated Gram and must then give the same result.
+    G = gram_with_spectrum(*spectrum)
+    before = G.entries.copy()
+    is_pd, strict = _pd_gate(G)
+    event("strictly PD" if strict else "PD only" if is_pd else "indefinite")
+    assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+    cached = [x for v in G._cache.values() for x in (v if isinstance(v, tuple) else (v,))]
+    assert not any(np.ndim(x) == 2 for x in cached)
+    nodes = np.arange(float(G.size))[:, None]
+    if not strict:
+        with pytest.raises(NotPositiveDefinite):
+            equilibrium(nodes, G)
+        assert np.array_equal(G.entries, before)
+        return
+    fresh = GramMatrix(entries=before)
+    want = equilibrium(nodes, fresh)
+    got = equilibrium(nodes, G)
+    for K in (G, fresh):
+        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
+    assert got.robin_constant == want.robin_constant
+    assert np.array_equal(got.unit_minimizer, want.unit_minimizer)
+
+    def fail(c, d):
+        raise RuntimeError("inside the factor")
+
+    with pytest.raises(RuntimeError, match="inside the factor"):
+        G._factored(0.0, fail)
+    assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+
+
+@SETTINGS
+@given(spectra)
 @example((2, 1.0, -1e12, 5))
 def test_lambda_max_matches_dense_eigensolver(spectrum):
     G = gram_with_spectrum(*spectrum)
@@ -630,7 +672,7 @@ def gram_by(path: str, n: int, rng) -> GramMatrix:
         big = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 5, 3)))
         return _sub_gram(big, rng.permutation(n + 5)[:n])
     if path == "green_gram":
-        return green_gram(spec, pts, rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0])
+        return green_gram(pts, assemble_gram(spec, rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0]))
     table = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 3, 3))).entries
     return assemble_gram(KernelSpec("custom_table", table=table), rng.integers(0, n + 3, n))
 
