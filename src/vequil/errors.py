@@ -14,7 +14,7 @@ class KernelDomainError(VequilError):
 
 
 class EigensolverError(VequilError):
-    """The dense symmetric eigensolver failed to converge."""
+    """A symmetric eigensolver (dense, or Lanczos for lambda_max) failed to converge."""
 
 
 class NotPositiveDefinite(VequilError):

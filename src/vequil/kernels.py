@@ -25,7 +25,8 @@ each entry equals the point evaluation of its pair bit for bit.
 
 Positive definiteness is decided two ways.  The solvers' gate
 (:func:`_pd_gate`) never computes a spectrum: it takes the largest
-eigenvalue from Lanczos, sets ``pd_tol = 1e-10 * lambda_max``, and certifies
+eigenvalue from vequil's own Lanczos iteration on the Gram product
+(:meth:`GramMatrix.lambda_max`), sets ``pd_tol = 1e-10 * lambda_max``, and certifies
 strict definiteness by a Cholesky factorization of ``K - pd_tol*I`` and
 definiteness by one of ``K + pd_tol*I``.  Each factorization is made inside
 the Gram's own buffer, which is restored bit for bit before the gate returns
@@ -41,8 +42,8 @@ numpy's ``@``.  numpy and scipy each ship their own OpenBLAS, and each
 library's worker threads spin for about 0.1 s after every call; a solve that
 alternated numpy products with scipy's Cholesky factorizations and solves
 would run each on cores the other library's idle threads still hold.  With
-one library, the Lanczos iterations, the PD gate, the solves and the
-certificate share one thread pool.
+one library, the Lanczos products and reorthogonalization (``dgemv``), the PD
+gate, the solves and the certificate share one thread pool.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
-import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
 
@@ -67,6 +67,16 @@ SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 # Row-block size of every pairwise-distance pass, and of the PD gate's restore:
 # a block of N columns stays in cache.
 _ASSEMBLY_BLOCK = 32
+
+_LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
+
+
+def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w`` less its projection on the orthonormal rows of ``B``, taken twice."""
+    for _ in range(2):
+        h = scipy.linalg.blas.dgemv(1.0, B.T, w, trans=1)
+        w = scipy.linalg.blas.dgemv(-1.0, B.T, h, beta=1.0, y=w, overwrite_y=1)
+    return w
 
 
 def _as_points(x) -> np.ndarray:
@@ -213,20 +223,49 @@ class GramMatrix:
         return scipy.linalg.blas.dsymv(1.0, self.entries.T, x)
 
     def lambda_max(self) -> float:
-        """Largest eigenvalue by Lanczos (start vector all ones), cached."""
+        """Largest eigenvalue by Lanczos with full reorthogonalization, cached.
+
+        Starts from ones/sqrt(N); every product is :meth:`matvec`, and each new
+        vector is orthogonalized twice against the whole basis (``dgemv`` on a
+        row buffer that doubles when full).  A block stops when the top Ritz
+        pair ``(theta, y)`` of its tridiagonal has ``beta_k*|y_k| <=
+        1e-14*|theta|``.  A breakdown (``beta_k`` at round-off of the largest
+        product) leaves an invariant subspace that need not hold the top
+        eigenvalue: as ARPACK's ``dgetv0`` does, the iteration restarts once,
+        from a seeded random vector orthogonal to the basis, whose block sees
+        every eigenvalue left.  The result is the largest Ritz value over the
+        blocks; no convergence in :data:`_LANCZOS_STEPS` products raises
+        :class:`EigensolverError`.
+        """
         if "lambda_max" not in self._cache:
-            if self.size == 1:
-                lam = float(self.entries[0, 0])
+            n, steps, blas = self.size, min(self.size, _LANCZOS_STEPS), scipy.linalg.blas
+            V = np.empty((min(n, 16), n))  # the basis, one vector a row
+            v, d, e = np.full(n, n ** -0.5), [], []
+            lam, scale, restarted = -np.inf, 0.0, False
+            for k in range(steps):
+                if k == len(V):
+                    V = np.concatenate((V, np.empty((min(k, steps - k), n))))
+                V[k] = v
+                w = self.matvec(v)
+                d.append(blas.ddot(v, w))
+                scale = max(scale, blas.dnrm2(w))
+                w = _orthogonalized(V[: k + 1], w)
+                b = blas.dnrm2(w)
+                vals, z, info = scipy.linalg.lapack.dstev(d, e or [0.0])
+                if info:
+                    raise EigensolverError("Lanczos' tridiagonal eigensolver failed")
+                broke = b <= 1e-12 * scale
+                if broke or b * abs(z[-1, -1]) <= 1e-14 * abs(vals[-1]):
+                    lam = max(lam, vals[-1])
+                    if not broke or restarted or k == n - 1:
+                        break
+                    w = _orthogonalized(V[: k + 1], np.random.default_rng(k).standard_normal(n))
+                    b, d, e, restarted = blas.dnrm2(w), [], [], True
+                else:
+                    e.append(b)
+                v = w / b
             else:
-                op = scipy.sparse.linalg.LinearOperator(
-                    self.entries.shape, matvec=self.matvec, dtype=float)
-                try:
-                    (lam,) = scipy.sparse.linalg.eigsh(
-                        op, k=1, which="LA", v0=np.ones(self.size),
-                        return_eigenvectors=False,
-                    )
-                except scipy.sparse.linalg.ArpackError as exc:
-                    raise EigensolverError(f"Lanczos eigensolver failed: {exc}") from exc
+                raise EigensolverError(f"Lanczos did not converge in {k + 1} products")
             self._cache["lambda_max"] = float(lam)
         return self._cache["lambda_max"]
 

@@ -489,7 +489,8 @@ class TestEveryGramProductIsMatvec:
         assert np.array_equal(got.unit_minimizer, want.unit_minimizer)
 
     def test_lanczos(self):
-        # eigsh would turn a plain Gram into a numpy-product operator of its own.
+        # Every Lanczos product is the Gram's own dsymv; its reorthogonalization
+        # touches only the basis, never the entries.
         K = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(200, radius=1.0))
         with mock.patch.object(GramMatrix, "matvec", autospec=True,
                                side_effect=GramMatrix.matvec) as matvec:

@@ -659,14 +659,24 @@ def test_console_entry_point_runs():
     assert json.loads(result.stdout)["is_pd"] is True
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize serves only balayage's NNLS fallback, which imports it itself.
+def _after_cli_import(expr: str) -> str:
+    """What a fresh interpreter prints for ``expr`` after ``import vequil.cli``."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, vequil.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, vequil.cli; print({expr})"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize serves only balayage's NNLS fallback, which imports it itself.
+    assert _after_cli_import("'scipy.optimize' in sys.modules") == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # lambda_max is vequil's own Lanczos on GramMatrix.matvec: no ARPACK.
+    assert _after_cli_import("any(m.startswith('scipy.sparse') for m in sys.modules)") == "False"

@@ -17,7 +17,7 @@ from vequil import (
     resolve_epsilon,
 )
 from vequil import kernels
-from vequil.errors import DimensionMismatch
+from vequil.errors import DimensionMismatch, EigensolverError
 from vequil.geometry import fibonacci_sphere
 
 
@@ -242,6 +242,62 @@ class TestPositiveDefiniteness:
         nodes = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
         G = assemble_gram(KernelSpec("log_disk"), nodes)
         assert check_positive_definite(G).is_pd
+
+
+def _log_disk_gram() -> GramMatrix:
+    # Points on a ring of radius 0.9: pairs farther apart than 1 have entries < 0.
+    t = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    return assemble_gram(KernelSpec("log_disk"), 0.9 * np.stack([np.cos(t), np.sin(t)], axis=1))
+
+
+def _table_gram(table) -> GramMatrix:
+    return assemble_gram(KernelSpec("custom_table", table=np.asarray(table, dtype=float)), None)
+
+
+class TestLambdaMax:
+    @pytest.mark.parametrize("make", [
+        # ones/sqrt(N) is an eigenvector of the first two tables for 1 and 2,
+        # not for their top 3 and 4: Lanczos breaks down at once and only the
+        # restart sees the top.
+        lambda: _table_gram([[2.0, -1.0], [-1.0, 2.0]]),
+        lambda: _table_gram(np.kron(np.eye(3), [[3.0, -1.0], [-1.0, 3.0]])),
+        lambda: _table_gram(np.zeros((4, 4))),
+        _log_disk_gram,
+    ], ids=["table_2x2", "table_kron", "zero_table", "log_disk"])
+    def test_matches_dense_eigensolver(self, make):
+        G = make()
+        if G.spec.family == "log_disk":
+            assert G.entries.min() < 0.0
+        hi = np.linalg.eigvalsh(G.entries)[-1]
+        assert abs(G.lambda_max() - hi) <= 1e-12 * max(abs(hi), 1.0)
+
+    def test_work_and_memory_on_a_sphere(self, monkeypatch):
+        # ARPACK took 21 products and held about 46 vectors; Lanczos with full
+        # reorthogonalization converges in about 10 with a basis of 16 rows.
+        n = 1000
+        nodes = fibonacci_sphere(n, radius=1.0)
+        G = assemble_gram(KernelSpec("newtonian"), nodes)
+        products = []
+        matvec = GramMatrix.matvec
+        monkeypatch.setattr(GramMatrix, "matvec", lambda self, x: products.append(1) or matvec(self, x))
+        lam = G.lambda_max()
+        monkeypatch.undo()
+        assert len(products) <= 14
+        assert abs(lam - np.linalg.eigvalsh(G.entries)[-1]) <= 1e-12 * lam
+        fresh = assemble_gram(KernelSpec("newtonian"), nodes)
+        tracemalloc.start()
+        try:
+            assert fresh.lambda_max() == lam
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 8 * n
+
+    def test_step_cap_raises(self, monkeypatch):
+        G = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(200, radius=1.0))
+        monkeypatch.setattr(kernels, "_LANCZOS_STEPS", 3)
+        with pytest.raises(EigensolverError, match="did not converge in 3 products"):
+            G.lambda_max()
 
 
 def test_assembly_deterministic():
