@@ -225,23 +225,22 @@ class GramMatrix:
     def lambda_max(self) -> float:
         """Largest eigenvalue by Lanczos with full reorthogonalization, cached.
 
-        Starts from ones/sqrt(N); every product is :meth:`matvec`, and each new
-        vector is orthogonalized twice against the whole basis (``dgemv`` on a
-        row buffer that doubles when full).  A block stops when the top Ritz
-        pair ``(theta, y)`` of its tridiagonal has ``beta_k*|y_k| <=
-        1e-14*|theta|``.  A breakdown (``beta_k`` at round-off of the largest
-        product) leaves an invariant subspace that need not hold the top
-        eigenvalue: as ARPACK's ``dgetv0`` does, the iteration restarts once,
-        from a seeded random vector orthogonal to the basis, whose block sees
-        every eigenvalue left.  The result is the largest Ritz value over the
-        blocks; no convergence in :data:`_LANCZOS_STEPS` products raises
+        Starts from ones/sqrt(N), takes every product from :meth:`matvec` and
+        orthogonalizes each new vector twice against the whole basis (``dgemv``
+        on a row buffer that doubles when full).  A block stops when the top
+        Ritz pair ``(theta, y)`` of its tridiagonal (``dstemr``) has
+        ``beta_k*|y_k| <= 1e-14*|theta|``.  A breakdown (``beta_k`` at round-off
+        of the largest product) leaves an invariant subspace that need not hold
+        the top eigenvalue, so, as ARPACK's ``dgetv0`` does, the iteration
+        restarts once from a seeded random vector orthogonal to the basis; that
+        block sees every eigenvalue left.  The result is the largest Ritz value
+        of the blocks; no convergence in :data:`_LANCZOS_STEPS` products raises
         :class:`EigensolverError`.
         """
         if "lambda_max" not in self._cache:
             n, steps, blas = self.size, min(self.size, _LANCZOS_STEPS), scipy.linalg.blas
             V = np.empty((min(n, 16), n))  # the basis, one vector a row
-            v, d, e = np.full(n, n ** -0.5), [], []
-            lam, scale, restarted = -np.inf, 0.0, False
+            v, d, e, lam, scale, restarted = np.full(n, n ** -0.5), [], [], -np.inf, 0.0, False
             for k in range(steps):
                 if k == len(V):
                     V = np.concatenate((V, np.empty((min(k, steps - k), n))))
@@ -251,12 +250,13 @@ class GramMatrix:
                 scale = max(scale, blas.dnrm2(w))
                 w = _orthogonalized(V[: k + 1], w)
                 b = blas.dnrm2(w)
-                vals, z, info = scipy.linalg.lapack.dstev(d, e or [0.0])
+                _, vals, z, info = scipy.linalg.lapack.dstemr(d, e + [0.0], 2, 0.0, 0.0,
+                                                              len(d), len(d))
                 if info:
                     raise EigensolverError("Lanczos' tridiagonal eigensolver failed")
                 broke = b <= 1e-12 * scale
-                if broke or b * abs(z[-1, -1]) <= 1e-14 * abs(vals[-1]):
-                    lam = max(lam, vals[-1])
+                if broke or b * abs(z[-1, 0]) <= 1e-14 * abs(vals[0]):
+                    lam = max(lam, vals[0])
                     if not broke or restarted or k == n - 1:
                         break
                     w = _orthogonalized(V[: k + 1], np.random.default_rng(k).standard_normal(n))
