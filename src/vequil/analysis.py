@@ -293,6 +293,23 @@ def _sub_gram(K: GramMatrix, rows: np.ndarray) -> GramMatrix:
                                  nodes=None if K.nodes is None else K.nodes[rows])
 
 
+def exhaustion_schedule(node_fractions, sigma_scales=None) -> list[tuple[float, float]]:
+    """The ``(fraction, sigma scale)`` stages of an exhaustion run: fractions in
+    (0, 1], scales (1 when not given) finite, nonnegative and one per fraction.
+    A violation raises :class:`VequilError` anchored at ``fractions[k]`` or
+    ``sigma_scales[k]``."""
+    fractions = [float(t) for t in node_fractions]
+    scales = [1.0] * len(fractions) if sigma_scales is None else [float(b) for b in sigma_scales]
+    if len(scales) != len(fractions):
+        raise VequilError("sigma_scales: must be a list as long as fractions")
+    for k, (t, b) in enumerate(zip(fractions, scales)):
+        if not 0.0 < t <= 1.0:
+            raise VequilError(f"fractions[{k}]: node fractions must lie in (0, 1]")
+        if not 0.0 <= b < np.inf:
+            raise VequilError(f"sigma_scales[{k}]: sigma scales must be finite and >= 0")
+    return list(zip(fractions, scales))
+
+
 def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -> ExhaustionTrace:
     """Solve truncations of a problem on growing head-portions of the plates.
 
@@ -300,26 +317,20 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     and scales the truncated constraint by ``sigma_scales[k]`` (headroom
     factors > 1 can restore feasibility of tight constraints on small
     truncations; stages that are still infeasible are recorded and skipped).
+    The schedule is checked by :func:`exhaustion_schedule` before any solve.
     Each stage records its value and the semimetric gap to the full-problem
     minimizer; ``full_converged`` records whether that full solve, the source
     of ``full_value`` and of every gap, reached its tolerance.
     """
-    fractions = [float(t) for t in node_fractions]
-    scales = [1.0] * len(fractions) if sigma_scales is None else [float(b) for b in sigma_scales]
-    if len(scales) != len(fractions):
-        raise VequilError("node_fractions and sigma_scales must have equal length")
-    if any(not 0.0 < t <= 1.0 for t in fractions):
-        raise VequilError("node fractions must lie in (0, 1]")
+    schedule = exhaustion_schedule(node_fractions, sigma_scales)
     c, K, f, cfg = problem.condenser, problem.gram, problem.field, problem.config
     full = solve(c, K, f, cfg)
     slices = c.slices()
     stages = []
-    for frac, beta in zip(fractions, scales):
+    for frac, beta in schedule:
         if frac == 1.0 and beta == 1.0:
             # The full problem itself: same condenser, Gram, field and config.
-            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
-                                          value=full.value, semimetric_gap=0.0,
-                                          converged=full.converged))
+            stages.append(ExhaustionStage(frac, beta, True, full.value, 0.0, full.converged))
             continue
         keep_counts = [max(1, int(np.ceil(frac * p.n_nodes))) for p in c.plates]
         idx = np.concatenate(
@@ -338,9 +349,7 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
         else:
             f_sub = f
         if not check_feasibility(c_sub, f_sub).feasible:
-            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=False,
-                                          value=float("nan"), semimetric_gap=float("nan"),
-                                          converged=False))
+            stages.append(ExhaustionStage(frac, beta, False, float("nan"), float("nan"), False))
             continue
         rep = solve(c_sub, K_sub, f_sub, cfg)
         embedded = []
@@ -349,9 +358,7 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
             wide[:m] = w
             embedded.append(wide)
         gap = semimetric_distance(c, K, c.measure(embedded), full.minimizer)
-        stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
-                                      value=rep.value, semimetric_gap=gap,
-                                      converged=rep.converged))
+        stages.append(ExhaustionStage(frac, beta, True, rep.value, gap, rep.converged))
     return ExhaustionTrace(stages=tuple(stages), full_value=full.value,
                            full_converged=full.converged)
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import _sub_gram, equilibrium, exhaustion_schedule
 from .condenser import (
     CASE1,
     CASE2,
@@ -278,8 +279,6 @@ def parse_config(source) -> ParsedConfig:
             raise _fail(path, "missing required field")
         if isinstance(sdesc, dict):
             scale = _as_float(_get(sdesc, "equilibrium_scale", path), path)
-            from .analysis import _sub_gram, equilibrium  # local import: avoids a cycle
-
             try:
                 eq = equilibrium(nodes, _sub_gram(gram, np.arange(offsets[k], offsets[k + 1])))
             except VequilError as exc:
@@ -339,15 +338,18 @@ def parse_config(source) -> ParsedConfig:
         _as_float(balayage_doc.get("tol", 1e-9), "balayage.tol")
     exhaust = _section(doc, "exhaust")
     if exhaust:
-        fr = _get(exhaust, "fractions", "exhaust")
+        fr, sc = _get(exhaust, "fractions", "exhaust"), exhaust.get("sigma_scales")
         if not isinstance(fr, list) or not fr:
             raise ConfigError("exhaust.fractions: must be a nonempty list")
-        sc = exhaust.get("sigma_scales")
-        if sc is not None and (not isinstance(sc, list) or len(sc) != len(fr)):
+        if sc is not None and not isinstance(sc, list):
             raise ConfigError("exhaust.sigma_scales: must be a list as long as fractions")
         for key, values in (("fractions", fr), ("sigma_scales", sc or [])):
             for k, v in enumerate(values):
                 _as_float(v, f"exhaust.{key}[{k}]")
+        try:
+            exhaustion_schedule(fr, sc)
+        except VequilError as exc:
+            raise ConfigError(f"exhaust.{exc}") from exc
 
     return ParsedConfig(
         problem=problem,

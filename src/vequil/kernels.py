@@ -6,14 +6,18 @@ Supported families:
 * ``newtonian``    -- alias for ``riesz`` with ``alpha = 2`` (requires n >= 3)
 * ``log_disk``     -- ``-0.5 * log(|x-y|^2 + eps^2)``, points inside the open
   unit disk of the plane
-* ``custom_table`` -- entries injected as an explicit symmetric matrix; nodes
-  are integer index points and geometry is bypassed entirely
+* ``custom_table`` -- entries injected as an explicit symmetric ``m x m``
+  matrix; nodes are row indices in ``[0, m)`` and geometry is bypassed
 
 The singular families are regularized by the length ``eps``, which enters
 every entry as ``|x-y|^2 + eps^2``; a node is thereby modelled as a small
-charge cell of that size.  When ``eps`` is left unset it defaults, at
-assembly time, to half the minimum (positive) inter-node spacing of the node
-set.
+charge cell of that size.  An unset ``eps`` defaults, at assembly time, to
+half the minimum (positive) inter-node spacing of the node set.
+
+:func:`evaluate_kernel`, :func:`cross_kernel` and :func:`assemble_gram` take
+their points through one check (:func:`_kernel_points`) and their entries from
+one evaluation (:func:`_kernel_matrix`): they refuse the same inputs with the
+same error, and agree bit for bit.
 
 A Gram is assembled by two in-place passes over its own N x N buffer, in
 row blocks of :data:`_ASSEMBLY_BLOCK` rows.  The first writes the squared
@@ -69,6 +73,7 @@ SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 _ASSEMBLY_BLOCK = 32
 
 _LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
+_NONFINITE_GRAM = "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
 
 
 def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -79,13 +84,21 @@ def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No inf or NaN in ``a``, by ``min`` and ``max`` (which propagate NaN): no temporary."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
+
+
 def _as_points(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
+    try:
+        pts = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # a ragged list
+        raise DimensionMismatch("expected points of shape (N, n), got a ragged array") from None
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise DimensionMismatch(f"expected points of shape (N, n), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not _all_finite(pts):
         raise DimensionMismatch("points must have finite coordinates")
     return pts
 
@@ -120,12 +133,11 @@ class KernelSpec:
         if self.family == CUSTOM_TABLE:
             if self.table is None:
                 raise KernelDomainError("custom_table kernel requires a table")
-            tbl = np.asarray(self.table, dtype=float)
+            tbl = np.array(self.table, dtype=float)
             if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
                 raise KernelDomainError("custom table must be square")
             if not np.array_equal(tbl, tbl.T):
                 raise KernelDomainError("custom table must be symmetric")
-            tbl = tbl.copy()
             tbl.setflags(write=False)
             object.__setattr__(self, "table", tbl)
         elif self.table is not None:
@@ -175,10 +187,8 @@ class GramMatrix:
             raise DimensionMismatch("Gram entries must be a square matrix")
         if not np.array_equal(ent, ent.T):
             raise DimensionMismatch("Gram entries must be exactly symmetric")
-        if not np.all(np.isfinite(ent)):
-            raise KernelDomainError(
-                "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
-            )
+        if not _all_finite(ent):
+            raise KernelDomainError(_NONFINITE_GRAM)
         ent = ent.copy()
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
@@ -191,13 +201,10 @@ class GramMatrix:
         For matrices vequil computes itself: ``entries`` must be a fresh,
         exactly symmetric float array owned by nobody else (the PD gate
         factors in it, see :meth:`_factored`); it is frozen in place.  Only
-        finiteness is checked, by ``min`` and ``max`` (which propagate NaN),
-        so without an N x N temporary.
+        finiteness is checked.
         """
-        if not (np.isfinite(entries.min(initial=0.0)) and np.isfinite(entries.max(initial=0.0))):
-            raise KernelDomainError(
-                "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
-            )
+        if not _all_finite(entries):
+            raise KernelDomainError(_NONFINITE_GRAM)
         entries.setflags(write=False)
         gram = object.__new__(cls)
         for name, value in (("entries", entries), ("spec", spec), ("nodes", nodes),
@@ -324,30 +331,15 @@ class PDReport:
 
 
 def evaluate_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel at a single pair of points.
+    """The kernel at one pair of points (table row indices for ``custom_table``).
 
-    For ``custom_table`` kernels the points are integer row indices into the
-    table.  ``epsilon=None`` is treated as 0 here, so coincident points under
-    a singular family evaluate to ``+inf``.
+    The 1 x 1 case of :func:`cross_kernel`, except that a coincident pair under
+    a singular family with ``epsilon=None`` evaluates to ``+inf``.
     """
-    if spec.family == CUSTOM_TABLE:
-        i, j = int(np.asarray(x).ravel()[0]), int(np.asarray(y).ravel()[0])
-        return float(spec.table[i, j])
-    px, py = _as_points(x)[0], _as_points(y)[0]
-    if px.shape != py.shape:
-        raise DimensionMismatch(f"point dimensions differ: {px.shape[0]} vs {py.shape[0]}")
-    n = px.shape[0]
-    spec._check_dimension(n)
-    if spec.family == LOG_DISK:
-        for p in (px, py):
-            if np.sum(p * p) >= 1.0:
-                raise KernelDomainError("log_disk points must lie inside the open unit disk")
-    eps = 0.0 if spec.epsilon is None else float(spec.epsilon)
-    # Same distance sweep and family code as Gram assembly: bit-identical entries.
-    r2 = next(_sq_dist_blocks(px[None, :], py[None, :]))[1][0] + eps * eps
-    if r2[0] == 0.0:
-        return float(np.inf)
-    return float(_apply_family(spec, r2, n)[0])
+    X, Y = _kernel_points(spec, x, y)
+    if X.shape[0] != 1 or Y.shape[0] != 1:
+        raise DimensionMismatch(f"expected one point each, got {X.shape[0]} and {Y.shape[0]}")
+    return float(_pointwise(spec, X, Y)[0, 0])
 
 
 def minimum_spacing(nodes) -> float:
@@ -358,13 +350,10 @@ def minimum_spacing(nodes) -> float:
 
 
 def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
-    """Fill in the default diagonal regularization for a node set.
-
-    The default is half the minimum positive inter-node spacing.  Coincident
-    nodes (legal for overlapping equal-sign plates) are ignored when taking
-    the minimum.  :func:`assemble_gram` takes the same value from its own
-    distance pass instead.
-    """
+    """Fill in the default diagonal regularization for a node set: half the
+    minimum positive inter-node spacing, coincident nodes (legal for overlapping
+    equal-sign plates) ignored.  :func:`assemble_gram` takes the same value from
+    its own distance pass instead."""
     if spec.epsilon is not None or not spec.singular:
         return spec
     return spec.with_epsilon(_default_epsilon(minimum_spacing(nodes)))
@@ -403,20 +392,42 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
         yield start, d2
 
 
-def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> np.ndarray:
+def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> None:
     """The kernel of squared regularized distances ``r2``, computed in place."""
     if spec.family == LOG_DISK:
         np.log(r2, out=r2)
         r2 *= -0.5
     else:
         np.power(r2, (float(spec.alpha) - n) / 2.0, out=r2)
-    return r2
 
 
-def _kernel_matrix(spec: KernelSpec, X: np.ndarray,
-                   Y: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-    """Kernel matrix of ``X`` against ``Y`` by the two passes of the module
-    notes, and the spec it used (an unset epsilon resolved by pass 1)."""
+def _kernel_points(spec: KernelSpec, *sets) -> tuple[np.ndarray, ...]:
+    """Each node set as an (N, n) float array in the kernel's domain.
+
+    Table nodes are single whole numbers in ``[0, m)``, returned as one column;
+    other points share one dimension that fits the family, and ``log_disk``
+    points lie inside the open unit disk.
+    """
+    if spec.family == CUSTOM_TABLE:
+        m, cols = spec.table.shape[0], [np.asarray(s, dtype=float) for s in sets]
+        if not all(c.shape[1:] in ((), (1,)) and np.all((c >= 0.0) & (c < m) & (c == np.floor(c)))
+                   for c in cols):  # one index per node; NaN compares False
+            raise KernelDomainError(f"custom_table nodes must be row indices in [0, {m})")
+        return tuple(c.reshape(-1, 1) for c in cols)
+    pts = tuple(_as_points(s) for s in sets)
+    if len({p.shape[1] for p in pts}) > 1:
+        raise DimensionMismatch("node sets have different dimensions")
+    spec._check_dimension(pts[0].shape[1])
+    if spec.family == LOG_DISK and any(np.any((p * p).sum(axis=1) >= 1.0) for p in pts):
+        raise KernelDomainError("log_disk nodes must lie inside the open unit disk")
+    return pts
+
+
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
+    """Kernel matrix of checked points ``X`` against ``Y``, and the spec it used: a
+    table's gather, or the module notes' two passes (pass 1 resolves an unset epsilon)."""
+    if spec.family == CUSTOM_TABLE:
+        return spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))], spec
     out = np.empty((X.shape[0], Y.shape[0]))
     min_d2 = np.inf
     for _, d2 in _sq_dist_blocks(X, Y, out):
@@ -432,27 +443,20 @@ def _kernel_matrix(spec: KernelSpec, X: np.ndarray,
     return out, spec
 
 
-def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
-    """Rectangular kernel matrix ``K[p, q] = kappa(x_p, y_q)``.
+def _pointwise(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """:func:`_kernel_matrix` with an unset epsilon taken as 0 (a coincident pair gives inf)."""
+    if spec.singular and spec.epsilon is None:
+        spec = spec.with_epsilon(0.0)
+    with np.errstate(divide="ignore"):
+        return _kernel_matrix(spec, X, Y)[0]
 
-    Requires a concrete ``epsilon`` for singular families (coincident pairs
-    would otherwise produce infinities).
-    """
-    if spec.family == CUSTOM_TABLE:
-        xi = np.asarray(x_nodes, dtype=float).reshape(-1).astype(int)
-        yi = np.asarray(y_nodes, dtype=float).reshape(-1).astype(int)
-        return spec.table[np.ix_(xi, yi)].astype(float)
-    X, Y = _as_points(x_nodes), _as_points(y_nodes)
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionMismatch("node sets have different dimensions")
-    n = X.shape[1]
-    spec._check_dimension(n)
-    if spec.family == LOG_DISK:
-        if np.any((X * X).sum(axis=1) >= 1.0) or np.any((Y * Y).sum(axis=1) >= 1.0):
-            raise KernelDomainError("log_disk points must lie inside the open unit disk")
-    with np.errstate(divide="ignore"):  # a coincident pair at eps = 0 gives inf, refused below
-        out, _ = _kernel_matrix(spec.with_epsilon(spec.epsilon or 0.0), X, Y)
-    if not np.all(np.isfinite(out)):
+
+def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
+    """Rectangular kernel matrix ``K[p, q] = kappa(x_p, y_q)``, points checked as by
+    :func:`assemble_gram`.  ``epsilon=None`` counts as 0: a coincident pair under a
+    singular family is refused."""
+    out = _pointwise(spec, *_kernel_points(spec, x_nodes, y_nodes))
+    if not _all_finite(out):
         raise KernelDomainError("cross kernel has singular entries; use epsilon > 0")
     return out
 
@@ -460,49 +464,34 @@ def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
 def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
     """Assemble the dense Gram matrix of a kernel over a node set.
 
-    Row ``i`` belongs to ``nodes[i]``.  ``epsilon=None`` on a singular family
-    resolves to half the minimum positive node spacing.  The result is
-    exactly symmetric and finite.
+    Row ``i`` belongs to ``nodes[i]``, a table row index for ``custom_table``
+    (all rows when ``nodes`` is None).  ``epsilon=None`` on a singular family
+    resolves to half the minimum positive node spacing.  The result is exactly
+    symmetric and finite.
     """
-    if spec.family == CUSTOM_TABLE:
-        if nodes is None:
-            idx = np.arange(spec.table.shape[0])
-        else:
-            idx = np.asarray(nodes, dtype=float).reshape(-1).astype(int)
-        entries = spec.table[np.ix_(idx, idx)].astype(float)
-        pts = idx.astype(float)[:, None]
-    else:
-        pts = _as_points(nodes)
-        spec._check_dimension(pts.shape[1])
-        if spec.epsilon is not None and not spec.epsilon > 0.0:
-            raise KernelDomainError(
-                f"{spec.family} Gram assembly requires epsilon > 0 (singular diagonal)"
-            )
-        if spec.family == LOG_DISK and np.any((pts * pts).sum(axis=1) >= 1.0):
-            raise KernelDomainError("log_disk nodes must lie inside the open unit disk")
-        entries, spec = _kernel_matrix(spec, pts, pts)
+    if spec.family == CUSTOM_TABLE and nodes is None:
+        nodes = np.arange(spec.table.shape[0])
+    pts, = _kernel_points(spec, nodes)
+    if spec.singular and spec.epsilon is not None and not spec.epsilon > 0.0:
+        raise KernelDomainError(f"{spec.family} Gram assembly requires epsilon > 0 "
+                                "(singular diagonal)")
+    entries, spec = _kernel_matrix(spec, pts, pts)
     return GramMatrix._assembled(entries, spec=spec, nodes=pts)
 
 
-def check_positive_definite(G: GramMatrix, pd_tol: float | None = None) -> PDReport:
+def check_positive_definite(G: GramMatrix) -> PDReport:
     """Diagnose (strict) positive definiteness from the extreme eigenvalues.
 
     Both extremes come from a full dense symmetric eigendecomposition, which
     costs far more than the solvers' Cholesky gate (:func:`_pd_gate`); the
-    solvers call this only to word a refusal.  ``pd_tol`` defaults to
+    solvers call this only to word a refusal.  ``pd_tol`` is
     ``1e-10 * max|eigenvalue|``, the float noise floor of dense symmetric
     eigensolvers.
     """
     lo, hi = G.eig_extremes()
-    if pd_tol is None:
-        pd_tol = 1e-10 * max(abs(lo), abs(hi), 1e-300)
-    return PDReport(
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-        pd_tol=float(pd_tol),
-        is_pd=lo >= -pd_tol,
-        is_strictly_pd=lo > pd_tol,
-    )
+    pd_tol = 1e-10 * max(abs(lo), abs(hi), 1e-300)
+    return PDReport(min_eigenvalue=lo, max_eigenvalue=hi, pd_tol=pd_tol,
+                    is_pd=lo >= -pd_tol, is_strictly_pd=lo > pd_tol)
 
 
 def _pd_gate(G: GramMatrix, use=None) -> tuple[bool, bool]:

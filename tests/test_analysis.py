@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -379,6 +380,21 @@ class TestExhaustion:
         prob = loose_two_plate(rng, n_per=25)
         tr = exhaustion_experiment(prob, [0.5, 1.0], [1.1, 1.0])
         assert tr.stages[-1].semimetric_gap <= 1e-4
+
+    @pytest.mark.parametrize(
+        "fractions, scales, anchor",
+        [([0.5, 1.5], None, "fractions[1]"), ([0.5, 1.0], [1.1, -1.0], "sigma_scales[1]"),
+         ([0.5], [float("nan")], "sigma_scales[0]"), ([0.5, 1.0], [1.1], "sigma_scales")],
+    )
+    def test_bad_schedule_is_refused_before_the_full_solve(self, fractions, scales, anchor,
+                                                           monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the full problem was solved before the schedule was checked")
+
+        prob = loose_two_plate(np.random.default_rng(8), n_per=5)
+        monkeypatch.setattr(analysis, "solve", no_solve)
+        with pytest.raises(VequilError, match="^" + re.escape(anchor) + ": "):
+            exhaustion_experiment(prob, fractions, scales)
 
 
 class TestRotationalBody:

@@ -119,6 +119,8 @@ class TestParse:
              r"kernel: riesz Gram assembly requires epsilon > 0"),
             ({"family": "log_disk"}, [[0.0, 0.0], [0.0, 1.0]],
              r"kernel: log_disk nodes must lie inside the open unit disk"),
+            ({"family": "custom_table", "table": np.eye(3).tolist()}, [[0], [1.5]],
+             r"kernel: custom_table nodes must be row indices in \[0, 3\)"),
         ],
     )
     def test_kernel_domain_anchored_error(self, kernel, nodes, message):
@@ -200,6 +202,40 @@ def test_malformed_command_section_is_a_config_error(command, section, field_pat
         parse_config(str(path))
     code, _, err = run_cli([command, str(path)], capsys)
     assert code == 1
+    assert err.startswith(f"error: {field_path}: ")
+
+
+@pytest.mark.parametrize("index", [5, -1, 1.5])
+def test_table_node_outside_the_rows_is_refused(index, capsys, tmp_path):
+    doc = json.loads((CONFIGS / "check_pd_identity.json").read_text())
+    doc["plates"][0]["nodes"] = [[index]]
+    path = tmp_path / "bad_row.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: kernel: custom_table nodes must be row indices in [0, 3)\n"
+
+
+@pytest.mark.parametrize(
+    "exhaust, field_path",
+    [
+        ({"fractions": [0.5, 1.5]}, "exhaust.fractions[1]"),
+        ({"fractions": [0.0, 1.0]}, "exhaust.fractions[0]"),
+        ({"fractions": [0.5, 1.0], "sigma_scales": [1.2, -0.5]}, "exhaust.sigma_scales[1]"),
+        ({"fractions": [0.5], "sigma_scales": ["inf"]}, "exhaust.sigma_scales[0]"),
+        ({"fractions": [0.5, 1.0], "sigma_scales": [1.2]}, "exhaust.sigma_scales"),
+    ],
+)
+def test_exhaust_schedule_is_refused_before_any_solve(exhaust, field_path, capsys, tmp_path,
+                                                      monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the exhaust schedule was checked")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    path = tmp_path / "bad_schedule.json"
+    path.write_text(json.dumps(minimal_config(exhaust=exhaust)))
+    code, out, err = run_cli(["exhaust", str(path)], capsys)
+    assert (code, out) == (1, "")
     assert err.startswith(f"error: {field_path}: ")
 
 

@@ -198,6 +198,56 @@ class TestCrossKernel:
             cross_kernel(spec, [[0.0, 0.0]], Y)
 
 
+_TABLE3 = KernelSpec("custom_table", table=np.eye(3) + 0.25)
+
+# Each entry point on one good and one bad point: the pair, a cross row, a two-node Gram.
+_ENTRIES = {
+    "evaluate_kernel": lambda spec, good, bad: evaluate_kernel(spec, good, bad),
+    "cross_kernel": lambda spec, good, bad: cross_kernel(spec, [good, good], [bad]),
+    "assemble_gram": lambda spec, good, bad: assemble_gram(spec, [good, bad]),
+}
+
+
+class TestOnePointCheck:
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("index", [5, -1, 1.5, np.nan])
+    def test_table_index_outside_the_rows_is_refused(self, entry, index):
+        with pytest.raises(KernelDomainError, match=r"row indices in \[0, 3\)"):
+            _ENTRIES[entry](_TABLE3, [0], [index])
+
+    def test_table_node_is_one_index(self):
+        with pytest.raises(KernelDomainError, match="row indices"):
+            assemble_gram(_TABLE3, [[0, 1], [2, 0]])
+
+    def test_repeated_table_rows_stay_legal(self):
+        G = assemble_gram(_TABLE3, [[2], [0], [2]])
+        assert G.entries[0, 2] == 1.25 and G.entries[0, 1] == 0.25
+        assert cross_kernel(_TABLE3, [1, 1], [2]).tolist() == [[0.25], [0.25]]
+
+    @pytest.mark.parametrize(
+        "spec, good, bad, error",
+        [
+            (KernelSpec("newtonian", epsilon=0.1), [0.0, 0.0], [1.0, 0.0], KernelDomainError),
+            (KernelSpec("riesz", alpha=1.0, epsilon=0.1), [0.0, 0.0], [1.0, 0.0, 0.0],
+             DimensionMismatch),
+            (KernelSpec("log_disk", epsilon=0.1), [0.0, 0.0], [0.0, 1.0], KernelDomainError),
+            (_TABLE3, [0], [3], KernelDomainError),
+        ],
+        ids=["newtonian_in_the_plane", "mixed_dimensions", "log_disk_on_the_circle",
+             "table_row_3_of_3"],
+    )
+    def test_every_entry_refuses_alike(self, spec, good, bad, error):
+        # A Gram's node set with mixed dimensions is a ragged list.
+        for entry in _ENTRIES.values():
+            with pytest.raises(error) as info:
+                entry(spec, good, bad)
+            assert type(info.value) is error
+
+    def test_point_evaluation_takes_one_point_each(self):
+        with pytest.raises(DimensionMismatch, match="one point each"):
+            evaluate_kernel(KernelSpec("riesz", alpha=1.0), [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+
+
 class TestPositiveDefiniteness:
     def test_identity(self):
         G = assemble_gram(KernelSpec("custom_table", table=np.eye(3)), [[0], [1], [2]])
