@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.linalg.lapack
 
+from ._lapack import blas, lapack
 from .condenser import (
     CASE1,
     CASE2,
@@ -92,9 +90,9 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     def solve_ones(c, d):
         # K x = dsymv(c, x) + (d - diag c) x while c holds the factor (GramMatrix._factored).
         nonlocal u
-        u = scipy.linalg.lapack.dpotrs(c, ones, lower=1)[0]
-        Ku = scipy.linalg.blas.dsymv(1.0, c, u) + (d - c.diagonal()) * u
-        u += scipy.linalg.lapack.dpotrs(c, ones - Ku, lower=1)[0]
+        u = lapack.dpotrs(c, ones, lower=1)[0]
+        Ku = blas.dsymv(1.0, c, u) + (d - c.diagonal()) * u
+        u += lapack.dpotrs(c, ones - Ku, lower=1)[0]
 
     if not _pd_gate(K, solve_ones)[1]:
         pd = check_positive_definite(K)
@@ -160,14 +158,16 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     under the Gram's spec, so a source point on a node gets that node's Gram
     row bit for bit.  ``K_tt = L L'`` is factored once by Cholesky (a
     refusal raises :class:`NotPositiveDefinite`) and solves the normal
-    equations ``K_tt beta = (K omega)_t``; when every weight comes out
-    nonnegative this is the constrained optimum (the KKT conditions hold
-    with zero multipliers).  Only when some weight is negative does
-    ``scipy.optimize.nnls`` solve the least-squares form
-    ``min |L' beta - L^-1 (K omega)_t|`` over ``beta >= 0``, the same
-    objective up to a constant.  A source that lies wholly on target nodes
-    is returned as it is, the exact optimum with residual 0, without
-    factoring ``K_tt``.
+    equations ``K_tt beta = (K omega)_t`` by LAPACK's ``dpotrs``; when every
+    weight comes out nonnegative this is the constrained optimum (the KKT
+    conditions hold with zero multipliers).  Only when some weight is
+    negative does ``scipy.optimize.nnls`` solve the least-squares form
+    ``min |L' beta - L^-1 (K omega)_t|`` over ``beta >= 0`` (right-hand side
+    by ``dtrtrs``), the same objective up to a constant.  The factor is
+    numpy's, the solves scipy's LAPACK (the ``kernels`` module notes; the
+    ``scipy.optimize`` import reuses that LAPACK module).  A source that
+    lies wholly on target nodes is returned as it is, the exact optimum with
+    residual 0, without factoring ``K_tt``.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
@@ -203,11 +203,11 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"target Gram is not strictly PD: {exc}") from exc
     K_omega = w @ cross[:, :n_t]
-    beta = scipy.linalg.cho_solve((U, False), K_omega, check_finite=False)
+    beta = lapack.dpotrs(U, K_omega, lower=0)[0]
     if np.any(beta < 0.0):
         from scipy import optimize  # imported only on this path: the import is slow
 
-        rhs = scipy.linalg.solve_triangular(U, K_omega, trans="T", check_finite=False)
+        rhs = lapack.dtrtrs(U, K_omega, lower=0, trans=1)[0]
         beta, _ = optimize.nnls(U, rhs, maxiter=max(200, 50 * n_t))
     K_beta = K @ beta
     diff_potential = K_beta - K_omega
@@ -248,7 +248,7 @@ def green_gram(inner_nodes, screen_gram: GramMatrix) -> GramMatrix:
 
     def schur(c, d):
         nonlocal S
-        S = rows[:, :n_i] - B @ scipy.linalg.lapack.dpotrs(c, B.T, lower=1)[0]
+        S = rows[:, :n_i] - B @ lapack.dpotrs(c, B.T, lower=1)[0]
 
     if not screen_gram._factored(0.0, schur):
         raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
@@ -393,10 +393,6 @@ class ThinnessReport:
     s: float
     stages: tuple
     note: str = _THINNESS_NOTE
-
-    def capacity_increments(self) -> list[float]:
-        caps = [st.capacity for st in self.stages]
-        return [caps[k + 1] - caps[k] for k in range(len(caps) - 1)]
 
 
 def _annulus_allowance(nodes2: np.ndarray, deficit: float, q: float) -> np.ndarray:

@@ -48,6 +48,12 @@ alternated numpy products with scipy's Cholesky factorizations and solves
 would run each on cores the other library's idle threads still hold.  With
 one library, the Lanczos products and reorthogonalization (``dgemv``), the PD
 gate, the solves and the certificate share one thread pool.
+
+These routines are scipy's f2py modules ``_fblas`` and ``_flapack``, loaded by
+:mod:`vequil._lapack` from their files without the ``scipy.linalg`` package
+import (half of a fresh ``import vequil.cli``); a later ``import scipy.linalg``
+reuses them.  Where the files are not found, ``_lapack`` imports
+``scipy.linalg.blas`` and ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -55,9 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
 
+from ._lapack import blas, lapack
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
 
 RIESZ = "riesz"
@@ -79,8 +84,8 @@ _NONFINITE_GRAM = "Gram entries must be finite; regularize the diagonal (epsilon
 def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``w`` less its projection on the orthonormal rows of ``B``, taken twice."""
     for _ in range(2):
-        h = scipy.linalg.blas.dgemv(1.0, B.T, w, trans=1)
-        w = scipy.linalg.blas.dgemv(-1.0, B.T, h, beta=1.0, y=w, overwrite_y=1)
+        h = blas.dgemv(1.0, B.T, w, trans=1)
+        w = blas.dgemv(-1.0, B.T, h, beta=1.0, y=w, overwrite_y=1)
     return w
 
 
@@ -89,11 +94,15 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
 
 
-def _as_points(x) -> np.ndarray:
+def _float_array(x) -> np.ndarray:
     try:
-        pts = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except (TypeError, ValueError):  # a ragged list
         raise DimensionMismatch("expected points of shape (N, n), got a ragged array") from None
+
+
+def _as_points(x) -> np.ndarray:
+    pts = _float_array(x)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] < 1:
@@ -227,7 +236,7 @@ class GramMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):  # dsymv would read the first N entries of a longer x
             raise DimensionMismatch(f"Gram product of size {self.size} with shape {x.shape}")
-        return scipy.linalg.blas.dsymv(1.0, self.entries.T, x)
+        return blas.dsymv(1.0, self.entries.T, x)
 
     def lambda_max(self) -> float:
         """Largest eigenvalue by Lanczos with full reorthogonalization, cached.
@@ -245,7 +254,7 @@ class GramMatrix:
         :class:`EigensolverError`.
         """
         if "lambda_max" not in self._cache:
-            n, steps, blas = self.size, min(self.size, _LANCZOS_STEPS), scipy.linalg.blas
+            n, steps = self.size, min(self.size, _LANCZOS_STEPS)
             V = np.empty((min(n, 16), n))  # the basis, one vector a row
             v, d, e, lam, scale, restarted = np.full(n, n ** -0.5), [], [], -np.inf, 0.0, False
             for k in range(steps):
@@ -257,8 +266,7 @@ class GramMatrix:
                 scale = max(scale, blas.dnrm2(w))
                 w = _orthogonalized(V[: k + 1], w)
                 b = blas.dnrm2(w)
-                _, vals, z, info = scipy.linalg.lapack.dstemr(d, e + [0.0], 2, 0.0, 0.0,
-                                                              len(d), len(d))
+                _, vals, z, info = lapack.dstemr(d, e + [0.0], 2, 0.0, 0.0, len(d), len(d))
                 if info:
                     raise EigensolverError("Lanczos' tridiagonal eigensolver failed")
                 broke = b <= 1e-12 * scale
@@ -296,7 +304,7 @@ class GramMatrix:
         ent.setflags(write=True)
         try:
             np.fill_diagonal(ent, d + shift)
-            c, info = scipy.linalg.lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
+            c, info = lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
             if info == 0 and use is not None:
                 use(c, d)
             return info == 0
@@ -409,7 +417,7 @@ def _kernel_points(spec: KernelSpec, *sets) -> tuple[np.ndarray, ...]:
     points lie inside the open unit disk.
     """
     if spec.family == CUSTOM_TABLE:
-        m, cols = spec.table.shape[0], [np.asarray(s, dtype=float) for s in sets]
+        m, cols = spec.table.shape[0], [_float_array(s) for s in sets]
         if not all(c.shape[1:] in ((), (1,)) and np.all((c >= 0.0) & (c < m) & (c == np.floor(c)))
                    for c in cols):  # one index per node; NaN compares False
             raise KernelDomainError(f"custom_table nodes must be row indices in [0, {m})")

@@ -44,9 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
+from ._lapack import blas, lapack
 from .condenser import (
     CASE1,
     Condenser,
@@ -59,6 +58,9 @@ from .condenser import (
 )
 from .errors import InfeasibleProblem, NotPositiveDefinite, VequilError
 from .kernels import GramMatrix, _pd_gate, check_positive_definite
+
+dgemv = blas.dgemv
+dposv, dpotrf, dpotrs, dtrtrs = lapack.dposv, lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs
 
 PROJECTED_GRADIENT = "projected_gradient"
 FRANK_WOLFE = "frank_wolfe"

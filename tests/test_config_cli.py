@@ -695,24 +695,49 @@ def test_console_entry_point_runs():
     assert json.loads(result.stdout)["is_pd"] is True
 
 
-def _after_cli_import(expr: str) -> str:
-    """What a fresh interpreter prints for ``expr`` after ``import vequil.cli``."""
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter, one BLAS thread, vequil from src/."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
-        [sys.executable, "-c", f"import sys, vequil.cli; print({expr})"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+             "OPENBLAS_NUM_THREADS": "1"},
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    return result.stdout
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize serves only balayage's NNLS fallback, which imports it itself.
-    assert _after_cli_import("'scipy.optimize' in sys.modules") == "False"
+@pytest.mark.parametrize("package", ["scipy.linalg", "scipy.optimize", "scipy.sparse"])
+def test_cli_import_leaves_scipy_package_out(package):
+    # BLAS and LAPACK are scipy's extension modules, loaded without their package
+    # (vequil._lapack); scipy.optimize serves only balayage's NNLS fallback, which
+    # imports it itself; lambda_max is vequil's own Lanczos: no ARPACK.
+    assert _fresh_python(f"import sys, vequil.cli; print({package!r} in sys.modules)") == "False\n"
 
 
-def test_cli_import_leaves_scipy_sparse_out():
-    # lambda_max is vequil's own Lanczos on GramMatrix.matvec: no ARPACK.
-    assert _after_cli_import("any(m.startswith('scipy.sparse') for m in sys.modules)") == "False"
+_SOLVE = ("import sys, vequil.cli; "
+          f"sys.exit(vequil.cli.main(['solve', {str(CONFIGS / 'solve_two_plate.json')!r}]))")
+_NNLS_BALAYAGE = """
+import sys
+import numpy as np
+from vequil import ScalarSignedMeasure, KernelSpec, assemble_gram, _lapack
+from vequil.analysis import balayage
+from vequil.geometry import fibonacci_sphere
+target = np.vstack([fibonacci_sphere(60, radius=1.0), fibonacci_sphere(20, radius=0.5)])
+assert "scipy.optimize" not in sys.modules
+balayage(ScalarSignedMeasure(support=[[2.5, 0.0, 0.0]], weights=[1.0]),
+         assemble_gram(KernelSpec("newtonian"), target))
+import scipy.linalg
+assert "scipy.optimize" in sys.modules
+assert scipy.linalg.blas._fblas is _lapack.blas and scipy.linalg.lapack._flapack is _lapack.lapack
+assert _lapack.blas.dsymv is scipy.linalg.blas.dsymv
+assert _lapack.lapack.dpotrf is scipy.linalg.lapack.dpotrf
+"""
+
+
+def test_nnls_path_reuses_the_loaded_blas_and_lapack():
+    # balayage's NNLS branch imports scipy.optimize and through it scipy.linalg, which
+    # takes over the extension modules vequil loaded: the same routines, the same record.
+    assert _fresh_python(_NNLS_BALAYAGE + _SOLVE) == _fresh_python(_SOLVE)

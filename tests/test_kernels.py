@@ -219,6 +219,11 @@ class TestOnePointCheck:
         with pytest.raises(KernelDomainError, match="row indices"):
             assemble_gram(_TABLE3, [[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_ragged_table_nodes_are_a_dimension_mismatch(self, entry):
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            _ENTRIES[entry](_TABLE3, [0], [[1], [1, 2]])
+
     def test_repeated_table_rows_stay_legal(self):
         G = assemble_gram(_TABLE3, [[2], [0], [2]])
         assert G.entries[0, 2] == 1.25 and G.entries[0, 1] == 0.25
