@@ -277,16 +277,14 @@ class ExhaustionTrace:
     full_value: float
     full_converged: bool
 
-    def values_monotone(self, tol: float = 1e-8) -> bool:
-        vals = [st.value for st in self.stages if st.feasible]
-        return all(vals[k + 1] <= vals[k] + tol for k in range(len(vals) - 1))
 
-
-def _sub_gram(K: GramMatrix, rows: np.ndarray) -> GramMatrix:
-    """The principal block of ``K`` on ``rows``; ``K`` itself when that is all of it.
+def _sub_gram(K: GramMatrix, rows) -> GramMatrix:
+    """The principal block of ``K`` on ``rows``, indices or a slice; ``K`` itself
+    when that is all of it.
 
     Returning ``K`` keeps its cached largest eigenvalue and PD-gate decisions.
     """
+    rows = np.arange(K.size)[rows]
     if np.array_equal(rows, np.arange(K.size)):
         return K
     return GramMatrix._assembled(K.entries[np.ix_(rows, rows)], spec=K.spec,

@@ -19,8 +19,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .analysis import (
     _sub_gram,
     balayage,
@@ -31,8 +29,8 @@ from .analysis import (
 from .config import parse_config
 from .errors import VequilError
 from .geometry import PROFILES
-from .kernels import check_positive_definite
-from .solver import Problem, SolverConfig, solve
+from .kernels import GramMatrix, check_positive_definite
+from .solver import Problem
 
 
 def _records_to_csv(records: list[dict]) -> str:
@@ -70,6 +68,12 @@ def _with_seed(problem: Problem, seed: int | None) -> Problem:
     return dataclasses.replace(problem, config=cfg)
 
 
+def _plate_gram(problem: Problem, k: int) -> GramMatrix:
+    """Plate ``k``'s diagonal block of the parse-time Gram: the same entries an
+    assembly over the plate's nodes would compute, under the same epsilon."""
+    return _sub_gram(problem.gram, problem.condenser.slices()[k])
+
+
 def _cmd_solve(args) -> int:
     parsed = parse_config(args.config)
     problem = _with_seed(parsed.problem, args.seed)
@@ -93,16 +97,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_capacity(args) -> int:
     parsed = parse_config(args.config)
-    section = parsed.capacity
-    plate_idx = section.get("plate", 0)
-    condenser, K = parsed.problem.condenser, parsed.problem.gram
-    plate = condenser.plates[plate_idx]
-    # The plate's diagonal block of the parse-time Gram: the same entries an
-    # assembly over the plate's nodes would compute, under the same epsilon.
-    gram = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
-    tol = section.get("frostman_tol")
+    plate_idx = parsed.capacity_plate
+    plate = parsed.problem.condenser.plates[plate_idx]
     cfg = _with_seed(parsed.problem, args.seed).config
-    eq = equilibrium(plate.nodes, gram, frostman_tol=tol, config=cfg)
+    eq = equilibrium(plate.nodes, _plate_gram(parsed.problem, plate_idx),
+                     frostman_tol=parsed.frostman_tol, config=cfg)
     record = {
         "command": "capacity",
         "plate": plate_idx,
@@ -121,16 +120,11 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_balayage(args) -> int:
     parsed = parse_config(args.config)
-    section = parsed.balayage
-    if not section:
+    if parsed.balayage_source is None:
         raise VequilError("balayage: config has no balayage section")
-    source = parsed.balayage_source
-    plate_idx = section.get("target_plate", 0)
-    condenser, K = parsed.problem.condenser, parsed.problem.gram
-    tol = float(section.get("tol", 1e-9))
-    block = _sub_gram(K, np.arange(K.size)[condenser.slices()[plate_idx]])
-    rep = balayage(source, block)
-    ok = rep.potential_residual <= tol
+    plate_idx = parsed.balayage_plate
+    rep = balayage(parsed.balayage_source, _plate_gram(parsed.problem, plate_idx))
+    ok = rep.potential_residual <= parsed.balayage_tol
     record = {
         "command": "balayage",
         "target_plate": plate_idx,
@@ -147,13 +141,10 @@ def _cmd_balayage(args) -> int:
 
 def _cmd_exhaust(args) -> int:
     parsed = parse_config(args.config)
-    section = parsed.exhaust
-    if not section:
+    if not parsed.exhaust_schedule:
         raise VequilError("exhaust: config has no exhaust section")
-    problem = _with_seed(parsed.problem, args.seed)
-    trace = exhaustion_experiment(
-        problem, section["fractions"], section.get("sigma_scales")
-    )
+    fractions, scales = zip(*parsed.exhaust_schedule)
+    trace = exhaustion_experiment(_with_seed(parsed.problem, args.seed), fractions, scales)
     records = []
     for st in trace.stages:
         records.append(

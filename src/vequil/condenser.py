@@ -204,9 +204,6 @@ class VectorMeasure:
     def concat(self) -> np.ndarray:
         return np.concatenate(self.weights)
 
-    def total_masses(self) -> np.ndarray:
-        return np.array([w.sum() for w in self.weights])
-
 
 @dataclass(frozen=True)
 class ScalarSignedMeasure:

@@ -1,7 +1,8 @@
-"""Problem-config parsing: JSON documents into solvable problem bundles.
+"""Problem-config parsing: JSON documents into a problem and typed command settings.
 
 A config is a single JSON object with ``kernel``, ``plates``, and optional
-``field``, ``solver``, ``capacity``, ``balayage``, and ``exhaust`` sections.
+``field``, ``solver``, ``capacity``, ``balayage``, and ``exhaust`` sections;
+the last three become typed, defaulted settings on :class:`ParsedConfig`.
 Plate nodes may be inline coordinate arrays or generator descriptions
 (``sphere``, ``grid``, ``ring``, ``rotational_body``), so experiment configs
 are self-contained.  Parsing failures raise :class:`ConfigError` anchored at
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +80,19 @@ def build_nodes(desc, path: str) -> np.ndarray:
     if not isinstance(desc, dict):
         raise _fail(path, "nodes must be an array or a generator object")
     gen = _get(desc, "generator", path)
+
+    def number(key: str, default=None) -> float:
+        at = f"{path}.{key}"
+        value = _as_float(_get(desc, key, path, required=default is None, default=default), at)
+        if not np.isfinite(value):
+            raise _fail(at, f"expected a finite number, got {value!r}")
+        return value
+
     try:
         if gen == "sphere":
             return fibonacci_sphere(
                 count=_as_int(_get(desc, "count", path), f"{path}.count"),
-                radius=_as_float(_get(desc, "radius", path, required=False, default=1.0), path),
+                radius=number("radius", 1.0),
                 center=desc.get("center", (0.0, 0.0, 0.0)),
             )
         if gen == "grid":
@@ -96,9 +104,9 @@ def build_nodes(desc, path: str) -> np.ndarray:
         if gen == "ring":
             return ring_nodes(
                 count=_as_int(_get(desc, "count", path), f"{path}.count"),
-                radius=_as_float(_get(desc, "radius", path, required=False, default=1.0), path),
+                radius=number("radius", 1.0),
                 center=desc.get("center", (0.0, 0.0)),
-                phase=float(desc.get("phase", 0.0)),
+                phase=number("phase", 0.0),
             )
         if gen == "rotational_body":
             kwargs = {
@@ -109,9 +117,9 @@ def build_nodes(desc, path: str) -> np.ndarray:
             }
             return rotational_body(
                 profile=_get(desc, "profile", path),
-                s=_as_float(_get(desc, "s", path), path),
-                q=_as_float(_get(desc, "q", path, required=False, default=1.0), path),
-                r_max=_as_float(_get(desc, "r_max", path), path),
+                s=number("s"),
+                q=number("q", 1.0),
+                r_max=number("r_max"),
                 **kwargs,
             )
     except ConfigError:
@@ -169,9 +177,10 @@ def _section(doc: dict, key: str) -> dict:
     return section
 
 
-def _check_plate_index(value, path: str, n_plates: int) -> None:
+def _plate_index(value, path: str, n_plates: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n_plates:
         raise _fail(path, f"expected a plate index in [0, {n_plates}), got {value!r}")
+    return value
 
 
 def _parse_solver(d, path: str) -> SolverConfig:
@@ -199,18 +208,20 @@ def _parse_solver(d, path: str) -> SolverConfig:
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """A parsed config: the solvable bundle plus validated command sections."""
+    """A parsed config: the solvable problem plus each command's settings, typed and defaulted.
+
+    ``balayage_source`` is ``None`` without a ``balayage`` section;
+    ``exhaust_schedule``, the stages of :func:`exhaustion_schedule`, is empty
+    without an ``exhaust`` section.
+    """
 
     problem: Problem
-    capacity: dict
-    balayage: dict
-    exhaust: dict
-    balayage_source: ScalarSignedMeasure | None = None
-
-    @cached_property
-    def canonical(self) -> dict:
-        """The normalized config dict, built on first access: no command reads it."""
-        return canonical_form(self.problem, self.capacity, self.balayage, self.exhaust)
+    capacity_plate: int
+    frostman_tol: float | None
+    balayage_source: ScalarSignedMeasure | None
+    balayage_plate: int
+    balayage_tol: float
+    exhaust_schedule: tuple[tuple[float, float], ...]
 
 
 def parse_config(source) -> ParsedConfig:
@@ -280,7 +291,7 @@ def parse_config(source) -> ParsedConfig:
         if isinstance(sdesc, dict):
             scale = _as_float(_get(sdesc, "equilibrium_scale", path), path)
             try:
-                eq = equilibrium(nodes, _sub_gram(gram, np.arange(offsets[k], offsets[k + 1])))
+                eq = equilibrium(nodes, _sub_gram(gram, slice(offsets[k], offsets[k + 1])))
             except VequilError as exc:
                 raise _fail(path, f"equilibrium-scaled sigma failed: {exc}") from exc
             sigma = scale * mass * eq.unit_minimizer
@@ -325,96 +336,42 @@ def parse_config(source) -> ParsedConfig:
 
     n_plates = len(cond.plates)
     capacity = _section(doc, "capacity")
-    _check_plate_index(capacity.get("plate", 0), "capacity.plate", n_plates)
-    if capacity.get("frostman_tol") is not None:
-        _as_float(capacity["frostman_tol"], "capacity.frostman_tol")
+    capacity_plate = _plate_index(capacity.get("plate", 0), "capacity.plate", n_plates)
+    frostman_tol = capacity.get("frostman_tol")
+    if frostman_tol is not None:
+        frostman_tol = _as_float(frostman_tol, "capacity.frostman_tol")
     balayage_doc = _section(doc, "balayage")
     balayage_source = None
     if balayage_doc:
         balayage_source = _parse_scalar_measure(
             _get(balayage_doc, "source", "balayage"), "balayage.source"
         )
-        _check_plate_index(balayage_doc.get("target_plate", 0), "balayage.target_plate", n_plates)
-        _as_float(balayage_doc.get("tol", 1e-9), "balayage.tol")
+    balayage_plate = _plate_index(balayage_doc.get("target_plate", 0), "balayage.target_plate",
+                                  n_plates)
+    balayage_tol = _as_float(balayage_doc.get("tol", 1e-9), "balayage.tol")
     exhaust = _section(doc, "exhaust")
+    schedule = ()
     if exhaust:
         fr, sc = _get(exhaust, "fractions", "exhaust"), exhaust.get("sigma_scales")
         if not isinstance(fr, list) or not fr:
             raise ConfigError("exhaust.fractions: must be a nonempty list")
         if sc is not None and not isinstance(sc, list):
             raise ConfigError("exhaust.sigma_scales: must be a list as long as fractions")
-        for key, values in (("fractions", fr), ("sigma_scales", sc or [])):
-            for k, v in enumerate(values):
-                _as_float(v, f"exhaust.{key}[{k}]")
+        fractions = [_as_float(v, f"exhaust.fractions[{k}]") for k, v in enumerate(fr)]
+        scales = None if sc is None else [
+            _as_float(v, f"exhaust.sigma_scales[{k}]") for k, v in enumerate(sc)
+        ]
         try:
-            exhaustion_schedule(fr, sc)
+            schedule = tuple(exhaustion_schedule(fractions, scales))
         except VequilError as exc:
             raise ConfigError(f"exhaust.{exc}") from exc
 
     return ParsedConfig(
         problem=problem,
-        capacity=capacity,
-        balayage=balayage_doc,
-        exhaust=exhaust,
+        capacity_plate=capacity_plate,
+        frostman_tol=frostman_tol,
         balayage_source=balayage_source,
+        balayage_plate=balayage_plate,
+        balayage_tol=balayage_tol,
+        exhaust_schedule=schedule,
     )
-
-
-def canonical_form(problem: Problem, capacity=None, balayage_doc=None, exhaust=None) -> dict:
-    """Normalized config dict: generators expanded, field order fixed."""
-    spec = problem.gram.spec
-    kernel = {"family": spec.family}
-    if spec.alpha is not None:
-        kernel["alpha"] = float(spec.alpha)
-    if spec.epsilon is not None:
-        kernel["epsilon"] = float(spec.epsilon)
-    if spec.table is not None:
-        kernel["table"] = [[float(v) for v in row] for row in spec.table]
-    plates = []
-    for p in problem.condenser.plates:
-        plates.append(
-            {
-                "sign": int(p.sign),
-                "nodes": [[float(v) for v in row] for row in p.nodes],
-                "g": [float(v) for v in p.g],
-                "a": float(p.mass),
-                "sigma": [float(v) for v in p.sigma],
-            }
-        )
-    f = problem.field
-    if f.case == CASE1:
-        field = {
-            "case": CASE1,
-            "values": [
-                [("inf" if np.isinf(v) else float(v)) for v in vals]
-                for vals in f.case1_values
-            ],
-        }
-    else:
-        field = {
-            "case": CASE2,
-            "zeta": {
-                "support": [[float(v) for v in row] for row in f.case2_zeta.support],
-                "weights": [float(v) for v in f.case2_zeta.weights],
-            },
-        }
-    cfg = problem.config
-    solver = {
-        "algorithm": cfg.algorithm,
-        "max_iters": cfg.max_iters,
-        "grad_tol": cfg.grad_tol,
-        "seed": cfg.seed,
-    }
-    out = {"kernel": kernel, "plates": plates, "field": field, "solver": solver}
-    if capacity:
-        out["capacity"] = dict(capacity)
-    if balayage_doc:
-        out["balayage"] = dict(balayage_doc)
-    if exhaust:
-        out["exhaust"] = dict(exhaust)
-    return out
-
-
-def serialize_config(canonical: dict) -> str:
-    """Deterministic JSON text of a canonical config."""
-    return json.dumps(canonical, indent=2, sort_keys=False)

@@ -318,16 +318,6 @@ class GramMatrix:
             np.fill_diagonal(ent, d)
             ent.setflags(write=False)
 
-    def eig_extremes(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue, cached after the first call."""
-        if "eig" not in self._cache:
-            try:
-                vals = np.linalg.eigvalsh(self.entries)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-            self._cache["eig"] = (float(vals[0]), float(vals[-1]))
-        return self._cache["eig"]
-
 
 @dataclass(frozen=True)
 class PDReport:
@@ -496,7 +486,11 @@ def check_positive_definite(G: GramMatrix) -> PDReport:
     ``1e-10 * max|eigenvalue|``, the float noise floor of dense symmetric
     eigensolvers.
     """
-    lo, hi = G.eig_extremes()
+    try:
+        vals = np.linalg.eigvalsh(G.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
+    lo, hi = float(vals[0]), float(vals[-1])
     pd_tol = 1e-10 * max(abs(lo), abs(hi), 1e-300)
     return PDReport(min_eigenvalue=lo, max_eigenvalue=hi, pd_tol=pd_tol,
                     is_pd=lo >= -pd_tol, is_strictly_pd=lo > pd_tol)

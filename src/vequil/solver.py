@@ -54,7 +54,6 @@ from .condenser import (
     check_feasibility,
     check_shapes,
     field_linear_coefficients,
-    weighted_energy,
 )
 from .errors import InfeasibleProblem, NotPositiveDefinite, VequilError
 from .kernels import GramMatrix, _pd_gate, check_positive_definite
@@ -651,7 +650,10 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
     else:
         w, G, resid, taus, iters, ok, trace = _run_frank_wolfe(qp, cfg, max_iters)
     minimizer = c.measure([np.maximum(w[sl], 0.0) for sl in qp.slices])
-    value = weighted_energy(c, K, f, minimizer)
+    # The value takes the field from the solve's own q: a +inf field node has cap 0
+    # and carries no charge, so its zero in q gives weighted_energy's value.
+    w = minimizer.concat()
+    value = qp.objective(w, qp.product(w))
     return SolveReport(
         minimizer=minimizer,
         value=value,

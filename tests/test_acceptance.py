@@ -15,6 +15,7 @@ from vequil import (
     ScalarSignedMeasure,
     SolverConfig,
     assemble_gram,
+    check_positive_definite,
     condenser_gram,
     energy,
     make_plate,
@@ -206,7 +207,8 @@ def test_criterion_06_exhaustion():
     trace = exhaustion_experiment(prob, [0.25, 0.5, 0.75, 1.0], [1.3, 1.1, 1.02, 1.0])
     elapsed = time.time() - t0
     values = [st.value for st in trace.stages]
-    monotone = trace.values_monotone(1e-8)
+    feasible = [st.value for st in trace.stages if st.feasible]
+    monotone = all(b <= a + 1e-8 for a, b in zip(feasible, feasible[1:]))
     final_gap = trace.stages[-1].semimetric_gap
     ok = (
         all(st.feasible for st in trace.stages)
@@ -302,7 +304,7 @@ def test_criterion_10_semimetric_dichotomy():
     # disjoint plates, strictly PD kernel: every perturbed pair separates
     c_dis = two_plate_signed(rng, n_per=10)
     K_dis = condenser_gram(KernelSpec("riesz", alpha=2.0), c_dis)
-    assert K_dis.eig_extremes()[0] > 0.0
+    assert check_positive_definite(K_dis).min_eigenvalue > 0.0
     mu = random_measure(rng, c_dis)
     min_pos = np.inf
     for _ in range(20):

@@ -12,6 +12,7 @@ from vequil import (
     ScalarSignedMeasure,
     VequilError,
     check_feasibility,
+    check_positive_definite,
     condenser_gram,
     energy,
     make_plate,
@@ -210,7 +211,7 @@ class TestSemimetric:
         rng = np.random.default_rng(10)
         c = random_condenser(rng, max_plates=2)
         K = random_gram(rng, c)
-        lam_min = K.eig_extremes()[0]
+        lam_min = check_positive_definite(K).min_eigenvalue
         assert lam_min > 0
         mu = random_measure(rng, c)
         bump = [w.copy() for w in mu.weights]
@@ -351,7 +352,7 @@ class TestMetrizationDichotomy:
         rng = np.random.default_rng(16)
         c = overlapping_pair(rng)
         K = random_gram(rng, c)
-        assert K.eig_extremes()[0] > -1e-12  # PSD with duplicated rows
+        assert check_positive_definite(K).min_eigenvalue > -1e-12  # PSD with duplicated rows
         w = rng.uniform(0.1, 0.4, c.plates[0].n_nodes)
         mu1, mu2 = c.measure([w, 0.5 * w]), c.measure([0.5 * w, w])
         assert semimetric_distance(c, K, mu1, mu2) <= 1e-7
@@ -360,7 +361,7 @@ class TestMetrizationDichotomy:
         rng = np.random.default_rng(17)
         c = random_condenser(rng, max_plates=2)
         K = random_gram(rng, c)
-        assert K.eig_extremes()[0] > 0
+        assert check_positive_definite(K).min_eigenvalue > 0
         mu = random_measure(rng, c)
         for _ in range(10):
             delta = [rng.uniform(0.0, 0.02, p.n_nodes) for p in c.plates]

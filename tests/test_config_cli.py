@@ -1,4 +1,4 @@
-"""Config parsing, canonical round-trip, CLI commands, exit codes, goldens."""
+"""Config parsing, typed command settings, CLI commands, exit codes, goldens."""
 
 import json
 import os
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from vequil import analysis, cli, config, kernels, solver
+from vequil import analysis, cli, kernels, solver
 from vequil.cli import main
-from vequil.config import parse_config, serialize_config
+from vequil.config import parse_config
 from vequil.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -52,32 +52,20 @@ def minimal_config(**overrides):
 
 
 class TestParse:
-    def test_round_trip_is_idempotent(self):
-        parsed = parse_config(minimal_config())
-        text1 = serialize_config(parsed.canonical)
-        parsed2 = parse_config(text1)
-        text2 = serialize_config(parsed2.canonical)
-        assert text1 == text2
-
-    def test_generator_expansion_round_trip(self):
-        parsed = parse_config(str(CONFIGS / "solve_two_plate.json"))
-        text1 = serialize_config(parsed.canonical)
-        text2 = serialize_config(parse_config(text1).canonical)
-        assert text1 == text2
-
-    def test_canonical_is_built_on_first_access(self, monkeypatch):
-        calls = []
-        canonical_form = config.canonical_form
-
-        def counted(*args):
-            calls.append(1)
-            return canonical_form(*args)
-
-        monkeypatch.setattr(config, "canonical_form", counted)
-        parsed = parse_config(minimal_config())
-        assert calls == []
-        assert parsed.canonical is parsed.canonical
-        assert calls == [1]
+    def test_command_settings_are_typed_and_defaulted(self):
+        bare = parse_config(minimal_config())
+        assert (bare.capacity_plate, bare.frostman_tol, bare.balayage_source) == (0, None, None)
+        assert (bare.balayage_plate, bare.balayage_tol, bare.exhaust_schedule) == (0, 1e-9, ())
+        parsed = parse_config(minimal_config(
+            capacity={"plate": 1, "frostman_tol": "inf"},
+            balayage={"source": _SOURCE, "target_plate": 1, "tol": 1},
+            exhaust={"fractions": [0.5, 1]},
+        ))
+        assert (parsed.capacity_plate, parsed.frostman_tol) == (1, np.inf)
+        assert (parsed.balayage_plate, parsed.balayage_tol) == (1, 1.0)
+        assert parsed.exhaust_schedule == ((0.5, 1.0), (1.0, 1.0))
+        values = (parsed.frostman_tol, parsed.balayage_tol, *sum(parsed.exhaust_schedule, ()))
+        assert all(type(v) is float for v in values)
 
     def test_missing_field_anchored_error(self):
         doc = minimal_config()
@@ -149,26 +137,24 @@ class TestParse:
             parse_config(doc)
 
 
-def test_case2_round_trip():
-    doc = minimal_config(
-        field={
-            "case": "case2",
-            "zeta": {"support": [[0.0, 3.0, 0.0], [0.5, 3.0, 0.0]], "weights": [1.0, -0.5]},
-        }
-    )
-    text1 = serialize_config(parse_config(doc).canonical)
-    text2 = serialize_config(parse_config(text1).canonical)
-    assert text1 == text2
+def test_case2_field_parses():
+    zeta = {"support": [[0.0, 3.0, 0.0], [0.5, 3.0, 0.0]], "weights": [1.0, -0.5]}
+    field = parse_config(minimal_config(field={"case": "case2", "zeta": zeta})).problem.field
+    assert field.case == "case2"
+    assert field.case2_zeta.support.tolist() == zeta["support"]
+    assert field.case2_zeta.weights.tolist() == zeta["weights"]
 
 
 _SOURCE = {"support": [[0.0, 3.0, 0.0]], "weights": [1.0]}
+_SPHERE = {"generator": "sphere", "count": 4, "radius": 0.25, "center": [-2.0, 0.0, 0.0]}
+_RING = {"generator": "ring", "count": 4}
+_BODY = {"generator": "rotational_body", "profile": "power_s", "s": 1.0, "r_max": 4.0}
 
 
-def _sphere_plates(**nodes):
-    """The minimal config's plates with the first one's nodes on a sphere generator."""
+def _generated_plates(generator, **settings):
+    """The minimal config's plates with the first one's nodes from a generator."""
     plates = minimal_config()["plates"]
-    plates[0]["nodes"] = {"generator": "sphere", "count": 4, "radius": 0.25,
-                          "center": [-2.0, 0.0, 0.0], **nodes}
+    plates[0]["nodes"] = {**generator, **settings}
     return plates
 
 
@@ -189,9 +175,15 @@ def _sphere_plates(**nodes):
         ("solve", {"solver": {"max_iters": 2.7}}, "solver.max_iters"),
         ("solve", {"solver": {"seed": "x"}}, "solver.seed"),
         ("solve", {"solver": {"seed": [1]}}, "solver.seed"),
-        ("solve", {"plates": _sphere_plates(count="ten")}, "plates[0].nodes.count"),
-        ("solve", {"plates": _sphere_plates(center=[-2.0, 0.0])}, "plates[0].nodes"),
+        ("solve", {"plates": _generated_plates(_SPHERE, count="ten")}, "plates[0].nodes.count"),
+        ("solve", {"plates": _generated_plates(_SPHERE, center=[-2.0, 0.0])}, "plates[0].nodes"),
         ("solve", {"solver": {"step_rule": "backtracking"}}, "solver.step_rule"),
+        ("solve", {"plates": _generated_plates(_SPHERE, radius="big")}, "plates[0].nodes.radius"),
+        ("solve", {"plates": _generated_plates(_SPHERE, radius="inf")}, "plates[0].nodes.radius"),
+        ("solve", {"plates": _generated_plates(_RING, phase="x")}, "plates[0].nodes.phase"),
+        ("solve", {"plates": _generated_plates(_BODY, s="big")}, "plates[0].nodes.s"),
+        ("solve", {"plates": _generated_plates(_BODY, q="big")}, "plates[0].nodes.q"),
+        ("solve", {"plates": _generated_plates(_BODY, r_max="big")}, "plates[0].nodes.r_max"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,

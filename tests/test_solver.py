@@ -18,8 +18,8 @@ from vequil import (
     weighted_energy,
     zero_field,
 )
-from vequil import solver
-from vequil.condenser import CASE1, FieldSpec, r_map
+from vequil import condenser, solver
+from vequil.condenser import CASE1, CASE2, FieldSpec, ScalarSignedMeasure, r_map
 from vequil.solver import _knapsack_vertex
 
 from instances import random_case1_field, two_plate_signed
@@ -146,6 +146,25 @@ class TestSolve:
             assert abs(float(p.g @ w) - p.mass) <= 1e-10 * p.mass
         recomputed = weighted_energy(c, K, f, rep.minimizer)
         assert abs(rep.value - recomputed) <= 1e-12 * (1.0 + abs(rep.value))
+
+    def test_case2_field_is_evaluated_once_per_solve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        c = two_plate_signed(rng, n_per=10)
+        K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
+        zeta = ScalarSignedMeasure(support=[[0.0, 3.0, 0.0], [0.5, 3.0, 0.0]], weights=[1.0, -0.5])
+        f = FieldSpec(case=CASE2, case2_zeta=zeta)
+        calls = []
+        cross_kernel = condenser.cross_kernel
+
+        def counted(spec, X, Y):
+            calls.append((X.shape[0], Y.shape[0]))
+            return cross_kernel(spec, X, Y)
+
+        monkeypatch.setattr(condenser, "cross_kernel", counted)
+        rep = solve(c, K, f, SolverConfig(grad_tol=1e-10))
+        assert calls == [(c.total_nodes, 2)]
+        assert rep.converged
+        assert rep.value == weighted_energy(c, K, f, rep.minimizer)
 
     def test_algorithms_agree(self):
         rng = np.random.default_rng(3)
