@@ -3,7 +3,10 @@
 Solving on growing head-portions of each plate (with a constraint headroom
 factor shrinking to 1) drives the optimal value down to the full-problem
 value, and the truncated minimizers converge to the full minimizer in the
-energy seminorm.  With a deliberately tight constraint the smallest
+energy seminorm.  Each stage is the full problem with sigma scaled by the
+headroom on each plate's kept head and zero on the rest: under the box
+constraint that is the truncated problem, and it solves on the full
+problem's own Gram.  With a deliberately tight constraint the smallest
 truncation is infeasible at headroom 1 but admissible once the constraint
 is scaled up; that is exactly what the headroom is for.
 """

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._lapack import blas, lapack
 from .condenser import (
-    CASE1,
     CASE2,
     Condenser,
     FieldSpec,
@@ -278,17 +277,16 @@ class ExhaustionTrace:
     full_converged: bool
 
 
-def _sub_gram(K: GramMatrix, rows) -> GramMatrix:
-    """The principal block of ``K`` on ``rows``, indices or a slice; ``K`` itself
-    when that is all of it.
+def _sub_gram(K: GramMatrix, sl: slice) -> GramMatrix:
+    """The principal block of ``K`` on the node range ``sl``, a C-contiguous
+    copy; ``K`` itself when the range is all of it.
 
     Returning ``K`` keeps its cached largest eigenvalue and PD-gate decisions.
     """
-    rows = np.arange(K.size)[rows]
-    if np.array_equal(rows, np.arange(K.size)):
+    if range(K.size)[sl] == range(K.size):
         return K
-    return GramMatrix._assembled(K.entries[np.ix_(rows, rows)], spec=K.spec,
-                                 nodes=None if K.nodes is None else K.nodes[rows])
+    return GramMatrix._assembled(K.entries[sl, sl].copy(), spec=K.spec,
+                                 nodes=None if K.nodes is None else K.nodes[sl])
 
 
 def exhaustion_schedule(node_fractions, sigma_scales=None) -> list[tuple[float, float]]:
@@ -311,51 +309,37 @@ def exhaustion_schedule(node_fractions, sigma_scales=None) -> list[tuple[float, 
 def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -> ExhaustionTrace:
     """Solve truncations of a problem on growing head-portions of the plates.
 
-    Stage ``k`` keeps the first ``ceil(fraction * m)`` nodes of each plate
-    and scales the truncated constraint by ``sigma_scales[k]`` (headroom
-    factors > 1 can restore feasibility of tight constraints on small
-    truncations; stages that are still infeasible are recorded and skipped).
-    The schedule is checked by :func:`exhaustion_schedule` before any solve.
-    Each stage records its value and the semimetric gap to the full-problem
-    minimizer; ``full_converged`` records whether that full solve, the source
-    of ``full_value`` and of every gap, reached its tolerance.
+    Stage ``k`` is the full problem with each plate's constraint scaled by
+    ``sigma_scales[k]`` on its first ``ceil(fraction * m)`` nodes and zero on
+    the rest: under ``0 <= w <= sigma`` that is the truncated problem, with
+    the same admissible class, minimizer and value, on the problem's own Gram
+    (one ``lambda_max`` and PD gate serve every stage).  Headroom factors > 1
+    can restore feasibility of tight constraints on small truncations; stages
+    that are still infeasible are recorded and skipped.  The schedule is
+    checked by :func:`exhaustion_schedule` before any solve.  Each stage
+    records its value and the semimetric gap to the full-problem minimizer;
+    ``full_converged`` records whether that full solve, the source of
+    ``full_value`` and of every gap, reached its tolerance.
     """
     schedule = exhaustion_schedule(node_fractions, sigma_scales)
     c, K, f, cfg = problem.condenser, problem.gram, problem.field, problem.config
     full = solve(c, K, f, cfg)
-    slices = c.slices()
     stages = []
     for frac, beta in schedule:
         if frac == 1.0 and beta == 1.0:
             # The full problem itself: same condenser, Gram, field and config.
             stages.append(ExhaustionStage(frac, beta, True, full.value, 0.0, full.converged))
             continue
-        keep_counts = [max(1, int(np.ceil(frac * p.n_nodes))) for p in c.plates]
-        idx = np.concatenate(
-            [np.arange(sl.start, sl.start + m) for sl, m in zip(slices, keep_counts)]
-        )
-        plates_sub = tuple(
-            Plate(id=p.id, sign=p.sign, nodes=p.nodes[:m], g=p.g[:m],
-                  mass=p.mass, sigma=beta * p.sigma[:m])
-            for p, m in zip(c.plates, keep_counts)
-        )
-        c_sub = Condenser(plates=plates_sub)
-        K_sub = _sub_gram(K, idx)
-        if f.case == CASE1:
-            f_sub = FieldSpec(case=CASE1, case1_values=tuple(
-                v[:m] for v, m in zip(f.case1_values, keep_counts)))
-        else:
-            f_sub = f
-        if not check_feasibility(c_sub, f_sub).feasible:
+        heads = [np.arange(p.n_nodes) < max(1, np.ceil(frac * p.n_nodes)) for p in c.plates]
+        c_stage = Condenser(plates=tuple(
+            Plate(id=p.id, sign=p.sign, nodes=p.nodes, g=p.g, mass=p.mass,
+                  sigma=np.where(head, beta * p.sigma, 0.0))
+            for p, head in zip(c.plates, heads)))
+        if not check_feasibility(c_stage, f).feasible:
             stages.append(ExhaustionStage(frac, beta, False, float("nan"), float("nan"), False))
             continue
-        rep = solve(c_sub, K_sub, f_sub, cfg)
-        embedded = []
-        for p, m, w in zip(c.plates, keep_counts, rep.minimizer.weights):
-            wide = np.zeros(p.n_nodes)
-            wide[:m] = w
-            embedded.append(wide)
-        gap = semimetric_distance(c, K, c.measure(embedded), full.minimizer)
+        rep = solve(c_stage, K, f, cfg)
+        gap = semimetric_distance(c, K, rep.minimizer, full.minimizer)
         stages.append(ExhaustionStage(frac, beta, True, rep.value, gap, rep.converged))
     return ExhaustionTrace(stages=tuple(stages), full_value=full.value,
                            full_converged=full.converged)

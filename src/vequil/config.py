@@ -183,6 +183,13 @@ def _plate_index(value, path: str, n_plates: int) -> int:
     return value
 
 
+def _tolerance(value, path: str) -> float:
+    tol = _as_float(value, path)
+    if not 0.0 < tol < np.inf:
+        raise _fail(path, f"expected a finite positive tolerance, got {value!r}")
+    return tol
+
+
 def _parse_solver(d, path: str) -> SolverConfig:
     if d is None:
         return SolverConfig()
@@ -203,7 +210,7 @@ def _parse_solver(d, path: str) -> SolverConfig:
     except ConfigError:
         raise
     except VequilError as exc:
-        raise _fail(path, str(exc)) from exc
+        raise ConfigError(f"{path}.{exc}") from exc  # SolverConfig anchors at the field
 
 
 @dataclass(frozen=True)
@@ -339,7 +346,7 @@ def parse_config(source) -> ParsedConfig:
     capacity_plate = _plate_index(capacity.get("plate", 0), "capacity.plate", n_plates)
     frostman_tol = capacity.get("frostman_tol")
     if frostman_tol is not None:
-        frostman_tol = _as_float(frostman_tol, "capacity.frostman_tol")
+        frostman_tol = _tolerance(frostman_tol, "capacity.frostman_tol")
     balayage_doc = _section(doc, "balayage")
     balayage_source = None
     if balayage_doc:
@@ -348,7 +355,7 @@ def parse_config(source) -> ParsedConfig:
         )
     balayage_plate = _plate_index(balayage_doc.get("target_plate", 0), "balayage.target_plate",
                                   n_plates)
-    balayage_tol = _as_float(balayage_doc.get("tol", 1e-9), "balayage.tol")
+    balayage_tol = _tolerance(balayage_doc.get("tol", 1e-9), "balayage.tol")
     exhaust = _section(doc, "exhaust")
     schedule = ()
     if exhaust:

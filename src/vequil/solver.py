@@ -70,8 +70,10 @@ class SolverConfig:
     """Algorithm selection and tolerances.
 
     ``max_iters=None`` defaults to ``max(1000, 50 * total_nodes)``.  ``seed``
-    randomizes the starting point; ``None`` starts from the feasible scaling
-    of sigma.
+    (a nonnegative integer) randomizes the starting point; ``None`` starts
+    from the feasible scaling of sigma.  ``grad_tol`` must be finite and
+    positive.  A refused setting raises :class:`VequilError` anchored at the
+    field's name.
     """
 
     algorithm: str = PROJECTED_GRADIENT
@@ -81,11 +83,13 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.algorithm not in (PROJECTED_GRADIENT, FRANK_WOLFE):
-            raise VequilError(f"unknown algorithm {self.algorithm!r}")
+            raise VequilError(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.max_iters is not None and self.max_iters < 1:
-            raise VequilError("max_iters must be >= 1")
-        if not self.grad_tol > 0.0:
-            raise VequilError("grad_tol must be positive")
+            raise VequilError("max_iters: must be >= 1")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise VequilError("grad_tol: must be finite and positive")
+        if self.seed is not None and self.seed < 0:
+            raise VequilError("seed: must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

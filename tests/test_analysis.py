@@ -14,6 +14,7 @@ import scipy.optimize
 
 from vequil import (
     Condenser,
+    FieldSpec,
     GramMatrix,
     KernelSpec,
     NotPositiveDefinite,
@@ -382,6 +383,83 @@ class TestExhaustion:
         prob = loose_two_plate(rng, n_per=25)
         tr = exhaustion_experiment(prob, [0.5, 1.0], [1.1, 1.0])
         assert tr.stages[-1].semimetric_gap <= 1e-4
+
+    @staticmethod
+    def truncated(c, K, f, frac, beta):
+        """The stage's problem built by hand on cut plates, with a Gram assembled
+        over the kept nodes alone under ``K``'s epsilon."""
+        keep = [max(1, int(np.ceil(frac * p.n_nodes))) for p in c.plates]
+        c_sub = Condenser(plates=tuple(
+            make_plate(p.id, p.sign, p.nodes[:m], g=p.g[:m], mass=p.mass,
+                       sigma=beta * p.sigma[:m])
+            for p, m in zip(c.plates, keep)))
+        if f.case == "case1":
+            f = FieldSpec(case="case1",
+                          case1_values=tuple(v[:m] for v, m in zip(f.case1_values, keep)))
+        return c_sub, condenser_gram(K.spec, c_sub), f, keep
+
+    @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
+    @pytest.mark.parametrize("field", ["zero", "case1_inf", "case2"])
+    def test_stage_is_the_truncated_problem(self, algorithm, field, monkeypatch):
+        c = two_plate_signed(np.random.default_rng(9), n_per=24, mass_frac=(0.08, 0.18))
+        K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
+        if field == "zero":
+            f = zero_field(c)
+        elif field == "case1_inf":
+            values = [np.linspace(-0.3, 0.3, p.n_nodes) for p in c.plates]
+            values[0][[0, -1]] = np.inf  # one node kept at every stage, one dropped
+            f = FieldSpec(case="case1", case1_values=tuple(values))
+        else:
+            zeta = ScalarSignedMeasure(support=[[0.0, 3.0, 0.0], [0.5, -3.0, 0.0]],
+                                       weights=[1.0, -0.5])
+            f = FieldSpec(case="case2", case2_zeta=zeta)
+        cfg = SolverConfig(algorithm=algorithm, grad_tol=1e-10)
+        prob = Problem(condenser=c, gram=K, field=f, config=cfg)
+        schedule = [(0.25, 1.3), (0.5, 1.1), (0.75, 1.02)]
+        solves = []
+
+        def recording(*args):
+            solves.append((args, solve(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(analysis, "solve", recording)
+        tr = exhaustion_experiment(prob, *zip(*schedule))
+        assert all(st.feasible for st in tr.stages)
+        for st, (frac, beta), ((c_stage, K_stage, f_stage, _), rep) in zip(
+                tr.stages, schedule, solves[1:]):
+            assert K_stage is K and f_stage is f
+            c_sub, K_sub, f_sub, keep = self.truncated(c, K, f, frac, beta)
+            kept = np.concatenate([np.arange(sl.start, sl.start + m)
+                                   for sl, m in zip(c.slices(), keep)])
+            assert np.array_equal(K_sub.entries, K.entries[np.ix_(kept, kept)])
+            ref = solve(c_sub, K_sub, f_sub, cfg)
+            assert st.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
+            assert st.converged == ref.converged
+            for w, w_ref, m in zip(rep.minimizer.weights, ref.minimizer.weights, keep):
+                assert np.all(w[m:] == 0.0)
+                np.testing.assert_allclose(w[:m], w_ref, rtol=0.0, atol=1e-8)
+            assert verify_kkt(c_stage, K, f, rep.minimizer, cfg.grad_tol).ok
+
+    def test_one_exhaust_run_factors_the_gram_once(self, monkeypatch):
+        factored, computed = [], []
+        real_factored, real_lambda_max = GramMatrix._factored, GramMatrix.lambda_max
+
+        def counting_factored(self, *args):
+            factored.append(self.size)
+            return real_factored(self, *args)
+
+        def counting_lambda_max(self):
+            if "lambda_max" not in self._cache:
+                computed.append(self.size)
+            return real_lambda_max(self)
+
+        monkeypatch.setattr(GramMatrix, "_factored", counting_factored)
+        monkeypatch.setattr(GramMatrix, "lambda_max", counting_lambda_max)
+        parsed = parse_config(str(CONFIGS / "exhaust_two_plate.json"))
+        tr = exhaustion_experiment(parsed.problem, *zip(*parsed.exhaust_schedule))
+        assert all(st.feasible and st.converged for st in tr.stages)
+        n = parsed.problem.gram.size
+        assert (factored, computed) == ([n], [n])
 
     @pytest.mark.parametrize(
         "fractions, scales, anchor",

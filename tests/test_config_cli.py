@@ -57,11 +57,11 @@ class TestParse:
         assert (bare.capacity_plate, bare.frostman_tol, bare.balayage_source) == (0, None, None)
         assert (bare.balayage_plate, bare.balayage_tol, bare.exhaust_schedule) == (0, 1e-9, ())
         parsed = parse_config(minimal_config(
-            capacity={"plate": 1, "frostman_tol": "inf"},
+            capacity={"plate": 1, "frostman_tol": 1e-3},
             balayage={"source": _SOURCE, "target_plate": 1, "tol": 1},
             exhaust={"fractions": [0.5, 1]},
         ))
-        assert (parsed.capacity_plate, parsed.frostman_tol) == (1, np.inf)
+        assert (parsed.capacity_plate, parsed.frostman_tol) == (1, 1e-3)
         assert (parsed.balayage_plate, parsed.balayage_tol) == (1, 1.0)
         assert parsed.exhaust_schedule == ((0.5, 1.0), (1.0, 1.0))
         values = (parsed.frostman_tol, parsed.balayage_tol, *sum(parsed.exhaust_schedule, ()))
@@ -184,6 +184,14 @@ def _generated_plates(generator, **settings):
         ("solve", {"plates": _generated_plates(_BODY, s="big")}, "plates[0].nodes.s"),
         ("solve", {"plates": _generated_plates(_BODY, q="big")}, "plates[0].nodes.q"),
         ("solve", {"plates": _generated_plates(_BODY, r_max="big")}, "plates[0].nodes.r_max"),
+        ("solve", {"solver": {"grad_tol": "inf"}}, "solver.grad_tol"),
+        ("solve", {"solver": {"seed": -1}}, "solver.seed"),
+        ("balayage", {"balayage": {"source": _SOURCE, "tol": -1}}, "balayage.tol"),
+        ("balayage", {"balayage": {"source": _SOURCE, "tol": "inf"}}, "balayage.tol"),
+        ("balayage", {"balayage": {"source": _SOURCE, "tol": float("nan")}}, "balayage.tol"),
+        ("capacity", {"capacity": {"frostman_tol": 0}}, "capacity.frostman_tol"),
+        ("capacity", {"capacity": {"frostman_tol": "inf"}}, "capacity.frostman_tol"),
+        ("capacity", {"capacity": {"frostman_tol": float("nan")}}, "capacity.frostman_tol"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,
@@ -195,6 +203,14 @@ def test_malformed_command_section_is_a_config_error(command, section, field_pat
     code, _, err = run_cli([command, str(path)], capsys)
     assert code == 1
     assert err.startswith(f"error: {field_path}: ")
+
+
+@pytest.mark.parametrize("command, config", [("solve", "solve_two_plate.json"),
+                                             ("exhaust", "exhaust_two_plate.json")])
+def test_negative_seed_flag_is_refused(command, config, capsys):
+    code, out, err = run_cli([command, str(CONFIGS / config), "--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: seed: must be a nonnegative integer\n"
 
 
 @pytest.mark.parametrize("index", [5, -1, 1.5])
