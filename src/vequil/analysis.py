@@ -50,13 +50,13 @@ from .solver import Problem, SolverConfig, solve, verify_kkt
 class EquilibriumReport:
     """Unit-mass minimizer, Robin constant, capacity, and potential check."""
 
-    unit_minimizer: np.ndarray
-    robin_constant: float
     capacity: float
+    robin_constant: float
     frostman_violation: float
     frostman_tol: float
     kkt_residual: float
     converged: bool
+    unit_minimizer: np.ndarray
 
 
 def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
@@ -117,13 +117,13 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     violation = float((W - potential).max())
     tol = frostman_tol if frostman_tol is not None else 1e-6 * W
     return EquilibriumReport(
-        unit_minimizer=nu,
-        robin_constant=float(W),
         capacity=1.0 / float(W),
+        robin_constant=float(W),
         frostman_violation=violation,
         frostman_tol=float(tol),
         kkt_residual=resid,
         converged=converged,
+        unit_minimizer=nu,
     )
 
 
@@ -328,7 +328,9 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     for frac, beta in schedule:
         if frac == 1.0 and beta == 1.0:
             # The full problem itself: same condenser, Gram, field and config.
-            stages.append(ExhaustionStage(frac, beta, True, full.value, 0.0, full.converged))
+            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
+                                          value=full.value, semimetric_gap=0.0,
+                                          converged=full.converged))
             continue
         heads = [np.arange(p.n_nodes) < max(1, np.ceil(frac * p.n_nodes)) for p in c.plates]
         c_stage = Condenser(plates=tuple(
@@ -336,11 +338,15 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
                   sigma=np.where(head, beta * p.sigma, 0.0))
             for p, head in zip(c.plates, heads)))
         if not check_feasibility(c_stage, f).feasible:
-            stages.append(ExhaustionStage(frac, beta, False, float("nan"), float("nan"), False))
+            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=False,
+                                          value=float("nan"), semimetric_gap=float("nan"),
+                                          converged=False))
             continue
         rep = solve(c_stage, K, f, cfg)
         gap = semimetric_distance(c, K, rep.minimizer, full.minimizer)
-        stages.append(ExhaustionStage(frac, beta, True, rep.value, gap, rep.converged))
+        stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
+                                      value=rep.value, semimetric_gap=gap,
+                                      converged=rep.converged))
     return ExhaustionTrace(stages=tuple(stages), full_value=full.value,
                            full_converged=full.converged)
 

@@ -19,6 +19,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .analysis import (
     _sub_gram,
     balayage,
@@ -74,23 +76,35 @@ def _plate_gram(problem: Problem, k: int) -> GramMatrix:
     return _sub_gram(problem.gram, problem.condenser.slices()[k])
 
 
+def _record(command: str, report, lead: dict | None = None, trail: dict | None = None,
+            skip: tuple = ()) -> dict:
+    """A report's record: ``command``, the leading context, every report field
+    not named in ``skip`` in declaration order, the trailing context, then the
+    report's per-node arrays as lists."""
+    values = [(f.name, getattr(report, f.name)) for f in dataclasses.fields(report)
+              if f.name not in skip]
+    arrays = {k: v.tolist() for k, v in values if isinstance(v, np.ndarray)}
+    return {
+        "command": command,
+        **(lead or {}),
+        **{k: v for k, v in values if k not in arrays},
+        **(trail or {}),
+        **arrays,
+    }
+
+
 def _cmd_solve(args) -> int:
     parsed = parse_config(args.config)
     problem = _with_seed(parsed.problem, args.seed)
     rep = problem.solve()
-    record = {
-        "command": "solve",
-        "value": rep.value,
-        "kkt_residual": rep.kkt_residual,
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        "algorithm": rep.algorithm,
+    # The per-iteration trace is not part of the record.
+    record = _record("solve", rep, skip=("minimizer", "objective_trace", "multipliers"), trail={
         "multipliers": list(rep.multipliers),
         "plates": [
-            {"id": p.id, "weights": [float(w) for w in wts]}
-            for p, wts in zip(problem.condenser.plates, rep.minimizer.weights)
+            {"id": p.id, "weights": w.tolist()}
+            for p, w in zip(problem.condenser.plates, rep.minimizer.weights)
         ],
-    }
+    })
     _emit([record], args.format, args.out)
     return 0 if rep.converged else 2
 
@@ -102,19 +116,8 @@ def _cmd_capacity(args) -> int:
     cfg = _with_seed(parsed.problem, args.seed).config
     eq = equilibrium(plate.nodes, _plate_gram(parsed.problem, plate_idx),
                      frostman_tol=parsed.frostman_tol, config=cfg)
-    record = {
-        "command": "capacity",
-        "plate": plate_idx,
-        "n_nodes": plate.n_nodes,
-        "capacity": eq.capacity,
-        "robin_constant": eq.robin_constant,
-        "frostman_violation": eq.frostman_violation,
-        "frostman_tol": eq.frostman_tol,
-        "kkt_residual": eq.kkt_residual,
-        "converged": eq.converged,
-        "unit_minimizer": [float(w) for w in eq.unit_minimizer],
-    }
-    _emit([record], args.format, args.out)
+    _emit([_record("capacity", eq, lead={"plate": plate_idx, "n_nodes": plate.n_nodes})],
+          args.format, args.out)
     return 0 if eq.converged else 2
 
 
@@ -125,17 +128,8 @@ def _cmd_balayage(args) -> int:
     plate_idx = parsed.balayage_plate
     rep = balayage(parsed.balayage_source, _plate_gram(parsed.problem, plate_idx))
     ok = rep.potential_residual <= parsed.balayage_tol
-    record = {
-        "command": "balayage",
-        "target_plate": plate_idx,
-        "potential_residual": rep.potential_residual,
-        "mass_ratio": rep.mass_ratio,
-        "swept_energy": rep.swept_energy,
-        "source_energy": rep.source_energy,
-        "within_tol": ok,
-        "swept": [float(w) for w in rep.swept],
-    }
-    _emit([record], args.format, args.out)
+    _emit([_record("balayage", rep, lead={"target_plate": plate_idx}, trail={"within_tol": ok})],
+          args.format, args.out)
     return 0 if ok else 2
 
 
@@ -145,22 +139,8 @@ def _cmd_exhaust(args) -> int:
         raise VequilError("exhaust: config has no exhaust section")
     fractions, scales = zip(*parsed.exhaust_schedule)
     trace = exhaustion_experiment(_with_seed(parsed.problem, args.seed), fractions, scales)
-    records = []
-    for st in trace.stages:
-        records.append(
-            {
-                "command": "exhaust",
-                "node_fraction": st.node_fraction,
-                "sigma_scale": st.sigma_scale,
-                "feasible": st.feasible,
-                "value": st.value,
-                "semimetric_gap": st.semimetric_gap,
-                "converged": st.converged,
-                "full_value": trace.full_value,
-                "full_converged": trace.full_converged,
-            }
-        )
-    _emit(records, args.format, args.out)
+    full = {"full_value": trace.full_value, "full_converged": trace.full_converged}
+    _emit([_record("exhaust", st, trail=full) for st in trace.stages], args.format, args.out)
     ok = trace.full_converged and all(st.converged for st in trace.stages if st.feasible)
     return 0 if ok else 2
 
@@ -173,39 +153,16 @@ def _cmd_thinness(args) -> int:
         q=args.q,
         include_gap=not args.no_gap,
     )
-    records = []
-    for st in rep.stages:
-        records.append(
-            {
-                "command": "thinness",
-                "profile": rep.profile,
-                "s": rep.s,
-                "radius": st.radius,
-                "n_body_nodes": st.n_body_nodes,
-                "capacity": st.capacity,
-                "minimizer_mass_center": st.minimizer_mass_center,
-                "gap_to_balayage_candidate": st.gap_to_balayage_candidate,
-                "swept_mass": st.swept_mass,
-                "converged": st.converged,
-                "note": rep.note,
-            }
-        )
-    _emit(records, args.format, args.out)
+    lead, note = {"profile": rep.profile, "s": rep.s}, {"note": rep.note}
+    _emit([_record("thinness", st, lead=lead, trail=note) for st in rep.stages],
+          args.format, args.out)
     return 0 if all(st.converged for st in rep.stages) else 2
 
 
 def _cmd_check_pd(args) -> int:
     parsed = parse_config(args.config)
-    report = check_positive_definite(parsed.problem.gram)
-    record = {
-        "command": "check-pd",
-        "min_eigenvalue": report.min_eigenvalue,
-        "max_eigenvalue": report.max_eigenvalue,
-        "pd_tol": report.pd_tol,
-        "is_pd": report.is_pd,
-        "is_strictly_pd": report.is_strictly_pd,
-    }
-    _emit([record], args.format, args.out)
+    _emit([_record("check-pd", check_positive_definite(parsed.problem.gram))],
+          args.format, args.out)
     return 0
 
 

@@ -66,7 +66,11 @@ def _as_int(value, path: str) -> int:
 
 
 def build_nodes(desc, path: str) -> np.ndarray:
-    """Inline coordinate list or generator description to a node array."""
+    """Inline coordinate list or generator description to a node array.
+
+    A generator takes only the fields its branch reads; any other is refused
+    at its own path.
+    """
     if isinstance(desc, list):
         try:
             nodes = np.asarray(desc, dtype=float)
@@ -80,53 +84,53 @@ def build_nodes(desc, path: str) -> np.ndarray:
     if not isinstance(desc, dict):
         raise _fail(path, "nodes must be an array or a generator object")
     gen = _get(desc, "generator", path)
+    read = {"generator"}
+
+    def field(key: str, default=None):
+        read.add(key)
+        return _get(desc, key, path, required=default is None, default=default)
 
     def number(key: str, default=None) -> float:
         at = f"{path}.{key}"
-        value = _as_float(_get(desc, key, path, required=default is None, default=default), at)
+        value = _as_float(field(key, default), at)
         if not np.isfinite(value):
             raise _fail(at, f"expected a finite number, got {value!r}")
         return value
 
+    def integer(key: str) -> int:
+        return _as_int(field(key), f"{path}.{key}")
+
+    if gen == "sphere":
+        make, kwargs = fibonacci_sphere, dict(
+            count=integer("count"),
+            radius=number("radius", 1.0),
+            center=field("center", (0.0, 0.0, 0.0)),
+        )
+    elif gen == "grid":
+        make, kwargs = grid_nodes, dict(low=field("low"), high=field("high"), shape=field("shape"))
+    elif gen == "ring":
+        make, kwargs = ring_nodes, dict(
+            count=integer("count"),
+            radius=number("radius", 1.0),
+            center=field("center", (0.0, 0.0)),
+            phase=number("phase", 0.0),
+        )
+    elif gen == "rotational_body":
+        make, kwargs = rotational_body, dict(
+            profile=field("profile"),
+            s=number("s"),
+            q=number("q", 1.0),
+            r_max=number("r_max"),
+        )
+    else:
+        raise _fail(f"{path}.generator", f"unknown generator {gen!r}; choose from {_GENERATORS}")
+    unknown = sorted(set(desc) - read)
+    if unknown:
+        raise _fail(f"{path}.{unknown[0]}", f"unknown {gen} field")
     try:
-        if gen == "sphere":
-            return fibonacci_sphere(
-                count=_as_int(_get(desc, "count", path), f"{path}.count"),
-                radius=number("radius", 1.0),
-                center=desc.get("center", (0.0, 0.0, 0.0)),
-            )
-        if gen == "grid":
-            return grid_nodes(
-                low=_get(desc, "low", path),
-                high=_get(desc, "high", path),
-                shape=_get(desc, "shape", path),
-            )
-        if gen == "ring":
-            return ring_nodes(
-                count=_as_int(_get(desc, "count", path), f"{path}.count"),
-                radius=number("radius", 1.0),
-                center=desc.get("center", (0.0, 0.0)),
-                phase=number("phase", 0.0),
-            )
-        if gen == "rotational_body":
-            kwargs = {
-                key: desc[key]
-                for key in ("axial_coarseness", "dx_min", "dx_max", "node_floor",
-                            "ring_min", "ring_max")
-                if key in desc
-            }
-            return rotational_body(
-                profile=_get(desc, "profile", path),
-                s=number("s"),
-                q=number("q", 1.0),
-                r_max=number("r_max"),
-                **kwargs,
-            )
-    except ConfigError:
-        raise
+        return make(**kwargs)
     except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
-    raise _fail(f"{path}.generator", f"unknown generator {gen!r}; choose from {_GENERATORS}")
 
 
 def _per_node(value, n: int, path: str, allow_inf: bool = False) -> np.ndarray:

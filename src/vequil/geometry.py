@@ -62,29 +62,22 @@ def profile_radius(profile: str, s: float):
     raise VequilError(f"unknown profile {profile!r}; choose from {PROFILES}")
 
 
-def rotational_body(
-    profile: str,
-    s: float,
-    q: float,
-    r_max: float,
-    *,
-    axial_coarseness: float = 0.5,
-    dx_min: float = 0.2,
-    dx_max: float = 1.0,
-    node_floor: float = 5e-3,
-    ring_min: int = 8,
-    ring_max: int = 32,
-) -> np.ndarray:
+# The stepping of rotational_body (see its docstring).
+AXIAL_COARSENESS, DX_MIN, DX_MAX = 0.5, 0.2, 1.0
+NODE_FLOOR, RING_MIN, RING_MAX = 5e-3, 8, 32
+
+
+def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarray:
     """Discretize ``{q <= x1 <= r_max, x2^2 + x3^2 <= rho(x1)^2}`` by rings.
 
-    Each axial station carries a ring of ``ring_min``..``ring_max`` nodes at
-    the local profile radius, staggered between stations; axial steps scale
-    with the local radius (clipped to ``[dx_min, dx_max]``).  Stations whose
-    radius falls below ``node_floor`` are below the resolution of the
-    discretization and carry no nodes: a single global diagonal
-    regularization cannot represent features many orders of magnitude
-    thinner than the node spacing, and placing bare axis nodes there would
-    inflate the tail capacity artificially.
+    Each axial station carries a ring of ``RING_MIN``..``RING_MAX`` nodes at
+    the local profile radius, staggered between stations; an axial step is
+    ``AXIAL_COARSENESS`` times the local radius, clipped to ``[DX_MIN,
+    DX_MAX]``.  Stations whose radius falls below ``NODE_FLOOR`` are below
+    the resolution of the discretization and carry no nodes: a single global
+    diagonal regularization cannot represent features many orders of
+    magnitude thinner than the node spacing, and placing bare axis nodes
+    there would inflate the tail capacity artificially.
 
     The stepping sequence depends only on ``q`` and the profile, so node
     sets for increasing ``r_max`` are nested.
@@ -97,19 +90,19 @@ def rotational_body(
     station = 0
     while x <= r_max + 1e-12:
         r = rho(x)
-        if np.isfinite(r) and r >= node_floor:
-            dx = float(np.clip(axial_coarseness * r, dx_min, dx_max))
-            m = int(np.clip(np.ceil(2.0 * np.pi * r / dx), ring_min, ring_max))
+        if np.isfinite(r) and r >= NODE_FLOOR:
+            dx = float(np.clip(AXIAL_COARSENESS * r, DX_MIN, DX_MAX))
+            m = int(np.clip(np.ceil(2.0 * np.pi * r / dx), RING_MIN, RING_MAX))
             phase = (station % 2) * np.pi / m
             ring = ring_nodes(m, r, center=(0.0, 0.0), phase=phase)
             pts.append(np.column_stack([np.full(m, x), ring[:, 0], ring[:, 1]]))
         else:
-            dx = dx_max
+            dx = DX_MAX
         x += dx
         station += 1
     if not pts:
         raise VequilError(
-            f"empty discretization: profile radius below node_floor={node_floor} "
+            f"empty discretization: profile radius below node_floor={NODE_FLOOR} "
             f"on the whole range [{q}, {r_max}]"
         )
     return np.vstack(pts)

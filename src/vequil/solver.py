@@ -354,7 +354,7 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
         grad = qp.gradient(w, Kz)
         resid, taus = _kkt_residual(qp, w, grad)
         if resid <= cfg.grad_tol:
-            return w, G, resid, taus, iters - 1, True, trace
+            return w, Kz, resid, taus, iters - 1, trace
         eta = eta_safe
         if prev_w is not None:
             s = w - prev_w
@@ -385,7 +385,7 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
         trace.append(G)
     grad = qp.gradient(w, Kz)
     resid, taus = _kkt_residual(qp, w, grad)
-    return w, G, resid, taus, iters, resid <= cfg.grad_tol, trace
+    return w, Kz, resid, taus, iters, trace
 
 
 def _back_off(alpha: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -621,8 +621,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     resid, taus = _kkt_residual(qp, w, grad)
     if r_snap <= resid:
         w, Kz, resid, taus = snapped, Kz_snap, r_snap, t_snap
-    G = qp.objective(w, Kz)
-    return w, G, resid, taus, iters, resid <= cfg.grad_tol, trace
+    return w, Kz, resid, taus, iters, trace
 
 
 def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = None) -> SolveReport:
@@ -649,21 +648,16 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
         )
     qp = _QP(c, K, f)
     max_iters = cfg.max_iters if cfg.max_iters is not None else max(1000, 50 * c.total_nodes)
-    if cfg.algorithm == PROJECTED_GRADIENT:
-        w, G, resid, taus, iters, ok, trace = _run_projected_gradient(qp, cfg, max_iters)
-    else:
-        w, G, resid, taus, iters, ok, trace = _run_frank_wolfe(qp, cfg, max_iters)
-    minimizer = c.measure([np.maximum(w[sl], 0.0) for sl in qp.slices])
+    run = _run_projected_gradient if cfg.algorithm == PROJECTED_GRADIENT else _run_frank_wolfe
+    w, Kz, resid, taus, iters, trace = run(qp, cfg, max_iters)
     # The value takes the field from the solve's own q: a +inf field node has cap 0
     # and carries no charge, so its zero in q gives weighted_energy's value.
-    w = minimizer.concat()
-    value = qp.objective(w, qp.product(w))
     return SolveReport(
-        minimizer=minimizer,
-        value=value,
+        minimizer=c.measure([np.maximum(w[sl], 0.0) for sl in qp.slices]),
+        value=qp.objective(w, Kz),
         kkt_residual=resid,
         iterations=iters,
-        converged=bool(ok),
+        converged=bool(resid <= cfg.grad_tol),
         objective_trace=np.asarray(trace),
         multipliers=taus,
         algorithm=cfg.algorithm,

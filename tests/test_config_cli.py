@@ -192,6 +192,11 @@ def _generated_plates(generator, **settings):
         ("capacity", {"capacity": {"frostman_tol": 0}}, "capacity.frostman_tol"),
         ("capacity", {"capacity": {"frostman_tol": "inf"}}, "capacity.frostman_tol"),
         ("capacity", {"capacity": {"frostman_tol": float("nan")}}, "capacity.frostman_tol"),
+        ("solve", {"plates": _generated_plates(_BODY, dx_max=-1)}, "plates[0].nodes.dx_max"),
+        ("solve", {"plates": _generated_plates(_BODY, dx_min=0)}, "plates[0].nodes.dx_min"),
+        ("solve", {"plates": _generated_plates(_BODY, dx_min=0, dx_max=0)},
+         "plates[0].nodes.dx_max"),
+        ("solve", {"plates": _generated_plates(_SPHERE, radii=2.0)}, "plates[0].nodes.radii"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,
@@ -666,6 +671,29 @@ class TestCLI:
         assert len(records) == 2
         assert records[0]["capacity"] == records[1]["capacity"]
         assert "not certified" in records[0]["note"]
+
+
+def _readme_record_keys() -> dict:
+    """README's "Result record fields" list: command name to its keys, in order."""
+    section = (REPO / "README.md").read_text().split("## Result record fields")[1]
+    bullets = re.findall(r"^\* `([a-z-]+)`[^:]*:(.*?)\.\n(?!  )", section, re.M | re.S)
+    return {command: re.findall(r"`([^`]+)`", keys) for command, keys in bullets}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", str(CONFIGS / "solve_two_plate.json")],
+    ["capacity", str(CONFIGS / "capacity_sphere.json")],
+    ["balayage", str(CONFIGS / "balayage_point_to_plate.json")],
+    ["exhaust", str(CONFIGS / "exhaust_two_plate.json")],
+    ["check-pd", str(CONFIGS / "check_pd_identity.json")],
+    ["thinness", "--profile", "power_s", "--s", "1", "--radii", "4", "--no-gap"],
+])
+def test_record_keys_are_the_readme_list(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    keys = _readme_record_keys()[argv[0]]
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(list(record) == keys for record in records)
 
 
 def test_cached_parser_keeps_no_arguments_between_commands(capsys, tmp_path, monkeypatch):
