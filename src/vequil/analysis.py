@@ -333,10 +333,8 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
                                           converged=full.converged))
             continue
         heads = [np.arange(p.n_nodes) < max(1, np.ceil(frac * p.n_nodes)) for p in c.plates]
-        c_stage = Condenser(plates=tuple(
-            Plate(id=p.id, sign=p.sign, nodes=p.nodes, g=p.g, mass=p.mass,
-                  sigma=np.where(head, beta * p.sigma, 0.0))
-            for p, head in zip(c.plates, heads)))
+        c_stage = c.with_sigma([np.where(head, beta * p.sigma, 0.0)
+                                for p, head in zip(c.plates, heads)])
         if not check_feasibility(c_stage, f).feasible:
             stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=False,
                                           value=float("nan"), semimetric_gap=float("nan"),

@@ -9,6 +9,7 @@ backbone of every check in this module.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,20 @@ def _merge_weighted(points: np.ndarray, weights: np.ndarray) -> "ScalarSignedMea
     return ScalarSignedMeasure(support=points[first] + 0.0, weights=acc)
 
 
+_PER_NODE = "plate {}: g and sigma must have one value per node"
+
+
+def _plate_sigma(plate_id: int, sigma, m: int) -> np.ndarray:
+    """``sigma`` as a read-only float vector of one finite value >= 0 for each of ``m`` nodes."""
+    sigma = np.asarray(sigma, dtype=float).reshape(-1)
+    if sigma.shape != (m,):
+        raise DimensionMismatch(_PER_NODE.format(plate_id))
+    if not (np.all(np.isfinite(sigma)) and np.all(sigma >= 0.0)):
+        raise VequilError(f"plate {plate_id}: sigma must be nonnegative and finite")
+    sigma.setflags(write=False)
+    return sigma
+
+
 @dataclass(frozen=True)
 class Plate:
     """One signed plate: nodes plus its weight function, mass, and constraint.
@@ -71,21 +86,17 @@ class Plate:
             raise VequilError(f"plate {self.id}: sign must be +1 or -1")
         nodes = _as_points(self.nodes)
         g = np.asarray(self.g, dtype=float).reshape(-1)
-        sigma = np.asarray(self.sigma, dtype=float).reshape(-1)
         m = nodes.shape[0]
-        if g.shape != (m,) or sigma.shape != (m,):
-            raise DimensionMismatch(
-                f"plate {self.id}: g and sigma must have one value per node"
-            )
+        if g.shape != (m,):
+            raise DimensionMismatch(_PER_NODE.format(self.id))
         if not (np.all(np.isfinite(g)) and np.all(g > 0.0)):
             raise VequilError(f"plate {self.id}: g must be positive and finite")
-        if not (np.all(np.isfinite(sigma)) and np.all(sigma >= 0.0)):
-            raise VequilError(f"plate {self.id}: sigma must be nonnegative and finite")
+        sigma = _plate_sigma(self.id, self.sigma, m)
         if not (np.isfinite(self.mass) and self.mass > 0.0):
             raise VequilError(f"plate {self.id}: mass must be positive")
         if _merge_points(nodes)[0].size < m:
             raise VequilError(f"plate {self.id}: duplicate node coordinates")
-        for arr in (nodes, g, sigma):
+        for arr in (nodes, g):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "g", g)
@@ -138,6 +149,21 @@ class Condenser:
                     "oppositely signed plates must be disjoint with positive separation"
                 )
         object.__setattr__(self, "plates", plates)
+
+    def with_sigma(self, sigmas) -> "Condenser":
+        """This condenser with plate ``k``'s constraint replaced by ``sigmas[k]``.
+
+        Only the new constraints are checked, as :class:`Plate` checks one; the
+        nodes, ``g``, masses and plate separation are the ones already validated.
+        """
+        plates = []
+        for p, sigma in zip(self.plates, sigmas, strict=True):
+            p = copy.copy(p)  # a shallow copy: no __post_init__
+            object.__setattr__(p, "sigma", _plate_sigma(p.id, sigma, p.n_nodes))
+            plates.append(p)
+        c = copy.copy(self)
+        object.__setattr__(c, "plates", tuple(plates))
+        return c
 
     @property
     def dimension(self) -> int:

@@ -49,6 +49,17 @@ would run each on cores the other library's idle threads still hold.  With
 one library, the Lanczos products and reorthogonalization (``dgemv``), the PD
 gate, the solves and the certificate share one thread pool.
 
+A caller's own numpy BLAS work still leaves numpy's threads spinning, and
+OpenBLAS threads a Cholesky factorization of 128 rows or more, so a
+factorization on two threads then waits for a core at each hand-off: right
+after numpy BLAS, one in ten 192-row gates of ``exhaust`` commands took over
+90 ms, and none over 1 ms on one thread.  So :meth:`GramMatrix._factored`
+factors a Gram of at most :data:`_ONE_THREAD_ROWS` rows, and runs its
+``use``, on one thread of scipy's pool (:func:`vequil._lapack.one_blas_thread`),
+then puts the count back.  The cut is the largest size at which one thread
+stayed within 10% of two with both pools idle, in a ``dpotrf`` sweep on a
+2-vCPU machine (README); larger Grams keep the caller's count.
+
 These routines are scipy's f2py modules ``_fblas`` and ``_flapack``, loaded by
 :mod:`vequil._lapack` from their files without the ``scipy.linalg`` package
 import (half of a fresh ``import vequil.cli``); a later ``import scipy.linalg``
@@ -58,11 +69,12 @@ reuses them.  Where the files are not found, ``_lapack`` imports
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import blas, lapack
+from ._lapack import blas, lapack, one_blas_thread
 from .errors import DimensionMismatch, EigensolverError, KernelDomainError
 
 RIESZ = "riesz"
@@ -78,6 +90,9 @@ SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 _ASSEMBLY_BLOCK = 32
 
 _LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
+# Rows of the largest Gram that GramMatrix._factored factors on one BLAS thread
+# (module notes).
+_ONE_THREAD_ROWS = 640
 _NONFINITE_GRAM = "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
 
 
@@ -298,15 +313,20 @@ class GramMatrix:
         triangle is copied back from the lower one by row blocks and the
         diagonal from ``d``.  ``K`` being exactly symmetric, ``entries`` is
         bit for bit what it was, and the only scratch is ``d`` and one block.
+
+        A Gram of at most :data:`_ONE_THREAD_ROWS` rows is factored, and
+        ``use`` runs, on one thread of scipy's BLAS pool, whose previous count
+        is restored on the way out (``_lapack.one_blas_thread``; module notes).
         """
-        ent = self.entries
+        ent, small = self.entries, self.size <= _ONE_THREAD_ROWS
         d = ent.diagonal().copy()
         ent.setflags(write=True)
         try:
-            np.fill_diagonal(ent, d + shift)
-            c, info = lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
-            if info == 0 and use is not None:
-                use(c, d)
+            with one_blas_thread() if small else contextlib.nullcontext():
+                np.fill_diagonal(ent, d + shift)
+                c, info = lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
+                if info == 0 and use is not None:
+                    use(c, d)
             return info == 0
         finally:
             upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from vequil import Condenser, KernelSpec, Plate, condenser_gram
+from vequil import Condenser, KernelSpec, Plate, _lapack, condenser_gram
 from vequil.condenser import CASE1, CASE2, FieldSpec, ScalarSignedMeasure
+
+
+def blas_threads() -> int | None:
+    """The thread count of scipy's BLAS pool, read by setting it back; None without the setter."""
+    setter = _lapack.set_threads_local
+    if setter is None:
+        return None
+    count = setter(1)
+    setter(count)
+    return count
 
 
 def random_condenser(rng, max_plates=3, max_nodes=20, dim=3, box_half=1.0):

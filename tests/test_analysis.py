@@ -18,6 +18,7 @@ from vequil import (
     GramMatrix,
     KernelSpec,
     NotPositiveDefinite,
+    Plate,
     ScalarSignedMeasure,
     SolverConfig,
     assemble_gram,
@@ -460,6 +461,47 @@ class TestExhaustion:
         assert all(st.feasible and st.converged for st in tr.stages)
         n = parsed.problem.gram.size
         assert (factored, computed) == ([n], [n])
+
+    def test_stage_condensers_keep_the_validated_plates(self, monkeypatch):
+        # A stage changes only sigma: its condenser is the validated one with the
+        # new sigma checked, and solves bit for bit as one built from scratch.
+        parsed = parse_config(str(CONFIGS / "exhaust_two_plate.json"))
+        schedule = list(zip(*parsed.exhaust_schedule))
+        built = []
+
+        def counted(cls):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(cls) or real(self))
+
+        counted(Plate)
+        counted(Condenser)
+        got = exhaustion_experiment(parsed.problem, *schedule)
+        assert built == []
+
+        def from_scratch(self, sigmas):
+            return Condenser(plates=tuple(dataclasses.replace(p, sigma=s)
+                                          for p, s in zip(self.plates, sigmas)))
+
+        monkeypatch.setattr(Condenser, "with_sigma", from_scratch)
+        want = exhaustion_experiment(parsed.problem, *schedule)
+        assert built and got == want
+
+    def test_bad_stage_sigma_is_refused(self):
+        prob = loose_two_plate(np.random.default_rng(8), n_per=5)
+        c = prob.condenser
+        with pytest.raises(VequilError, match="^plate 1: sigma must be nonnegative and finite$"):
+            c.with_sigma([np.ones(5), np.array([1.0, 1.0, np.nan, 1.0, 1.0])])
+        with pytest.raises(VequilError, match="^plate 0: sigma must be nonnegative and finite$"):
+            c.with_sigma([-np.ones(5), np.ones(5)])
+        with pytest.raises(DimensionMismatch, match="^plate 0: g and sigma must have one value"):
+            c.with_sigma([np.ones(4), np.ones(5)])
+        with pytest.raises(ValueError):
+            c.with_sigma([np.ones(5)])
+        # A stage scale that overflows sigma to inf is refused like a plate's own.
+        huge = dataclasses.replace(prob, condenser=c.with_sigma([np.full(5, 1e300)] * 2))
+        with np.errstate(over="ignore"), pytest.raises(
+                VequilError, match="^plate 0: sigma must be nonnegative and finite$"):
+            exhaustion_experiment(huge, [0.5], [1e10])
 
     @pytest.mark.parametrize(
         "fractions, scales, anchor",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from vequil import analysis, cli, kernels, solver
+from vequil import _lapack, analysis, cli, kernels, solver
 from vequil.cli import main
 from vequil.config import parse_config
 from vequil.errors import ConfigError
@@ -731,15 +731,16 @@ def test_console_entry_point_runs():
     assert json.loads(result.stdout)["is_pd"] is True
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of ``code`` in a fresh interpreter, one BLAS thread, vequil from src/."""
+def _fresh_python(code: str, threads: int = 1) -> str:
+    """Standard output of ``code`` in a fresh interpreter, ``threads`` BLAS threads,
+    vequil from src/."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
-             "OPENBLAS_NUM_THREADS": "1"},
+             "OPENBLAS_NUM_THREADS": str(threads)},
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -777,3 +778,24 @@ def test_nnls_path_reuses_the_loaded_blas_and_lapack():
     # balayage's NNLS branch imports scipy.optimize and through it scipy.linalg, which
     # takes over the extension modules vequil loaded: the same routines, the same record.
     assert _fresh_python(_NNLS_BALAYAGE + _SOLVE) == _fresh_python(_SOLVE)
+
+
+_CAPACITY_THREADS = f"""
+import os, vequil.cli
+from vequil import _lapack
+def threads():
+    count = _lapack.set_threads_local(1)
+    _lapack.set_threads_local(count)
+    return count
+start = threads()
+assert vequil.cli.main(["capacity", {str(CONFIGS / "capacity_sphere.json")!r}, "--out", os.devnull]) == 0
+print(start, threads())
+"""
+
+
+@pytest.mark.skipif(_lapack.set_threads_local is None,
+                    reason="scipy's BLAS has no openblas_set_num_threads_local")
+def test_capacity_leaves_scipys_thread_count_as_it_found_it():
+    # The 500-row Gram is factored on one BLAS thread; the process's count comes back.
+    start, end = _fresh_python(_CAPACITY_THREADS, threads=2).split()
+    assert start == end

@@ -1,5 +1,6 @@
 """Kernel catalog, Gram assembly, and PD diagnostics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,11 @@ from vequil import (
     minimum_spacing,
     resolve_epsilon,
 )
-from vequil import kernels
+from vequil import _lapack, kernels
 from vequil.errors import DimensionMismatch, EigensolverError
 from vequil.geometry import fibonacci_sphere
+
+from instances import blas_threads
 
 
 class TestEvaluateKernel:
@@ -297,6 +300,57 @@ class TestPositiveDefiniteness:
         nodes = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
         G = assemble_gram(KernelSpec("log_disk"), nodes)
         assert check_positive_definite(G).is_pd
+
+
+class TestOneThreadFactor:
+    """A Gram of at most ``_ONE_THREAD_ROWS`` rows is factored on one thread of
+    scipy's BLAS pool, and the caller's count is back when ``_factored`` returns."""
+
+    @pytest.mark.skipif(_lapack.set_threads_local is None,
+                        reason="scipy's BLAS has no openblas_set_num_threads_local")
+    def test_one_thread_at_the_cut_and_the_callers_count_above_it(self):
+        cut, seen = kernels._ONE_THREAD_ROWS, []
+        previous = _lapack.set_threads_local(2)
+        try:
+            for n in (cut, cut + 1):
+                G = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(n, radius=1.0))
+                assert G._factored(0.0, lambda c, d: seen.append(blas_threads()))
+                assert blas_threads() == 2
+                assert not G._factored(-2.0 * G.lambda_max())  # refused
+                assert blas_threads() == 2
+        finally:
+            _lapack.set_threads_local(previous)
+        assert seen == [1, 2]
+
+    def test_without_the_setter_the_same_decisions_and_entries(self, monkeypatch):
+        G = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(300, radius=1.0))
+        before = G.entries.copy()
+
+        def run():
+            factors = []
+            decisions = [G._factored(shift, lambda c, d: factors.append(np.tril(c)))
+                         for shift in (0.0, -2.0 * G.lambda_max(), 1.0)]
+            assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+            return decisions, factors
+
+        want = run()
+        monkeypatch.setattr(_lapack, "set_threads_local", None)
+        got = run()
+        assert got[0] == want[0] == [True, False, True]
+        for a, b in zip(got[1], want[1]):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+
+    def test_the_setter_is_found_on_openblas(self):
+        import scipy
+
+        try:
+            lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        except (TypeError, KeyError):
+            pytest.skip("scipy does not report its LAPACK")
+        version = tuple(int(x) for x in re.findall(r"\d+", str(lapack.get("version")))[:3])
+        if "openblas" not in str(lapack.get("name")).lower() or version < (0, 3, 27):
+            pytest.skip(f"scipy's LAPACK is {lapack.get('name')} {lapack.get('version')}")
+        assert _lapack.set_threads_local is not None
 
 
 def _log_disk_gram() -> GramMatrix:

@@ -69,6 +69,8 @@ from vequil.solver import (
     verify_kkt,
 )
 
+from instances import blas_threads
+
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 LATTICE = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
@@ -613,10 +615,11 @@ def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
     # as they were and cache no N x N array.  So must equilibrium, which
     # factors again on a gated Gram and must then give the same result.
     G = gram_with_spectrum(*spectrum)
-    before = G.entries.copy()
+    before, threads = G.entries.copy(), blas_threads()
     is_pd, strict = _pd_gate(G)
     event("strictly PD" if strict else "PD only" if is_pd else "indefinite")
     assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+    assert blas_threads() == threads  # restored after a refused factorization too
     cached = [x for v in G._cache.values() for x in (v if isinstance(v, tuple) else (v,))]
     assert not any(np.ndim(x) == 2 for x in cached)
     nodes = np.arange(float(G.size))[:, None]
@@ -633,12 +636,17 @@ def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
     assert got.robin_constant == want.robin_constant
     assert np.array_equal(got.unit_minimizer, want.unit_minimizer)
 
+    seen = []
+
     def fail(c, d):
+        seen.append(blas_threads())
         raise RuntimeError("inside the factor")
 
     with pytest.raises(RuntimeError, match="inside the factor"):
         G._factored(0.0, fail)
     assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+    # The factor ran on one thread of scipy's pool, whose count is back.
+    assert seen == [None if threads is None else 1] and blas_threads() == threads
 
 
 @SETTINGS
