@@ -166,11 +166,13 @@ def _cmd_check_pd(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, with_config: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, with_config: bool = True,
+                with_seed: bool = False) -> None:
     if with_config:
         sub.add_argument("config", help="path to a JSON problem config")
     sub.add_argument("--out", default=None, help="write records to this file")
-    sub.add_argument("--seed", type=int, default=None, help="override the solver seed")
+    if with_seed:
+        sub.add_argument("--seed", type=int, default=None, help="override the solver seed")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -183,10 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("solve", help="minimize the weighted energy"))
-    _add_common(subs.add_parser("capacity", help="equilibrium measure and capacity of a plate"))
+    _add_common(subs.add_parser("solve", help="minimize the weighted energy"), with_seed=True)
+    _add_common(subs.add_parser("capacity", help="equilibrium measure and capacity of a plate"),
+                with_seed=True)
     _add_common(subs.add_parser("balayage", help="sweep a source measure onto a plate"))
-    _add_common(subs.add_parser("exhaust", help="value continuity under node-set exhaustion"))
+    _add_common(subs.add_parser("exhaust", help="value continuity under node-set exhaustion"),
+                with_seed=True)
     thin = subs.add_parser("thinness", help="capacity dichotomy of thinning bodies")
     thin.add_argument("--profile", required=True, choices=PROFILES)
     thin.add_argument("--s", type=float, required=True, help="profile decay parameter")

@@ -65,22 +65,25 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _finite(value, path: str) -> float:
+    number = _as_float(value, path)
+    if not np.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {number!r}")
+    return number
+
+
 def build_nodes(desc, path: str) -> np.ndarray:
     """Inline coordinate list or generator description to a node array.
 
     A generator takes only the fields its branch reads; any other is refused
-    at its own path.
+    at its own path.  Inline or generated, an empty node set is refused.
     """
     if isinstance(desc, list):
         try:
             nodes = np.asarray(desc, dtype=float)
         except (TypeError, ValueError):
             raise _fail(path, "inline nodes must be a rectangular numeric array") from None
-        if nodes.ndim == 1:
-            nodes = nodes[:, None]
-        if nodes.ndim != 2 or nodes.shape[0] == 0:
-            raise _fail(path, "inline nodes must be a nonempty 2-D array")
-        return nodes
+        return _nonempty(nodes[:, None] if nodes.ndim == 1 else nodes, path)
     if not isinstance(desc, dict):
         raise _fail(path, "nodes must be an array or a generator object")
     gen = _get(desc, "generator", path)
@@ -91,28 +94,31 @@ def build_nodes(desc, path: str) -> np.ndarray:
         return _get(desc, key, path, required=default is None, default=default)
 
     def number(key: str, default=None) -> float:
-        at = f"{path}.{key}"
-        value = _as_float(field(key, default), at)
-        if not np.isfinite(value):
-            raise _fail(at, f"expected a finite number, got {value!r}")
-        return value
+        return _finite(field(key, default), f"{path}.{key}")
 
     def integer(key: str) -> int:
         return _as_int(field(key), f"{path}.{key}")
+
+    def entries(key: str, parse, default=None) -> list:
+        at, value = f"{path}.{key}", field(key, default)
+        if not isinstance(value, (list, tuple)):
+            raise _fail(at, f"expected a list, got {value!r}")
+        return [parse(v, f"{at}[{k}]") for k, v in enumerate(value)]
 
     if gen == "sphere":
         make, kwargs = fibonacci_sphere, dict(
             count=integer("count"),
             radius=number("radius", 1.0),
-            center=field("center", (0.0, 0.0, 0.0)),
+            center=entries("center", _finite, (0.0, 0.0, 0.0)),
         )
     elif gen == "grid":
-        make, kwargs = grid_nodes, dict(low=field("low"), high=field("high"), shape=field("shape"))
+        make, kwargs = grid_nodes, dict(low=entries("low", _finite), high=entries("high", _finite),
+                                        shape=entries("shape", _as_int))
     elif gen == "ring":
         make, kwargs = ring_nodes, dict(
             count=integer("count"),
             radius=number("radius", 1.0),
-            center=field("center", (0.0, 0.0)),
+            center=entries("center", _finite, (0.0, 0.0)),
             phase=number("phase", 0.0),
         )
     elif gen == "rotational_body":
@@ -128,9 +134,16 @@ def build_nodes(desc, path: str) -> np.ndarray:
     if unknown:
         raise _fail(f"{path}.{unknown[0]}", f"unknown {gen} field")
     try:
-        return make(**kwargs)
+        nodes = make(**kwargs)
     except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
+    return _nonempty(nodes, path)
+
+
+def _nonempty(nodes: np.ndarray, path: str) -> np.ndarray:
+    if nodes.ndim != 2 or nodes.shape[0] == 0:
+        raise _fail(path, "nodes must be a nonempty 2-D array")
+    return nodes
 
 
 def _per_node(value, n: int, path: str, allow_inf: bool = False) -> np.ndarray:
@@ -159,7 +172,7 @@ def _parse_kernel(d, path: str) -> KernelSpec:
             epsilon=None if epsilon is None else _as_float(epsilon, f"{path}.epsilon"),
             table=None if table is None else np.asarray(table, dtype=float),
         )
-    except VequilError as exc:
+    except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
 
 
@@ -266,7 +279,7 @@ def parse_config(source) -> ParsedConfig:
         path = f"plates[{k}]"
         if not isinstance(pd, dict):
             raise _fail(path, "plate must be an object")
-        sign = _get(pd, "sign", path)
+        sign = _as_int(_get(pd, "sign", path), f"{path}.sign")
         if sign not in (1, -1):
             raise _fail(f"{path}.sign", "sign must be 1 or -1")
         nodes = build_nodes(_get(pd, "nodes", path), f"{path}.nodes")

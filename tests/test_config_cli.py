@@ -149,12 +149,21 @@ _SOURCE = {"support": [[0.0, 3.0, 0.0]], "weights": [1.0]}
 _SPHERE = {"generator": "sphere", "count": 4, "radius": 0.25, "center": [-2.0, 0.0, 0.0]}
 _RING = {"generator": "ring", "count": 4}
 _BODY = {"generator": "rotational_body", "profile": "power_s", "s": 1.0, "r_max": 4.0}
+_GRID = {"generator": "grid", "low": [-2.0, -0.5, 0.0], "high": [-1.5, 0.5, 0.0],
+         "shape": [2, 2, 1]}
 
 
 def _generated_plates(generator, **settings):
     """The minimal config's plates with the first one's nodes from a generator."""
     plates = minimal_config()["plates"]
     plates[0]["nodes"] = {**generator, **settings}
+    return plates
+
+
+def _signed_plates(sign):
+    """The minimal config's plates with the first one's sign replaced."""
+    plates = minimal_config()["plates"]
+    plates[0]["sign"] = sign
     return plates
 
 
@@ -197,6 +206,11 @@ def _generated_plates(generator, **settings):
         ("solve", {"plates": _generated_plates(_BODY, dx_min=0, dx_max=0)},
          "plates[0].nodes.dx_max"),
         ("solve", {"plates": _generated_plates(_SPHERE, radii=2.0)}, "plates[0].nodes.radii"),
+        ("check-pd", {"kernel": {"family": "custom_table", "table": [[1, 0], [0]]}}, "kernel"),
+        ("capacity", {"plates": _generated_plates(_GRID, shape=[0, 2, 1])}, "plates[0].nodes"),
+        ("solve", {"plates": _generated_plates(_GRID, shape=[2.5, 2, 1])},
+         "plates[0].nodes.shape[0]"),
+        ("solve", {"plates": _signed_plates(True)}, "plates[0].sign"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,
@@ -216,6 +230,18 @@ def test_negative_seed_flag_is_refused(command, config, capsys):
     code, out, err = run_cli([command, str(CONFIGS / config), "--seed", "-1"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: seed: must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["balayage", str(CONFIGS / "balayage_point_to_plate.json")],
+    ["check-pd", str(CONFIGS / "check_pd_identity.json")],
+    ["thinness", "--profile", "power_s", "--s", "1", "--radii", "4"],
+])
+def test_seed_flag_only_where_a_solve_reads_it(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", [5, -1, 1.5])
@@ -537,43 +563,6 @@ class TestCLI:
             assert abs(a["value"] - b["value"]) <= 1e-10
         assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
 
-    def test_frank_wolfe_exhaust_takes_per_plate_multipliers_only_without_interior(
-            self, capsys, tmp_path, monkeypatch):
-        # The KKT residual sums the multipliers of all plates at once; the
-        # per-plate rule runs only for a plate with no interior coordinate.
-        code, out, _ = run_cli(["exhaust", str(CONFIGS / "exhaust_two_plate.json"), "--seed", "3"],
-                               capsys)
-        assert code == 0
-        pg = [json.loads(line) for line in out.strip().splitlines()]
-        calls = {"plate": 0, "residual": 0}
-        per_plate, residual = solver._plate_multiplier, solver._kkt_residual
-
-        def spied_plate(w, g, sigma, grad, band, degenerate):
-            interior = (w > band) & (w < sigma - band) & (sigma > 2.0 * band)
-            assert degenerate or not interior.any()
-            calls["plate"] += 1
-            return per_plate(w, g, sigma, grad, band, degenerate)
-
-        def spied_residual(*args, **kwargs):
-            calls["residual"] += 1
-            return residual(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_plate_multiplier", spied_plate)
-        monkeypatch.setattr(solver, "_kkt_residual", spied_residual)
-        doc = json.loads((CONFIGS / "exhaust_two_plate.json").read_text())
-        doc["solver"]["algorithm"] = "frank_wolfe"
-        path = tmp_path / "fw.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(["exhaust", str(path), "--seed", "3"], capsys)
-        assert code == 0
-        assert calls["plate"] < calls["residual"]
-        fw = [json.loads(line) for line in out.strip().splitlines()]
-        assert len(fw) == len(pg) == 4
-        for a, b in zip(fw, pg):
-            assert a["converged"] and a["full_converged"]
-            assert abs(a["value"] - b["value"]) <= 1e-10
-        assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
-
     @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
     def test_exhaust_full_stage_reuses_full_solve(self, capsys, tmp_path, monkeypatch,
                                                   algorithm):
@@ -712,7 +701,7 @@ def test_cached_parser_keeps_no_arguments_between_commands(capsys, tmp_path, mon
     assert cli.build_parser() is cli.build_parser()
     assert seen == [
         {"command": "solve", "config": solve_cfg, "seed": 3, "format": "csv", "out": str(out)},
-        {"command": "check-pd", "config": pd_cfg, "seed": None, "format": "json", "out": None},
+        {"command": "check-pd", "config": pd_cfg, "format": "json", "out": None},
     ]
     assert out.read_text().startswith("command,value,")
     assert json.loads(capsys.readouterr().out)["command"] == "check-pd"

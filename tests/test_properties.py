@@ -19,8 +19,13 @@ corrective step on its carried hull factor is compared, one appended atom at
 a time, with the active-set oracle that solves every support by least squares.
 The one-pass KKT residual is compared with the per-plate loop it replaced, and
 the one-sort knapsack oracle over all plates with the one-plate knapsack.
+Projected gradient and Frank-Wolfe are compared on random small condensers,
+and mutated committed configs must parse or raise a ConfigError.
 """
 
+import copy
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +41,7 @@ from vequil import (
     GramMatrix,
     KernelSpec,
     ScalarSignedMeasure,
+    ConfigError,
     InfeasibleProblem,
     KernelDomainError,
     NotPositiveDefinite,
@@ -54,7 +60,8 @@ from vequil import (
 )
 from vequil import analysis, solver
 from vequil.analysis import _sub_gram, balayage, equilibrium, green_gram
-from vequil.condenser import CASE1, zero_field
+from vequil.condenser import CASE1, CASE2, zero_field
+from vequil.config import parse_config
 from vequil.geometry import fibonacci_sphere
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
 from vequil.solver import (
@@ -70,6 +77,8 @@ from vequil.solver import (
 )
 
 from instances import blas_threads
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -1152,17 +1161,38 @@ def kkt_point(plates, spot_scale, seed):
     return w, rng.normal(size=w.size) * 10.0 ** rng.uniform(-1.0, 1.0)
 
 
+def qp_plates(qp):
+    """The ``(slice, g, sigma, a)`` plates of a ``_QP``, for the per-plate oracles."""
+    return [(sl, qp.g[sl], qp.sigma[sl], a) for sl, a in zip(qp.slices, qp.masses)]
+
+
+def first_vertex(config, seed):
+    """Frank-Wolfe's first iterate on a committed config under ``--seed``:
+    the knapsack vertex of the seeded direction, with its gradient."""
+    problem = parse_config(CONFIGS / config).problem
+    qp = _QP(problem.condenser, problem.gram, problem.field)
+    w = qp.lmo(np.random.default_rng(seed).standard_normal(qp.sigma.size))
+    return qp, w, qp.gradient(w)
+
+
 @SETTINGS
 @given(kkt_inputs())
 @example(([(np.array([1.0, 0.5]), np.array([0.5, 0.0]), 0.25, ["interior", "zero"])], 1.0, 0))
 @example(([(np.array([1.0, 3.0]), np.array([0.5, 0.25]), 1.25, ["cap", "near_cap"]),
            (np.array([0.25]), np.array([1.0]), 0.125, ["near_zero"])], 30.0, 1))
+# Frank-Wolfe's first iterate on the exhaust config under seed 3: each plate's
+# mass is a whole number of caps, so neither plate has an interior coordinate.
+@example(("exhaust_two_plate.json", 3))
 def test_one_pass_kkt_residual_matches_per_plate_loop(inputs):
-    plates, spot_scale, seed = inputs
-    qp = plates_qp([(g, sigma, a) for g, sigma, a, _ in plates])
-    w, grad = kkt_point(plates, spot_scale, seed)
+    if isinstance(inputs[0], str):
+        qp, w, grad = first_vertex(*inputs)
+        assert not ((w > qp.band) & (w < qp.room) & qp.free).any()
+    else:
+        plates, spot_scale, seed = inputs
+        qp = plates_qp([(g, sigma, a) for g, sigma, a, _ in plates])
+        w, grad = kkt_point(plates, spot_scale, seed)
     resid, taus = _kkt_residual(qp, w, grad)
-    ref, ref_taus = oracle_kkt_residual(qp.plates, w, grad)
+    ref, ref_taus = oracle_kkt_residual(qp_plates(qp), w, grad)
     # The interior sums add in another order: both may move at round-off.
     assert abs(resid - ref) <= 1e-14 * max(1.0, float(np.abs(grad).max()))
     assert len(taus) == len(ref_taus)
@@ -1189,7 +1219,7 @@ def test_one_sort_oracle_matches_per_plate_knapsack(inputs):
     cost = np.concatenate([p[0] for p in plates])
     qp = plates_qp([(g, sigma, a) for _, g, sigma, a in plates])
     v = qp.lmo(cost)
-    for (sl, g, sigma, a), (c, _, _, _) in zip(qp.plates, plates):
+    for (sl, g, sigma, a), (c, _, _, _) in zip(qp_plates(qp), plates):
         ref = _knapsack_vertex(c, g, sigma, a)
         assert np.array_equal(v[sl] > 0.0, ref > 0.0)
         assert np.abs(v[sl] - ref).max() <= 1e-15 * max(1.0, a)
@@ -1251,3 +1281,142 @@ def test_equilibrium_matches_constrained_solve(inputs):
     assert np.abs(eq.unit_minimizer - rep.minimizer.weights[0]).max() <= 1e-8 * eq.unit_minimizer.max()
     assert eq.kkt_residual <= cfg.grad_tol
     assert verify_kkt(c, K, zero_field(c), c.measure([eq.unit_minimizer]), cfg.grad_tol).ok
+
+
+# ---------------------------------------------------------------------------
+# Projected gradient against Frank-Wolfe on random condensers
+# ---------------------------------------------------------------------------
+
+
+# (kernel, nodes per plate, field case, each plate's kind, seed).  The nodes
+# of all plates, and a case-2 field's three charges, are distinct jittered
+# points of equilibrium_problem's lattice, so oppositely signed plates are
+# separated.  Plate 0 is positive and the others take a random sign.  A
+# plate's mass is a random fraction of its <g, sigma>, all of it on a
+# degenerate plate, and all but 1e-10 of it on a tight plate, whose every
+# weight then lies within the active band of its cap: no interior coordinate.
+solve_inputs = st.tuples(
+    st.sampled_from(("riesz", "log_disk")),
+    st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=3).filter(
+        lambda sizes: sum(sizes) >= 2),
+    st.sampled_from((CASE1, CASE2)),
+    st.lists(st.sampled_from(("free", "degenerate", "tight")), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def solve_problem(family, sizes, case, kinds, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2 if family == "log_disk" else int(rng.integers(2, 4))
+    axis = np.arange(6) * 0.24 - 0.6
+    lattice = np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim)
+    n_zeta = 3 if case == CASE2 else 0
+    points = lattice[rng.choice(len(lattice), sum(sizes) + n_zeta, replace=False)]
+    points = points + rng.uniform(-0.05, 0.05, points.shape)
+    plates, start = [], 0
+    for k, m in enumerate(sizes):
+        g, sigma = rng.uniform(0.5, 2.0, m), rng.uniform(0.05, 0.6, m)
+        cap = float(g @ sigma)
+        share = {"free": float(rng.uniform(0.2, 0.9)), "degenerate": 1.0, "tight": 1.0 - 1e-10}
+        mass = share[kinds[k]] * cap
+        sign = 1 if k == 0 else int(rng.choice([-1, 1]))
+        plates.append(make_plate(k, sign, points[start:start + m], g=g, mass=mass, sigma=sigma))
+        start += m
+    c = Condenser(plates=tuple(plates))
+    alpha = rng.uniform(0.5, dim - 0.5) if family == "riesz" else None
+    K = condenser_gram(KernelSpec(family, alpha=alpha), c)
+    if case == CASE1:
+        f = FieldSpec(case=CASE1, case1_values=tuple(rng.normal(0.0, 1.0, m) for m in sizes))
+    else:
+        f = FieldSpec(case=CASE2, case2_zeta=ScalarSignedMeasure(
+            support=points[start:], weights=rng.normal(0.0, 1.0, n_zeta)))
+    return c, K, f
+
+
+@settings(SETTINGS, max_examples=200)
+@given(solve_inputs)
+def test_projected_gradient_and_frank_wolfe_agree(inputs):
+    c, K, f = solve_problem(*inputs)
+    assume(_pd_gate(K)[0])
+    tol = 1e-9
+    pg, fw = (solve(c, K, f, SolverConfig(algorithm=algorithm, grad_tol=tol))
+              for algorithm in ("projected_gradient", "frank_wolfe"))
+    assert pg.converged and fw.converged
+    qp = _QP(c, K, f)
+    if qp.degenerate.any():
+        event("a degenerate plate")
+    slack = 1e-12 * max(1.0, abs(pg.value))
+    for rep, other in ((pg, fw), (fw, pg)):
+        assert verify_kkt(c, K, f, rep.minimizer, tol).ok
+        # By convexity a value exceeds the optimum, and so the other value, by
+        # at most its duality gap.  The residual alone bounds less: a weight
+        # within the active band of its cap counts as at the cap.
+        w = rep.minimizer.concat()
+        grad = qp.gradient(w)
+        assert rep.value - other.value <= float(grad @ (w - qp.lmo(grad))) + slack
+        interior = (w > qp.band) & (w < qp.room) & qp.free
+        if not (np.logical_or.reduceat(interior, qp.starts) | qp.degenerate).all():
+            event(f"{rep.algorithm}: a plate without interior coordinate")
+
+
+# ---------------------------------------------------------------------------
+# Mutated committed configs: parsed, or refused with a ConfigError
+# ---------------------------------------------------------------------------
+
+
+COMMITTED_CONFIGS = sorted(path.name for path in CONFIGS.glob("*.json"))
+# What a mutation writes in place of a value.  No number exceeds 3, so no
+# mutation asks for a large node set.
+MUTANTS = (None, True, False, 0, -1, 1, 2, 3, 0.5, 2.5, -0.5, 1e-300, float("nan"), float("inf"),
+           "x", "inf", "nan", [], {}, [0.0], [1, 2], [[1.0, 0.0], [0.0]],
+           {"generator": "grid"}, {"equilibrium_scale": 2.0})
+
+
+def small_config(name):
+    """A committed config with each generated plate cut to at most 32 nodes."""
+    doc = json.loads((CONFIGS / name).read_text())
+    for plate in doc["plates"]:
+        nodes = plate["nodes"]
+        if isinstance(nodes, dict) and "count" in nodes:
+            nodes["count"] = min(nodes["count"], 32)
+        if isinstance(nodes, dict) and "shape" in nodes:
+            nodes["shape"] = [min(s, 3) for s in nodes["shape"]]
+    return doc
+
+
+def doc_paths(node, prefix=()):
+    """The key paths to every value below a JSON node."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield prefix + (key,)
+            yield from doc_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = small_config(draw(st.sampled_from(COMMITTED_CONFIGS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(doc_paths(doc))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        mutant = draw(st.sampled_from(("delete",) + MUTANTS))
+        if mutant == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(mutant)
+    return doc
+
+
+@settings(SETTINGS, max_examples=300)
+@given(mutated_configs())
+def test_mutated_config_parses_or_is_a_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        event("ConfigError")
+    else:
+        event("parsed")
