@@ -32,9 +32,9 @@ from .geometry import fibonacci_sphere, rotational_body
 from .kernels import (
     GramMatrix,
     KernelSpec,
+    _not_pd,
     _pd_gate,
     assemble_gram,
-    check_positive_definite,
     cross_kernel,
     resolve_epsilon,
 )
@@ -83,21 +83,17 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     Working memory is the Gram plus O(N) vectors.
     """
     n = K.size
-    ones = np.ones(n)
-    u = None
+    ones, u = np.ones(n), np.empty(n)
 
     def solve_ones(c, d):
         # K x = dsymv(c, x) + (d - diag c) x while c holds the factor (GramMatrix._factored).
-        nonlocal u
-        u = lapack.dpotrs(c, ones, lower=1)[0]
+        u[:] = lapack.dpotrs(c, ones, lower=1)[0]
         Ku = blas.dsymv(1.0, c, u) + (d - c.diagonal()) * u
-        u += lapack.dpotrs(c, ones - Ku, lower=1)[0]
+        u[:] += lapack.dpotrs(c, ones - Ku, lower=1)[0]
+        return u
 
     if not _pd_gate(K, solve_ones)[1]:
-        pd = check_positive_definite(K)
-        raise NotPositiveDefinite(
-            f"equilibrium needs a strictly PD Gram (min eigenvalue {pd.min_eigenvalue:.3e})"
-        )
+        raise _not_pd(K, "-", "equilibrium needs a strictly PD Gram")
     plate = Plate(id=0, sign=1, nodes=K.nodes if K.nodes is not None else np.asarray(nodes, float),
                   g=np.ones(n), mass=1.0, sigma=np.ones(n))
     c = Condenser(plates=(plate,))
@@ -155,18 +151,19 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     Only the target block ``K_tt`` and the source potential on the target,
     ``(K omega)_t``, enter.  The source rows come from :func:`cross_kernel`
     under the Gram's spec, so a source point on a node gets that node's Gram
-    row bit for bit.  ``K_tt = L L'`` is factored once by Cholesky (a
-    refusal raises :class:`NotPositiveDefinite`) and solves the normal
-    equations ``K_tt beta = (K omega)_t`` by LAPACK's ``dpotrs``; when every
-    weight comes out nonnegative this is the constrained optimum (the KKT
-    conditions hold with zero multipliers).  Only when some weight is
-    negative does ``scipy.optimize.nnls`` solve the least-squares form
-    ``min |L' beta - L^-1 (K omega)_t|`` over ``beta >= 0`` (right-hand side
-    by ``dtrtrs``), the same objective up to a constant.  The factor is
-    numpy's, the solves scipy's LAPACK (the ``kernels`` module notes; the
-    ``scipy.optimize`` import reuses that LAPACK module).  A source that
-    lies wholly on target nodes is returned as it is, the exact optimum with
-    residual 0, without factoring ``K_tt``.
+    row bit for bit.  ``K_tt = L L'`` is factored once, inside the target
+    Gram's own buffer (:meth:`GramMatrix._factored`; a refusal raises
+    :class:`NotPositiveDefinite`), and solves the normal equations ``K_tt
+    beta = (K omega)_t`` by LAPACK's ``dpotrs``; when every weight comes out
+    nonnegative this is the constrained optimum (the KKT conditions hold
+    with zero multipliers).  Only when some weight is negative does
+    ``scipy.optimize.nnls`` solve the least-squares form ``min |L' beta -
+    L^-1 (K omega)_t|`` over ``beta >= 0``, the same objective up to a
+    constant, on a copy of ``L'`` and ``dtrtrs``'s right-hand side, both
+    taken while the factor is in place.  A source that lies wholly on target
+    nodes is returned as it is, the exact optimum with residual 0, without
+    factoring ``K_tt``.  Working memory is the Gram plus vectors, and the
+    copy of ``L'`` on the NNLS path.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
@@ -195,27 +192,26 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
         return BalayageReport(swept=beta, potential_residual=0.0,
                               mass_ratio=float(beta.sum()) / source.total,
                               swept_energy=source_energy, source_energy=source_energy)
-    K = target_gram.entries
-    try:
-        # numpy's LAPACK on purpose: measured after a caller's numpy BLAS work, scipy's was slower.
-        U = np.linalg.cholesky(K).T  # Fortran-ordered upper factor: the solves copy nothing
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"target Gram is not strictly PD: {exc}") from exc
     K_omega = w @ cross[:, :n_t]
-    beta = lapack.dpotrs(U, K_omega, lower=0)[0]
-    if np.any(beta < 0.0):
+
+    def sweep(c, d):  # the weights, or NNLS's matrix L' and right-hand side L^-1 (K omega)_t
+        beta = lapack.dpotrs(c, K_omega, lower=1)[0]
+        if np.any(beta < 0.0):
+            return np.triu(c.T), lapack.dtrtrs(c, K_omega, lower=1)[0]
+        return beta, None
+
+    solved = target_gram._factored(0.0, sweep)
+    if solved is None:
+        raise NotPositiveDefinite("target Gram is not strictly PD: Matrix is not positive definite")
+    beta, rhs = solved
+    if rhs is not None:
         from scipy import optimize  # imported only on this path: the import is slow
 
-        rhs = lapack.dtrtrs(U, K_omega, lower=0, trans=1)[0]
-        beta, _ = optimize.nnls(U, rhs, maxiter=max(200, 50 * n_t))
-    K_beta = K @ beta
-    diff_potential = K_beta - K_omega
-    charged = beta > 0.0
-    violation = 0.0
-    if charged.any():
-        violation = float(np.abs(diff_potential[charged]).max())
-    if (~charged).any():
-        violation = max(violation, float(np.maximum(0.0, -diff_potential[~charged]).max()))
+        beta, _ = optimize.nnls(beta, rhs, maxiter=max(200, 50 * n_t))
+    K_beta = target_gram.matvec(beta)
+    diff_potential, charged = K_beta - K_omega, beta > 0.0
+    violation = max(float(np.abs(diff_potential[charged]).max(initial=0.0)),
+                    float(np.maximum(0.0, -diff_potential[~charged]).max(initial=0.0)))
     return BalayageReport(
         swept=beta,
         potential_residual=violation,
@@ -242,14 +238,9 @@ def green_gram(inner_nodes, screen_gram: GramMatrix) -> GramMatrix:
     inner = np.asarray(inner_nodes, dtype=float)
     n_i = inner.shape[0]
     rows = cross_kernel(spec, inner, np.vstack([inner, screen]))
-    B = rows[:, n_i:]
-    S = None
-
-    def schur(c, d):
-        nonlocal S
-        S = rows[:, :n_i] - B @ lapack.dpotrs(c, B.T, lower=1)[0]
-
-    if not screen_gram._factored(0.0, schur):
+    A, B = rows[:, :n_i], rows[:, n_i:]
+    S = screen_gram._factored(0.0, lambda c, d: A - B @ lapack.dpotrs(c, B.T, lower=1)[0])
+    if S is None:
         raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
     S = 0.5 * (S + S.T)  # exactly symmetric: IEEE addition commutes
     return GramMatrix._assembled(S, nodes=inner)

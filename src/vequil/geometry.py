@@ -25,13 +25,14 @@ def fibonacci_sphere(count: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) ->
 
 
 def grid_nodes(low, high, shape) -> np.ndarray:
-    """Regular grid over a box; ``shape`` gives points per axis."""
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    shape = [int(s) for s in np.atleast_1d(shape)]
-    if low.shape != high.shape or len(shape) != low.shape[0]:
-        raise VequilError("grid generator: low, high, shape must agree in length")
-    axes = [np.linspace(lo, hi, s) for lo, hi, s in zip(low, high, shape)]
+    """Regular grid over a box; ``shape`` gives points per axis, whole numbers >= 1."""
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    shape = np.atleast_1d(np.asarray(shape, dtype=float))
+    if low.ndim != 1 or not low.shape == high.shape == shape.shape:
+        raise VequilError("grid generator: low, high, shape must be lists of one length")
+    if not np.all((shape >= 1) & (shape == np.floor(shape))):  # NaN compares False
+        raise VequilError("grid generator: shape entries must be whole numbers >= 1")
+    axes = [np.linspace(lo, hi, int(s)) for lo, hi, s in zip(low, high, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 

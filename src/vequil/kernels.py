@@ -42,12 +42,13 @@ for matrices whose smallest eigenvalue lies within about ``1e-12 * lambda_max``
 of ``-pd_tol`` or ``+pd_tol``, the rounding error of either method.
 
 Gram products go through :meth:`GramMatrix.matvec`, scipy's ``dsymv``, not
-numpy's ``@``.  numpy and scipy each ship their own OpenBLAS, and each
-library's worker threads spin for about 0.1 s after every call; a solve that
-alternated numpy products with scipy's Cholesky factorizations and solves
-would run each on cores the other library's idle threads still hold.  With
-one library, the Lanczos products and reorthogonalization (``dgemv``), the PD
-gate, the solves and the certificate share one thread pool.
+numpy's ``@``, and factorizations through :meth:`GramMatrix._factored`.
+numpy and scipy each ship their own OpenBLAS, and each library's worker
+threads spin for about 0.1 s after every call; a solve that alternated numpy
+products with scipy's Cholesky factorizations and solves would run each on
+cores the other library's idle threads still hold.  With one library, the
+Lanczos products and reorthogonalization (``dgemv``), the factorizations,
+the solves and the certificate share one thread pool.
 
 A caller's own numpy BLAS work still leaves numpy's threads spinning, and
 OpenBLAS threads a Cholesky factorization of 128 rows or more, so a
@@ -57,8 +58,8 @@ after numpy BLAS, one in ten 192-row gates of ``exhaust`` commands took over
 factors a Gram of at most :data:`_ONE_THREAD_ROWS` rows, and runs its
 ``use``, on one thread of scipy's pool (:func:`vequil._lapack.one_blas_thread`),
 then puts the count back.  The cut is the largest size at which one thread
-stayed within 10% of two with both pools idle, in a ``dpotrf`` sweep on a
-2-vCPU machine (README); larger Grams keep the caller's count.
+beat two on the mean of the "idle" and "after numpy" medians of a ``dpotrf``
+sweep on a 2-vCPU machine (README); larger Grams keep the caller's count.
 
 These routines are scipy's f2py modules ``_fblas`` and ``_flapack``, loaded by
 :mod:`vequil._lapack` from their files without the ``scipy.linalg`` package
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import blas, lapack, one_blas_thread
-from .errors import DimensionMismatch, EigensolverError, KernelDomainError
+from .errors import DimensionMismatch, EigensolverError, KernelDomainError, NotPositiveDefinite
 
 RIESZ = "riesz"
 NEWTONIAN = "newtonian"
@@ -92,7 +93,7 @@ _ASSEMBLY_BLOCK = 32
 _LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
 # Rows of the largest Gram that GramMatrix._factored factors on one BLAS thread
 # (module notes).
-_ONE_THREAD_ROWS = 640
+_ONE_THREAD_ROWS = 1024
 _NONFINITE_GRAM = "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
 
 
@@ -299,17 +300,19 @@ class GramMatrix:
             self._cache["lambda_max"] = float(lam)
         return self._cache["lambda_max"]
 
-    def _factored(self, shift: float, use=None) -> bool:
-        """Whether ``K + shift*I`` has a Cholesky factor, made inside ``entries``.
+    def _factored(self, shift: float, use=None):
+        """A Cholesky factor of ``K + shift*I``, made and used inside ``entries``.
 
-        The one writer of ``entries``.  ``matvec``'s ``dsymv`` reads the
-        C-lower triangle, so LAPACK's ``dpotrf`` on the Fortran view
-        ``entries.T`` (``lower=1``) writes the factor ``L``, ``L L' = K +
-        shift*I``, into the C-upper triangle and the diagonal; ``K``'s
-        diagonal is kept in an N-vector ``d``.  When the factorization
-        succeeds, ``use(c, d)`` runs while the factor is in place: ``c`` is
-        the Fortran view, ready for ``dpotrs(c, b, lower=1)``, and ``K x =
-        dsymv(c, x) + (d - diag c) * x``.  Then, whatever happened, the upper
+        The one writer of ``entries``, and the one place vequil factors a
+        Gram.  ``matvec``'s ``dsymv`` reads the C-lower triangle, so LAPACK's
+        ``dpotrf`` on the Fortran view ``entries.T`` (``lower=1``) writes the
+        factor ``L``, ``L L' = K + shift*I``, into the C-upper triangle and the
+        diagonal; ``K``'s diagonal is kept in an N-vector ``d``.  When the
+        factorization succeeds, ``use(c, d)`` runs while the factor is in
+        place: ``c`` is the Fortran view, ready for ``dpotrs(c, b, lower=1)``,
+        ``np.triu(c.T)`` is ``L'``, and ``K x = dsymv(c, x) + (d - diag c) * x``.
+        The result is ``use``'s (never None), True without ``use``, or None
+        when the factorization is refused.  Then, whatever happened, the upper
         triangle is copied back from the lower one by row blocks and the
         diagonal from ``d``.  ``K`` being exactly symmetric, ``entries`` is
         bit for bit what it was, and the only scratch is ``d`` and one block.
@@ -325,9 +328,7 @@ class GramMatrix:
             with one_blas_thread() if small else contextlib.nullcontext():
                 np.fill_diagonal(ent, d + shift)
                 c, info = lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
-                if info == 0 and use is not None:
-                    use(c, d)
-            return info == 0
+                return None if info else use(c, d) if use else True
         finally:
             upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)
             for i in range(0, self.size, _ASSEMBLY_BLOCK):
@@ -501,8 +502,8 @@ def check_positive_definite(G: GramMatrix) -> PDReport:
     """Diagnose (strict) positive definiteness from the extreme eigenvalues.
 
     Both extremes come from a full dense symmetric eigendecomposition, which
-    costs far more than the solvers' Cholesky gate (:func:`_pd_gate`); the
-    solvers call this only to word a refusal.  ``pd_tol`` is
+    costs far more than the solvers' Cholesky gate (:func:`_pd_gate`); only
+    the ``check-pd`` command calls it.  ``pd_tol`` is
     ``1e-10 * max|eigenvalue|``, the float noise floor of dense symmetric
     eigensolvers.
     """
@@ -534,8 +535,19 @@ def _pd_gate(G: GramMatrix, use=None) -> tuple[bool, bool]:
     """
     gate = G._cache.get("pd_gate")
     if gate is None or (use is not None and gate[1]):
-        pd_tol = 1e-10 * max(G.lambda_max(), 1e-300)
-        strict = G._factored(-pd_tol, use)
+        pd_tol = _pd_tol(G)
+        strict = G._factored(-pd_tol, use) is not None
         if gate is None:
-            gate = G._cache["pd_gate"] = (strict or G._factored(pd_tol), strict)
+            gate = G._cache["pd_gate"] = (strict or G._factored(pd_tol) is not None, strict)
     return gate
+
+
+def _pd_tol(G: GramMatrix) -> float:
+    return 1e-10 * max(G.lambda_max(), 1e-300)
+
+
+def _not_pd(G: GramMatrix, sign: str, why: str) -> NotPositiveDefinite:
+    """The gate's refusal of ``K {sign} pd_tol*I``, worded from the cached values it used."""
+    return NotPositiveDefinite(f"{why}: K {sign} pd_tol*I has no Cholesky factor (lambda_max "
+                               f"{G.lambda_max():.3e}, pd_tol {_pd_tol(G):.3e}); "
+                               "`vequil check-pd` reports the spectrum")

@@ -54,8 +54,8 @@ from .condenser import (
     check_shapes,
     field_linear_coefficients,
 )
-from .errors import InfeasibleProblem, NotPositiveDefinite, VequilError
-from .kernels import GramMatrix, _pd_gate, check_positive_definite
+from .errors import InfeasibleProblem, VequilError
+from .kernels import GramMatrix, _not_pd, _pd_gate
 
 dgemv = blas.dgemv
 dposv, dpotrf, dpotrs, dtrtrs = lapack.dposv, lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs
@@ -621,11 +621,7 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
         slack = next(p.slack for p in feas.per_plate if p.plate_id == bad)
         raise InfeasibleProblem(f"plate {bad}: a exceeds <g, sigma> (slack {slack:.6g})")
     if not _pd_gate(K)[0]:
-        pd = check_positive_definite(K)
-        raise NotPositiveDefinite(
-            f"Gram min eigenvalue {pd.min_eigenvalue:.3e} < -{pd.pd_tol:.3e}; "
-            "refusing a possibly unbounded objective"
-        )
+        raise _not_pd(K, "+", "refusing a possibly unbounded objective")
     qp = _QP(c, K, f)
     max_iters = cfg.max_iters if cfg.max_iters is not None else max(1000, 50 * c.total_nodes)
     run = _run_projected_gradient if cfg.algorithm == PROJECTED_GRADIENT else _run_frank_wolfe

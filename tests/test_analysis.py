@@ -110,7 +110,8 @@ class TestEquilibrium:
 
     def test_rank_deficient_rejected(self):
         K = assemble_gram(KernelSpec("custom_table", table=np.ones((2, 2))), [[0], [1]])
-        with pytest.raises(NotPositiveDefinite, match="strictly PD Gram .min eigenvalue"):
+        with pytest.raises(NotPositiveDefinite, match=r"strictly PD Gram: K - pd_tol\*I has no "
+                           r"Cholesky factor \(lambda_max 2\.000e\+00, pd_tol 2\.000e-10\)"):
             equilibrium([[0], [1]], K)
 
     def test_negative_linear_solve_takes_constrained_solver(self):
@@ -262,11 +263,11 @@ class TestBalayage:
             with pytest.raises(VequilError, match="records its nodes and kernel"):
                 balayage(src, bare)
 
-    def test_working_memory_is_one_factor(self):
-        # The Cholesky factor of K_tt is the one n_t^2 work matrix; the source
-        # rows, the solve with the factor and the diagnostics add O(n_t).  A
-        # joint (target + source) Gram, a C-ordered factor (which cho_solve
-        # would copy) or any other n_t^2 temporary breaks the bound.
+    def test_working_memory_is_vectors_beside_the_gram(self):
+        # K_tt is factored inside the target Gram's own buffer; the source rows,
+        # the solve with the factor and the diagnostics add O(n_t).  A joint
+        # (target + source) Gram, a second factor or any other n_t^2 temporary
+        # breaks the bound.
         n = 32 * 32
         target = grid_nodes([-1, -1, 0], [1, 1, 0], [32, 32, 1])
         K_t = assemble_gram(KernelSpec("newtonian"), target)
@@ -279,7 +280,18 @@ class TestBalayage:
         finally:
             tracemalloc.stop()
         assert rep.potential_residual <= 1e-8
-        assert peak <= 8 * n * n + 64 * 8 * n
+        assert peak <= 64 * 8 * n
+
+    def test_refused_target_is_restored(self):
+        # An indefinite table block, the source on the table's third row: the
+        # factorization fails inside the Gram's buffer, which is put back.
+        table = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        K = assemble_gram(KernelSpec("custom_table", table=table), [[0], [1]])
+        before = K.entries.copy()
+        with pytest.raises(NotPositiveDefinite, match=r"^target Gram is not strictly PD: "
+                                                      r"Matrix is not positive definite$"):
+            balayage(ScalarSignedMeasure(support=[[2]], weights=[1.0]), K)
+        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
 
 
 class TestGreenGram:
@@ -566,6 +578,17 @@ class TestThinnessDemo:
         assert caps[0] > 0.0 and caps[1] >= caps[0] - 1e-12
 
 
+@pytest.mark.parametrize("low, high, shape", [
+    (0.0, 1.0, 5),  # scalar corners
+    ([0.0], [1.0], [2.5]),  # a fractional count
+    ([0.0], [1.0], [0]),  # an empty axis
+    ([0.0, 0.0], [1.0, 1.0], [2]),  # one count for two axes
+])
+def test_grid_nodes_refuses_bad_arguments(low, high, shape):
+    with pytest.raises(VequilError, match="grid generator"):
+        grid_nodes(low, high, shape)
+
+
 def test_ring_nodes_on_circle():
     pts = ring_nodes(8, 0.5, center=(1.0, -1.0))
     d = np.sqrt(((pts - [1.0, -1.0]) ** 2).sum(axis=1))
@@ -635,6 +658,24 @@ class TestEveryGramProductIsMatvec:
             lam = K.lambda_max()
         assert matvec.call_count >= 2
         assert abs(lam - np.linalg.eigvalsh(K.entries)[-1]) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("target, source, nnls", [
+        (grid_nodes([-1, -1, 0], [1, 1, 0], [10, 10, 1]), [0.0, 0.0, 1.0], False),
+        # An inner sphere shielded by an outer one: some weight of the solve is negative.
+        (np.vstack([fibonacci_sphere(60, radius=1.0), fibonacci_sphere(20, radius=0.5)]),
+         [2.5, 0.0, 0.0], True),
+    ], ids=["dpotrs", "nnls"])
+    def test_balayage(self, target, source, nnls):
+        K = assemble_gram(KernelSpec("newtonian"), target)
+        src = ScalarSignedMeasure(support=[source], weights=[1.0])
+        before = K.entries.copy()
+        want = balayage(src, K)
+        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
+        with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as fallback:
+            got = balayage(src, guarded(K))
+        assert fallback.called == nnls
+        assert np.array_equal(got.swept, want.swept)
+        assert got.potential_residual == want.potential_residual
 
     def test_exhaustion_experiment(self):
         parsed = parse_config(str(CONFIGS / "exhaust_two_plate.json"))

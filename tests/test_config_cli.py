@@ -776,15 +776,19 @@ def threads():
     count = _lapack.set_threads_local(1)
     _lapack.set_threads_local(count)
     return count
-start = threads()
-assert vequil.cli.main(["capacity", {str(CONFIGS / "capacity_sphere.json")!r}, "--out", os.devnull]) == 0
-print(start, threads())
+counts = [threads()]
+for command, config in (("capacity", "capacity_sphere.json"),
+                        ("balayage", "balayage_point_to_plate.json")):
+    path = os.path.join({str(CONFIGS)!r}, config)
+    assert vequil.cli.main([command, path, "--out", os.devnull]) == 0
+    counts.append(threads())
+print(*counts)
 """
 
 
 @pytest.mark.skipif(_lapack.set_threads_local is None,
                     reason="scipy's BLAS has no openblas_set_num_threads_local")
 def test_capacity_leaves_scipys_thread_count_as_it_found_it():
-    # The 500-row Gram is factored on one BLAS thread; the process's count comes back.
-    start, end = _fresh_python(_CAPACITY_THREADS, threads=2).split()
-    assert start == end
+    # The 500-row capacity Gram and the 100-row balayage target are factored on one
+    # BLAS thread; the process's count of two comes back after each command.
+    assert _fresh_python(_CAPACITY_THREADS, threads=2).split() == ["2", "2", "2"]

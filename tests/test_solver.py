@@ -128,7 +128,8 @@ class TestSolve:
         table = np.array([[1.0, 2.0], [2.0, 1.0]])
         c = Condenser(plates=(make_plate(0, 1, [[0.0], [1.0]], sigma=1.0),))
         K = condenser_gram(KernelSpec("custom_table", table=table), c)
-        with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue -1\.000e\+00 < -"):
+        with pytest.raises(NotPositiveDefinite, match=r"objective: K \+ pd_tol\*I has no "
+                           r"Cholesky factor \(lambda_max 3\.000e\+00, pd_tol 3\.000e-10\)"):
             solve(c, K, zero_field(c))
 
     @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
