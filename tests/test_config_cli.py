@@ -57,11 +57,12 @@ class TestParse:
         assert (bare.capacity_plate, bare.frostman_tol, bare.balayage_source) == (0, None, None)
         assert (bare.balayage_plate, bare.balayage_tol, bare.exhaust_schedule) == (0, 1e-9, ())
         parsed = parse_config(minimal_config(
-            capacity={"plate": 1, "frostman_tol": 1e-3},
-            balayage={"source": _SOURCE, "target_plate": 1, "tol": 1},
+            capacity={"plate": 1.0, "frostman_tol": 1e-3},
+            balayage={"source": _SOURCE, "target_plate": 1.0, "tol": 1},
             exhaust={"fractions": [0.5, 1]},
         ))
         assert (parsed.capacity_plate, parsed.frostman_tol) == (1, 1e-3)
+        assert type(parsed.capacity_plate) is type(parsed.balayage_plate) is int
         assert (parsed.balayage_plate, parsed.balayage_tol) == (1, 1.0)
         assert parsed.exhaust_schedule == ((0.5, 1.0), (1.0, 1.0))
         values = (parsed.frostman_tol, parsed.balayage_tol, *sum(parsed.exhaust_schedule, ()))
@@ -160,10 +161,10 @@ def _generated_plates(generator, **settings):
     return plates
 
 
-def _signed_plates(sign):
-    """The minimal config's plates with the first one's sign replaced."""
+def _plates_with(**fields):
+    """The minimal config's plates with fields of the first one set."""
     plates = minimal_config()["plates"]
-    plates[0]["sign"] = sign
+    plates[0].update(fields)
     return plates
 
 
@@ -210,7 +211,30 @@ def _signed_plates(sign):
         ("capacity", {"plates": _generated_plates(_GRID, shape=[0, 2, 1])}, "plates[0].nodes"),
         ("solve", {"plates": _generated_plates(_GRID, shape=[2.5, 2, 1])},
          "plates[0].nodes.shape[0]"),
-        ("solve", {"plates": _signed_plates(True)}, "plates[0].sign"),
+        ("solve", {"plates": _plates_with(sign=True)}, "plates[0].sign"),
+        ("solve", {"plates": _plates_with(a=True)}, "plates[0].a"),
+        ("solve", {"plates": _plates_with(sigma=True)}, "plates[0].sigma"),
+        ("solve", {"solver": {"grad_tol": True}}, "solver.grad_tol"),
+        ("solve", {"kernel": {"family": "riesz", "alpha": True}}, "kernel.alpha"),
+        ("exhaust", {"exhaust": []}, "exhaust"),
+        ("exhaust", {"exhaust": 0}, "exhaust"),
+        ("capacity", {"capacity": False}, "capacity"),
+        ("balayage", {"balayage": ""}, "balayage"),
+        ("capacity", {"capacity": {"plate": True}}, "capacity.plate"),
+        ("solve", {"kernel": {"family": "riesz", "alpha": 2.0, "epsilom": 0.1}},
+         "kernel.epsilom"),
+        ("solve", {"plates": _plates_with(gg=1.0)}, "plates[0].gg"),
+        ("solve", {"solvr": {"grad_tol": 1e-6}}, "solvr"),
+        ("capacity", {"capacity": {"plat": 1}}, "capacity.plat"),
+        ("exhaust", {"exhaust": {"fractions": [1.0], "sigma_scale": [1.0]}},
+         "exhaust.sigma_scale"),
+        ("balayage", {"balayage": {"source": _SOURCE, "target": 1}}, "balayage.target"),
+        ("solve", {"plates": _plates_with(sigma={"equilibrium_scale": 2, "x": 1})},
+         "plates[0].sigma.x"),
+        ("solve", {"plates": _plates_with(sigma={"equilibrium_scale": "inf"})},
+         "plates[0].sigma.equilibrium_scale"),
+        ("solve", {"field": {"case": "case1", "values": [float("nan"), 0.0]}},
+         "field.values[0]"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,

@@ -20,7 +20,8 @@ a time, with the active-set oracle that solves every support by least squares.
 The one-pass KKT residual is compared with the per-plate loop it replaced, and
 the one-sort knapsack oracle over all plates with the one-plate knapsack.
 Projected gradient and Frank-Wolfe are compared on random small condensers,
-and mutated committed configs must parse or raise a ConfigError.
+and mutated committed configs must parse or raise a ConfigError; a committed
+config with an unknown key in any of its objects is refused at that key's path.
 """
 
 import copy
@@ -1392,6 +1393,13 @@ def doc_paths(node, prefix=()):
             yield from doc_paths(child, prefix + (key,))
 
 
+def lookup(doc, path):
+    """The value of a JSON document at a key path."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def mutated_configs(draw):
     doc = small_config(draw(st.sampled_from(COMMITTED_CONFIGS)))
@@ -1400,9 +1408,7 @@ def mutated_configs(draw):
         if not paths:
             break
         *head, key = draw(st.sampled_from(paths))
-        parent = doc
-        for k in head:
-            parent = parent[k]
+        parent = lookup(doc, head)
         mutant = draw(st.sampled_from(("delete",) + MUTANTS))
         if mutant == "delete":
             del parent[key]
@@ -1420,3 +1426,32 @@ def test_mutated_config_parses_or_is_a_config_error(doc):
         event("ConfigError")
     else:
         event("parsed")
+
+
+# Keys that no config object reads, several of them near misses of one that does.
+UNKNOWN_KEYS = ("epsilom", "gg", "solvr", "plat", "sigma_scale", "target", "x", "Sign")
+
+
+def json_path(keys) -> str:
+    """A key path in the form a ConfigError names it, such as ``plates[0].nodes``."""
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}" if path else key
+    return path
+
+
+# Every JSON object of every committed config, as (config name, key path).
+CONFIG_OBJECTS = [(name, path) for name in COMMITTED_CONFIGS for doc in [small_config(name)]
+                  for path in [(), *doc_paths(doc)] if isinstance(lookup(doc, path), dict)]
+
+
+@pytest.mark.parametrize("name, at", CONFIG_OBJECTS,
+                         ids=[f"{name}:{json_path(at) or 'top'}" for name, at in CONFIG_OBJECTS])
+@settings(SETTINGS, max_examples=4)
+@given(key=st.sampled_from(UNKNOWN_KEYS), value=st.sampled_from(MUTANTS))
+def test_unknown_key_is_refused_at_its_path(name, at, key, value):
+    doc = small_config(name)
+    lookup(doc, at)[key] = copy.deepcopy(value)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(doc)
+    assert str(refused.value).startswith(f"{json_path(at + (key,))}: ")
