@@ -36,7 +36,6 @@ from .kernels import (
     _pd_gate,
     assemble_gram,
     cross_kernel,
-    resolve_epsilon,
 )
 from .solver import Problem, SolverConfig, solve, verify_kkt
 
@@ -149,21 +148,12 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     charged; the maximum violation is reported as ``potential_residual``.
 
     Only the target block ``K_tt`` and the source potential on the target,
-    ``(K omega)_t``, enter.  The source rows come from :func:`cross_kernel`
-    under the Gram's spec, so a source point on a node gets that node's Gram
-    row bit for bit.  ``K_tt = L L'`` is factored once, inside the target
-    Gram's own buffer (:meth:`GramMatrix._factored`; a refusal raises
-    :class:`NotPositiveDefinite`), and solves the normal equations ``K_tt
-    beta = (K omega)_t`` by LAPACK's ``dpotrs``; when every weight comes out
-    nonnegative this is the constrained optimum (the KKT conditions hold
-    with zero multipliers).  Only when some weight is negative does
-    ``scipy.optimize.nnls`` solve the least-squares form ``min |L' beta -
-    L^-1 (K omega)_t|`` over ``beta >= 0``, the same objective up to a
-    constant, on a copy of ``L'`` and ``dtrtrs``'s right-hand side, both
-    taken while the factor is in place.  A source that lies wholly on target
-    nodes is returned as it is, the exact optimum with residual 0, without
-    factoring ``K_tt``.  Working memory is the Gram plus vectors, and the
-    copy of ``L'`` on the NNLS path.
+    ``(K omega)_t``, enter :func:`_swept`.  The source rows come from
+    :func:`cross_kernel` under the Gram's spec, so a source point on a node
+    gets that node's Gram row bit for bit.  A source that lies wholly on
+    target nodes is returned as it is, the exact optimum with residual 0,
+    without factoring ``K_tt``.  Working memory is the Gram plus vectors, and
+    the copy of ``L'`` on the NNLS path.
     """
     if np.any(source.weights < 0.0):
         raise VequilError("balayage source must be nonnegative")
@@ -193,6 +183,31 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
                               mass_ratio=float(beta.sum()) / source.total,
                               swept_energy=source_energy, source_energy=source_energy)
     K_omega = w @ cross[:, :n_t]
+    beta = _swept(target_gram, K_omega)
+    K_beta = target_gram.matvec(beta)
+    diff_potential, charged = K_beta - K_omega, beta > 0.0
+    violation = max(float(np.abs(diff_potential[charged]).max(initial=0.0)),
+                    float(np.maximum(0.0, -diff_potential[~charged]).max(initial=0.0)))
+    return BalayageReport(
+        swept=beta,
+        potential_residual=violation,
+        mass_ratio=float(beta.sum()) / source.total,
+        swept_energy=float(np.sqrt(max(0.0, beta @ K_beta))),
+        source_energy=source_energy,
+    )
+
+
+def _swept(target_gram: GramMatrix, K_omega: np.ndarray) -> np.ndarray:
+    """The balayage weights ``beta >= 0`` on a target Gram ``K_tt`` of ``(K omega)_t``.
+
+    ``K_tt = L L'`` is factored once, inside the target Gram's own buffer
+    (:meth:`GramMatrix._factored`; a refusal raises :class:`NotPositiveDefinite`),
+    and solves ``K_tt beta = (K omega)_t`` by LAPACK's ``dpotrs``: if every
+    weight is nonnegative, the KKT conditions hold with zero multipliers.
+    Otherwise ``scipy.optimize.nnls`` solves ``min |L' beta - L^-1 (K omega)_t|``
+    over ``beta >= 0``, the same objective up to a constant, on a copy of
+    ``L'`` and ``dtrtrs``'s right-hand side, both taken while ``L`` is in place.
+    """
 
     def sweep(c, d):  # the weights, or NNLS's matrix L' and right-hand side L^-1 (K omega)_t
         beta = lapack.dpotrs(c, K_omega, lower=1)[0]
@@ -207,43 +222,32 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     if rhs is not None:
         from scipy import optimize  # imported only on this path: the import is slow
 
-        beta, _ = optimize.nnls(beta, rhs, maxiter=max(200, 50 * n_t))
-    K_beta = target_gram.matvec(beta)
-    diff_potential, charged = K_beta - K_omega, beta > 0.0
-    violation = max(float(np.abs(diff_potential[charged]).max(initial=0.0)),
-                    float(np.maximum(0.0, -diff_potential[~charged]).max(initial=0.0)))
-    return BalayageReport(
-        swept=beta,
-        potential_residual=violation,
-        mass_ratio=float(beta.sum()) / source.total,
-        swept_energy=float(np.sqrt(max(0.0, beta @ K_beta))),
-        source_energy=source_energy,
-    )
+        beta, _ = optimize.nnls(beta, rhs, maxiter=max(200, 50 * target_gram.size))
+    return beta
 
 
-def green_gram(inner_nodes, screen_gram: GramMatrix) -> GramMatrix:
+def green_gram(rows, screen_gram: GramMatrix) -> GramMatrix:
     """Gram of the kernel screened by the nodes of a Gram, via linear sweeping.
 
     The screened kernel is ``kappa(x, y) - kappa(x, swept delta_y)`` with the
     sweep onto the screen nodes: on the joint Gram over inner and screen
     nodes, exactly the Schur complement ``A - B C^-1 B'`` of the screen block
-    ``C``, here ``screen_gram``.  ``A`` and ``B`` are the inner rows, one
-    :func:`cross_kernel` under the screen Gram's spec, bit for bit the joint
-    Gram's; ``C`` is factored inside its own buffer
-    (:meth:`GramMatrix._factored`).  Inner and screen nodes must be disjoint.
+    ``C``, here ``screen_gram``.  ``rows`` are the joint Gram's inner rows
+    ``[A | B]``, ``n x (n + screen_gram.size)``; no kernel is evaluated here.
+    ``C`` is factored inside its own buffer (:meth:`GramMatrix._factored`).
+    Inner and screen nodes must be disjoint.  The result records neither
+    nodes nor a kernel: the screened kernel is not one of the catalog.
     """
-    screen, spec = screen_gram.nodes, screen_gram.spec
-    if screen is None or spec is None:
-        raise VequilError("green_gram needs a screen Gram that records its nodes and kernel")
-    inner = np.asarray(inner_nodes, dtype=float)
-    n_i = inner.shape[0]
-    rows = cross_kernel(spec, inner, np.vstack([inner, screen]))
+    rows = np.asarray(rows, dtype=float)
+    n_i = rows.shape[0]
+    if rows.shape != (n_i, n_i + screen_gram.size):
+        raise DimensionMismatch(f"green_gram rows {rows.shape} for a screen of {screen_gram.size}")
     A, B = rows[:, :n_i], rows[:, n_i:]
     S = screen_gram._factored(0.0, lambda c, d: A - B @ lapack.dpotrs(c, B.T, lower=1)[0])
     if S is None:
         raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
     S = 0.5 * (S + S.T)  # exactly symmetric: IEEE addition commutes
-    return GramMatrix._assembled(S, nodes=inner)
+    return GramMatrix._assembled(S)
 
 
 # ---------------------------------------------------------------------------
@@ -398,66 +402,57 @@ def thinness_demo(
 ) -> ThinnessReport:
     """Capacity growth and balayage-candidate gap for a thinning body.
 
-    For each truncation radius the rotational body is discretized (node sets
-    are nested across radii, under one kernel regularization fixed by the
-    largest radius), its capacity computed, and a two-plate charge problem
-    solved: a fixed compact positive plate holding the trace of a screened
-    equilibrium measure against the body as the negative plate, driven by
-    the potential of the remaining trace.  The reported gap is the
-    semimetric distance between the solved minimizer and the swept
-    candidate; the constraint on the body is the swept measure plus uniform
-    annulus allowances absorbing any mass lost by the sweep.
+    For each truncation radius the rotational body is discretized, its
+    capacity computed, and a two-plate charge problem solved: a fixed compact
+    positive plate holding the trace of a screened equilibrium measure
+    against the body as the negative plate, driven by the potential of the
+    remaining trace.  The reported gap is the semimetric distance between
+    the solved minimizer and the swept candidate; the constraint on the body
+    is the swept measure plus uniform annulus allowances absorbing any mass
+    lost by the sweep.  The node sets are nested across radii, so one Gram
+    ``J`` over anchor, source and the largest body, its spacing pass fixing
+    the regularization, holds every matrix: each radius reads its inner rows
+    in ``J`` and copies out its body Gram and, once that is dropped, its
+    condenser Gram, so ``J`` and one block are held at a time.
     """
     radii = sorted(float(r) for r in truncation_radii)
     if not radii:
         raise VequilError("need at least one truncation radius")
     anchor = fibonacci_sphere(48, radius=0.6, center=(-2.5, 0.0, 0.0))
     src = fibonacci_sphere(32, radius=0.4, center=(-5.0, 0.0, 0.0))
-    body_full = rotational_body(profile, s, q, radii[-1])
-    spec = resolve_epsilon(KernelSpec("newtonian"),
-                           np.vstack([anchor, src, body_full]))
+    n1, n_in = anchor.shape[0], anchor.shape[0] + src.shape[0]
+    J = assemble_gram(KernelSpec("newtonian"),
+                      np.vstack([anchor, src, rotational_body(profile, s, q, radii[-1])]))
     cfg = SolverConfig(grad_tol=1e-9)
     stages = []
     for r in radii:
-        nodes2 = rotational_body(profile, s, q, r)
-        K2 = assemble_gram(spec, nodes2)
+        body = slice(n_in, n_in + rotational_body(profile, s, q, r).shape[0])
+        nodes2 = J.nodes[body]
+        K2 = _sub_gram(J, body)
         eq = equilibrium(nodes2, K2, config=cfg)
-        mass_center = float("nan")
-        gap = float("nan")
-        swept_mass = float("nan")
+        mass_center = gap = swept_mass = float("nan")
         converged = eq.converged
         if include_gap:
-            inner = np.vstack([anchor, src])
-            Gg = green_gram(inner, K2)
-            eq_g = equilibrium(inner, Gg, config=cfg)
-            theta = eq_g.unit_minimizer
-            theta_anchor = theta[: anchor.shape[0]]
-            theta_src = theta[anchor.shape[0]:]
+            rows = J.entries[:n_in, :body.stop]
+            theta = equilibrium(J.nodes[:n_in], green_gram(rows, K2), config=cfg).unit_minimizer
+            theta_anchor, theta_src = theta[:n1], theta[n1:]
             # dot with ones matches the feasibility check's reduction order
-            a1 = float(np.ones(theta_anchor.shape[0]) @ theta_anchor)
+            a1 = float(np.ones(n1) @ theta_anchor)
             if a1 <= 1e-12:
                 raise VequilError("screened equilibrium places no mass on the anchor plate")
-            theta_measure = ScalarSignedMeasure(support=inner, weights=theta)
-            bal = balayage(theta_measure, K2)
-            swept_mass = float(bal.swept.sum())
-            deficit = max(0.0, 1.0 - swept_mass)
-            sigma2 = bal.swept + _annulus_allowance(nodes2, deficit, q)
-            plate1 = Plate(id=0, sign=1, nodes=anchor, g=np.ones(anchor.shape[0]),
-                           mass=a1, sigma=theta_anchor)
-            plate2 = Plate(id=1, sign=-1, nodes=nodes2, g=np.ones(nodes2.shape[0]),
-                           mass=1.0, sigma=sigma2)
-            cond = Condenser(plates=(plate1, plate2))
-            # The condenser Gram borders K2 with the anchor rows: the body block is not recomputed.
-            nodes_c, n1 = cond.all_nodes(), anchor.shape[0]
-            rows = cross_kernel(spec, anchor, nodes_c)
-            joint = np.empty((nodes_c.shape[0],) * 2)
-            joint[:n1], joint[n1:, :n1], joint[n1:, n1:] = rows, rows[:, n1:].T, K2.entries
-            Kc = GramMatrix._assembled(joint, spec=spec, nodes=nodes_c)
-            zeta = ScalarSignedMeasure(support=src, weights=theta_src)
-            field = FieldSpec(case=CASE2, case2_zeta=zeta)
+            swept = _swept(K2, theta @ rows[:, n_in:])
+            del K2  # J and one block are held: K2 goes before the condenser block is copied
+            swept_mass = float(swept.sum())
+            sigma2 = swept + _annulus_allowance(nodes2, max(0.0, 1.0 - swept_mass), q)
+            cond = Condenser(plates=(
+                Plate(id=0, sign=1, nodes=anchor, g=np.ones(n1), mass=a1, sigma=theta_anchor),
+                Plate(id=1, sign=-1, nodes=nodes2, g=np.ones(len(nodes2)), mass=1.0, sigma=sigma2)))
+            keep = np.r_[:n1, body]
+            Kc = GramMatrix._assembled(J.entries[np.ix_(keep, keep)], spec=J.spec,
+                                       nodes=cond.all_nodes())
+            field = FieldSpec(case=CASE2, case2_zeta=ScalarSignedMeasure(src, theta_src))
             rep = solve(cond, Kc, field, cfg)
-            candidate = cond.measure([theta_anchor, bal.swept])
-            gap = semimetric_distance(cond, Kc, rep.minimizer, candidate)
+            gap = semimetric_distance(cond, Kc, rep.minimizer, cond.measure([theta_anchor, swept]))
             w2 = rep.minimizer.weights[1]
             mass_center = float(w2 @ nodes2[:, 0] / w2.sum())
             converged = converged and rep.converged

@@ -141,6 +141,12 @@ def _list_of(parse, nonempty: bool = False):
     return parse_list
 
 
+def _array(value, path: str, depth: int = 2):
+    """Parse rule for a number, or a list of these nested at most ``depth`` deep."""
+    nested = isinstance(value, list) and depth > 0
+    return (_list_of(partial(_array, depth=depth - 1)) if nested else _as_float)(value, path)
+
+
 def _per_node(value, path: str, n: int, allow_inf: bool = False) -> np.ndarray:
     """A scalar or a list of ``n`` numbers; finite, or also +inf with ``allow_inf``."""
     if isinstance(value, list):
@@ -162,7 +168,7 @@ def build_nodes(desc, path: str) -> np.ndarray:
     """
     if isinstance(desc, list):
         try:
-            nodes = np.asarray(desc, dtype=float)
+            nodes = np.asarray(_array(desc, path), dtype=float)
         except (TypeError, ValueError):
             raise _fail(path, "inline nodes must be a rectangular numeric array") from None
         nodes = nodes[:, None] if nodes.ndim == 1 else nodes
@@ -210,7 +216,7 @@ def build_nodes(desc, path: str) -> np.ndarray:
 def _parse_kernel(value, path: str) -> KernelSpec:
     kernel = _Fields(value, path)
     settings = dict(family=kernel("family"), alpha=kernel("alpha", _as_float, None),
-                    epsilon=kernel("epsilon", _as_float, None), table=kernel("table", None, None))
+                    epsilon=kernel("epsilon", _as_float, None), table=kernel("table", _array, None))
     kernel.done()
     try:
         return KernelSpec(**settings)
@@ -220,11 +226,10 @@ def _parse_kernel(value, path: str) -> KernelSpec:
 
 def _parse_scalar_measure(value, path: str) -> ScalarSignedMeasure:
     measure = _Fields(value, path)
-    support, weights = measure("support"), measure("weights")
+    support, weights = measure("support", _array), measure("weights", _array)
     measure.done()
     try:
-        return ScalarSignedMeasure(support=np.asarray(support, dtype=float),
-                                   weights=np.asarray(weights, dtype=float))
+        return ScalarSignedMeasure(np.asarray(support, float), np.asarray(weights, float))
     except (VequilError, TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
 

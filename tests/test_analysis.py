@@ -28,7 +28,7 @@ from vequil import (
     make_plate,
     zero_field,
 )
-from vequil import analysis
+from vequil import analysis, kernels
 from vequil.analysis import (
     balayage,
     equilibrium,
@@ -300,7 +300,8 @@ class TestGreenGram:
         inner = rng.uniform(-1, 1, (12, 3)) + [-3.0, 0.0, 0.0]
         screen = rng.uniform(-1, 1, (20, 3)) + [3.0, 0.0, 0.0]
         spec = KernelSpec("newtonian", epsilon=0.15)
-        G = green_gram(inner, assemble_gram(spec, screen))
+        G = green_gram(cross_kernel(spec, inner, np.vstack([inner, screen])),
+                       assemble_gram(spec, screen))
         assert check_positive_definite(G).is_strictly_pd
         plain = assemble_gram(spec, inner)
         # screening only removes energy
@@ -311,8 +312,8 @@ class TestGreenGram:
 
 
     def test_equals_the_joint_schur_complement_bit_for_bit(self):
-        # The inner rows come from one cross kernel and the screen block is the
-        # screen Gram itself, factored in place: the Schur complement of the
+        # The inner rows are those of the joint Gram and the screen block is
+        # the screen Gram itself, factored in place: the Schur complement of the
         # joint Gram, entry for entry, and the screen Gram left as it was.
         rng = np.random.default_rng(6)
         inner = rng.uniform(-1, 1, (12, 3)) + [-3.0, 0.0, 0.0]
@@ -320,14 +321,15 @@ class TestGreenGram:
         spec = KernelSpec("newtonian", epsilon=0.15)
         K_s = assemble_gram(spec, screen)
         before = K_s.entries.copy()
-        G = green_gram(inner, K_s)
+        rows = cross_kernel(spec, inner, np.vstack([inner, screen]))
+        G = green_gram(rows, K_s)
         assert np.array_equal(K_s.entries, before)
         joint = assemble_gram(spec, np.vstack([inner, screen])).entries
         A, B, C = joint[:12, :12], joint[:12, 12:], joint[12:, 12:]
         S = A - B @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(C, lower=True), B.T)
         assert np.array_equal(G.entries, 0.5 * (S + S.T))
-        with pytest.raises(VequilError, match="records its nodes and kernel"):
-            green_gram(inner, GramMatrix(entries=K_s.entries))
+        with pytest.raises(DimensionMismatch, match=r"rows \(12, 51\) for a screen of 40"):
+            green_gram(rows[:, :-1], K_s)
 
 def loose_two_plate(rng, n_per=40):
     # masses small enough that 25% head-truncations stay feasible
@@ -570,6 +572,27 @@ class TestThinnessDemo:
         assert np.isfinite(st.gap_to_balayage_candidate)
         assert st.minimizer_mass_center > 0.0
         assert 0.0 < st.swept_mass <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("include_gap, evaluations", [(True, 3), (False, 1)])
+    def test_one_assembly_per_command(self, include_gap, evaluations, monkeypatch):
+        # One Gram over anchor, source and the largest body serves every
+        # radius; the only other kernel evaluation is each radius's case-2
+        # field inside solve.  No separate spacing pass runs.
+        calls = []
+        kernel_matrix = kernels._kernel_matrix
+
+        def counted(spec, X, Y):
+            calls.append((X.shape[0], Y.shape[0]))
+            return kernel_matrix(spec, X, Y)
+
+        def no_spacing_pass(*args):
+            raise AssertionError("a separate spacing pass ran")
+
+        monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+        monkeypatch.setattr(kernels, "minimum_spacing", no_spacing_pass)
+        thinness_demo("power_s", 1, [4, 8], include_gap=include_gap)
+        assert len(calls) == evaluations
+        assert calls[0] == (80 + 307, 80 + 307)
 
     def test_exp_slow_decay_profile_runs(self):
         # the ambiguous slow-decay case: reported as a trend only

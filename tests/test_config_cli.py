@@ -177,7 +177,7 @@ def _plates_with(**fields):
          "balayage.target_plate"),
         ("balayage", {"balayage": {"source": _SOURCE, "tol": "tight"}}, "balayage.tol"),
         ("balayage", {"balayage": {"source": {"support": "x", "weights": [1.0]}}},
-         "balayage.source"),
+         "balayage.source.support"),
         ("exhaust", {"exhaust": {"fractions": ["half"]}}, "exhaust.fractions[0]"),
         ("exhaust", {"exhaust": {"fractions": [0.5, 1.0], "sigma_scales": 5}},
          "exhaust.sigma_scales"),
@@ -235,6 +235,24 @@ def _plates_with(**fields):
          "plates[0].sigma.equilibrium_scale"),
         ("solve", {"field": {"case": "case1", "values": [float("nan"), 0.0]}},
          "field.values[0]"),
+        ("solve", {"plates": _plates_with(nodes=[[True, 0.0, 0.0], [-1.5, 0.0, 0.0]])},
+         "plates[0].nodes[0][0]"),
+        ("solve", {"plates": _plates_with(nodes=[[-2.0, 0.0, 0.0], ["1", 0.0, 1.0]])},
+         "plates[0].nodes[1][0]"),
+        ("check-pd", {"kernel": {"family": "custom_table", "table": [[True, 0], [0, 1]]}},
+         "kernel.table[0][0]"),
+        ("check-pd", {"kernel": {"family": "custom_table", "table": [[1, 0], [0, "1"]]}},
+         "kernel.table[1][1]"),
+        ("balayage", {"balayage": {"source": {"support": [[0.0, 0.0, True]], "weights": [1.0]}}},
+         "balayage.source.support[0][2]"),
+        ("balayage", {"balayage": {"source": {"support": [[0.0, 3.0, 0.0]], "weights": ["2"]}}},
+         "balayage.source.weights[0]"),
+        ("solve", {"field": {"case": "case2", "zeta": {"support": [["0", 3.0, 0.0]],
+                                                       "weights": [1.0]}}},
+         "field.zeta.support[0][0]"),
+        ("solve", {"field": {"case": "case2", "zeta": {"support": [[0.0, 3.0, 0.0]],
+                                                       "weights": [True]}}},
+         "field.zeta.weights[0]"),
     ],
 )
 def test_malformed_command_section_is_a_config_error(command, section, field_path,
@@ -389,6 +407,19 @@ class TestCLI:
         golden = json.loads((REPO / "goldens" / "solve_two_plate.json").read_text())
         assert abs(record["value"] - golden["value"]) <= 1e-8
         assert record["converged"]
+
+    def test_thinness_golden(self, capsys):
+        golden = json.loads((REPO / "goldens" / "thinness_power_s.json").read_text())
+        code, out, _ = run_cli(golden["command"].split()[1:], capsys)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == len(golden["stages"])
+        for record, stage in zip(records, golden["stages"]):
+            assert record["n_body_nodes"] == stage["n_body_nodes"]
+            assert record["converged"] is stage["converged"]
+            for key in ("radius", "capacity", "minimizer_mass_center",
+                        "gap_to_balayage_candidate", "swept_mass"):
+                assert abs(record[key] - stage[key]) <= 1e-8, key
 
     def test_solve_deterministic_bytes(self, capsys):
         args = ["solve", str(CONFIGS / "solve_two_plate.json"), "--seed", "11"]

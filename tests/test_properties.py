@@ -63,7 +63,7 @@ from vequil import analysis, solver
 from vequil.analysis import _sub_gram, balayage, equilibrium, green_gram
 from vequil.condenser import CASE1, CASE2, zero_field
 from vequil.config import parse_config
-from vequil.geometry import fibonacci_sphere
+from vequil.geometry import PROFILES, fibonacci_sphere, rotational_body
 from vequil.kernels import _ASSEMBLY_BLOCK, _pd_gate, _sq_dist_blocks
 from vequil.solver import (
     _QP,
@@ -691,7 +691,9 @@ def gram_by(path: str, n: int, rng) -> GramMatrix:
         start = int(rng.integers(0, 6))
         return _sub_gram(big, slice(start, start + n))
     if path == "green_gram":
-        return green_gram(pts, assemble_gram(spec, rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0]))
+        screen = rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0]
+        rows = cross_kernel(spec, pts, np.vstack([pts, screen]))
+        return green_gram(rows, assemble_gram(spec, screen))
     table = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 3, 3))).entries
     return assemble_gram(KernelSpec("custom_table", table=table), rng.integers(0, n + 3, n))
 
@@ -1361,6 +1363,37 @@ def test_projected_gradient_and_frank_wolfe_agree(inputs):
 
 
 # ---------------------------------------------------------------------------
+# Nested rotational bodies: thinness reads every radius from the largest one
+# ---------------------------------------------------------------------------
+
+
+# The exponent range each profile accepts, cut to keep the bodies small.
+PROFILE_EXPONENTS = {"power_s": (0.0, 3.0), "exp_s_le1": (0.05, 1.0), "exp_s_gt1": (1.01, 3.0)}
+
+
+@st.composite
+def nested_bodies(draw):
+    profile = draw(st.sampled_from(PROFILES))
+    s = draw(st.floats(*PROFILE_EXPONENTS[profile]))
+    q = draw(st.floats(0.1, 2.0))
+    r = q + draw(st.floats(0.01, 15.0))
+    return profile, s, q, r, r + draw(st.floats(0.01, 15.0))
+
+
+@SETTINGS
+@given(nested_bodies())
+@example(("power_s", 1.0, 1.0, 4.0, 32.0))
+def test_rotational_body_is_a_prefix_of_a_longer_one(body):
+    profile, s, q, r, r_max = body
+    try:
+        short = rotational_body(profile, s, q, r)
+    except VequilError:  # every station up to r is below the node floor
+        event("empty short body")
+        return
+    assert same_bits(short, rotational_body(profile, s, q, r_max)[: short.shape[0]])
+
+
+# ---------------------------------------------------------------------------
 # Mutated committed configs: parsed, or refused with a ConfigError
 # ---------------------------------------------------------------------------
 
@@ -1455,3 +1488,19 @@ def test_unknown_key_is_refused_at_its_path(name, at, key, value):
     with pytest.raises(ConfigError) as refused:
         parse_config(doc)
     assert str(refused.value).startswith(f"{json_path(at + (key,))}: ")
+
+
+# Every number of every committed config, as (config name, key path).
+CONFIG_NUMBERS = [(name, path) for name in COMMITTED_CONFIGS for doc in [small_config(name)]
+                  for path in doc_paths(doc) if type(lookup(doc, path)) in (int, float)]
+
+
+@pytest.mark.parametrize("name, at", CONFIG_NUMBERS,
+                         ids=[f"{name}:{json_path(at)}" for name, at in CONFIG_NUMBERS])
+def test_true_in_place_of_a_number_is_refused_at_its_path(name, at):
+    doc = small_config(name)
+    *head, key = at
+    lookup(doc, head)[key] = True
+    with pytest.raises(ConfigError) as refused:
+        parse_config(doc)
+    assert str(refused.value).startswith(f"{json_path(at)}: ")
