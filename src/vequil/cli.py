@@ -57,8 +57,11 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
     else:
         text = "\n".join(json.dumps(rec) for rec in records) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise VequilError(f"cannot write output file {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -85,6 +85,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     """
     if not r_max > q:
         raise VequilError("rotational body needs r_max > q")
+    if not np.isfinite([q, r_max]).all():  # the stepping below would never end
+        raise VequilError(f"rotational body needs a finite q and r_max, got q={q}, r_max={r_max}")
     rho = profile_radius(profile, s)
     pts: list[np.ndarray] = []
     x = float(q)

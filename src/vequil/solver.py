@@ -20,16 +20,17 @@ optimality.  Two independent algorithms are provided:
   must back off to the simplex boundary, goes to an active-set simplex QP
   that solves each working support by Cholesky (least squares on the
   bordered KKT system only for dependent atoms); the factor is then rebuilt.
-  The textbook 2/(k+2) step rule converges far too slowly to certify tight
-  KKT residuals, so it is not used.
 
-Every round costs a fixed number of array operations for the whole
-condenser, apart from one :func:`project_plate` call per plate.  ``_QP``
-keeps the plates only as arrays, computed once per solve; the start and the
-final snap are whole-vector steps followed by one projection.  The KKT
-residual classifies all coordinates in one pass and sums each plate's
-multiplier with ``np.add.reduceat``; the rule for plates without an interior
-coordinate also runs for all plates at once, and only when one exists.
+Both run in one loop, :func:`_descend`, which owns the stopping test, the
+iteration count and the trace (the lowest value so far after each step that
+moved); each algorithm supplies only its step.  Every round costs a fixed
+number of array operations for the whole condenser, apart from one
+:func:`project_plate` call per plate.  ``_QP`` keeps the plates only as
+arrays, computed once per solve; the start and the final snap are
+whole-vector steps followed by one projection.  The KKT residual classifies
+all coordinates in one pass and sums each plate's multiplier with
+``np.add.reduceat``; the rule for plates without an interior coordinate also
+runs for all plates at once, and only when one exists.
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -315,57 +316,67 @@ def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure,
     check_shapes(c, mu)
     qp = _QP(c, K, f)
     w = mu.concat()
-    grad = qp.gradient(w)
-    resid, taus = _kkt_residual(qp, w, grad)
+    resid, taus = _kkt_residual(qp, w, qp.gradient(w))
     return KKTReport(ok=resid <= tol, max_residual=resid, multipliers=taus)
+
+
+def _descend(qp: _QP, cfg: SolverConfig, max_iters: int, w: np.ndarray, step):
+    """The descent loop of both algorithms, from the feasible start ``w``.
+
+    Each round takes the gradient and KKT residual at ``w`` through the carried
+    ``Kz``; the run stops at ``grad_tol`` or after ``max_iters`` steps.  Else
+    ``step(w, Kz, G, grad)``, ``G`` the lowest value so far, returns the next
+    ``(w, Kz, value)``, or ``None`` when it cannot move: the run then stops,
+    the step counted as taken.  The trace holds ``G`` at the start and after
+    each step that moved.
+    """
+    Kz = qp.product(w)
+    G = qp.objective(w, Kz)
+    trace = [G]
+    iters = 0
+    while True:
+        grad = qp.gradient(w, Kz)
+        resid, taus = _kkt_residual(qp, w, grad)
+        if resid <= cfg.grad_tol or iters == max_iters:
+            return w, Kz, resid, taus, iters, trace
+        iters += 1
+        moved = step(w, Kz, G, grad)
+        if moved is None:
+            return w, Kz, resid, taus, iters, trace
+        w, Kz, value = moved
+        G = min(G, value)
+        trace.append(G)
 
 
 def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
     eta_safe = 1.0 / (2.0 * max(qp.K.lambda_max(), 1e-300))
-    w = qp.initial(cfg.seed)
-    Kz = qp.product(w)  # carried from each accepted point into the next gradient
-    G = qp.objective(w, Kz)
-    trace = [G]
     prev_w = prev_grad = None
-    resid = np.inf
-    taus: tuple = ()
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        grad = qp.gradient(w, Kz)
-        resid, taus = _kkt_residual(qp, w, grad)
-        if resid <= cfg.grad_tol:
-            return w, Kz, resid, taus, iters - 1, trace
+
+    def step(w, Kz, G, grad):
+        nonlocal prev_w, prev_grad
         eta = eta_safe
         if prev_w is not None:
-            s = w - prev_w
-            y = grad - prev_grad
+            s, y = w - prev_w, grad - prev_grad
             sy = float(s @ y)
             if sy > 0.0:
                 eta = float(s @ s) / sy
         eta = min(max(eta, 1e-3 * eta_safe), 1e8 * eta_safe)
-        accepted = False
         slack = 1e-13 * (1.0 + abs(G))
         while True:
             w_new = qp.project(w - eta * grad)
             Kz_new = qp.product(w_new)
             G_new = qp.objective(w_new, Kz_new)
             if G_new <= G + slack:
-                accepted = True
                 break
             if eta <= 0.5 * eta_safe:
-                break  # at the numerical floor; treat as a stall
+                return None  # line-search floor: a stall
             eta = max(0.5 * eta, 0.25 * eta_safe)
-        if not accepted:
-            break
         if float(np.max(np.abs(w_new - w))) == 0.0:
-            w, Kz, G = w_new, Kz_new, min(G, G_new)
-            break  # projection fixed point below the residual target
+            return None  # projection fixed point below the residual target
         prev_w, prev_grad = w, grad
-        w, Kz, G = w_new, Kz_new, min(G, G_new)
-        trace.append(G)
-    grad = qp.gradient(w, Kz)
-    resid, taus = _kkt_residual(qp, w, grad)
-    return w, Kz, resid, taus, iters, trace
+        return w_new, Kz_new, G_new
+
+    return _descend(qp, cfg, max_iters, qp.initial(cfg.seed), step)
 
 
 def _back_off(alpha: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -520,7 +531,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     grows by one row per admitted vertex; a round that drops a vertex or
     leaves the carried path rebuilds it with one ``dpotrf`` (``None`` while the
     hull's atoms are dependent).  A new vertex that does not enter leaves ``w``
-    unchanged, so the oracle would propose it again: the loop stops there.  A
+    unchanged, so the oracle would propose it again: the run stops there.  A
     re-proposed hull vertex has its copy's row of ``Q``, so it does not enter
     either, unless the carried weights' stationarity error exceeds the entry
     tolerance (seen only under fields of 1e4 and more): it then enters as a
@@ -530,11 +541,10 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     tight KKT residuals; the corrective variant keeps the same oracle and
     converges linearly in practice.
     """
-    rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
-    if rng is None:
+    if cfg.seed is None:
         start_dir = qp.gradient(qp.initial(None))
     else:
-        start_dir = rng.standard_normal(qp.sigma.shape[0])
+        start_dir = np.random.default_rng(cfg.seed).standard_normal(qp.sigma.shape[0])
     v0 = qp.lmo(start_dir)
     atoms = np.empty((16, v0.size))  # hull vertices, one per row, in the first n rows
     lin = np.empty(16)  # <q, vertex>
@@ -545,31 +555,19 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     Q[0, 0] = float(v0 @ (qp.signs * qp.product(v0)))
     alpha = np.array([1.0])
     R = _hull_factor(Q[:1, :1])  # upper Cholesky factor of the hull Gram, carried across rounds
-    w = v0.copy()
-    Kz = qp.product(w)  # carried from each iterate into the next gradient
-    G = qp.objective(w, Kz)
-    trace = [G]
-    resid = np.inf
-    taus: tuple = ()
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        grad = qp.gradient(w, Kz)
-        resid, taus = _kkt_residual(qp, w, grad)
-        if resid <= cfg.grad_tol:
-            iters -= 1
-            break
+
+    def step(w, Kz, G, grad):
+        nonlocal atoms, lin, Q, n, alpha, R
         s = qp.lmo(grad)
-        gap = float(grad @ (w - s))
-        if gap <= 1e-15 * (1.0 + abs(G)):
-            break  # duality gap at the float floor
+        if float(grad @ (w - s)) <= 1e-15 * (1.0 + abs(G)):
+            return None  # the duality gap is at the float floor
         if n == lin.size:  # buffers full: double them
             atoms = np.concatenate([atoms, np.empty_like(atoms)])
             lin = np.concatenate([lin, np.empty_like(lin)])
             Q = np.pad(Q, (0, n))
         hs = qp.signs * qp.product(s)
         col = dgemv(1.0, atoms[:n].T, hs, trans=1)  # the old hull rows against s
-        Q[:n, n] = col
-        Q[n, :n] = col
+        Q[:n, n] = Q[n, :n] = col
         Q[n, n] = float(s @ hs)
         atoms[n] = s
         lin[n] = float(qp.q @ s)
@@ -577,30 +575,27 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         alpha, R = _corrective_step(Q[:n, :n], lin[:n], alpha, R)
         keep = alpha > 1e-15
         if not keep[-1]:
-            break  # the new vertex does not enter the hull: w cannot move
+            return None  # the new vertex does not enter the hull: w cannot move
         if not keep.all():
             idx = np.flatnonzero(keep)
             atoms[:idx.size], lin[:idx.size] = atoms[idx], lin[idx]
             Q[:idx.size, :idx.size] = Q[np.ix_(idx, idx)]
             n = idx.size
-            alpha = alpha[keep]
-            alpha = alpha / alpha.sum()
+            alpha = alpha[keep] / alpha[keep].sum()
             R = None
         if R is None:
             R = _hull_factor(Q[:n, :n])
         w = dgemv(1.0, atoms[:n].T, alpha)
         Kz = qp.product(w)
-        G_new = qp.objective(w, Kz)
-        G = min(G, G_new)
-        trace.append(G_new)
+        return w, Kz, qp.objective(w, Kz)
+
+    w, Kz, resid, taus, iters, trace = _descend(qp, cfg, max_iters, v0, step)
     # Final polish: exact bounds help the complementarity classification.
     snapped = qp.snap(w)
     Kz_snap = qp.product(snapped)
     r_snap, t_snap = _kkt_residual(qp, snapped, qp.gradient(snapped, Kz_snap))
-    grad = qp.gradient(w, Kz)
-    resid, taus = _kkt_residual(qp, w, grad)
     if r_snap <= resid:
-        w, Kz, resid, taus = snapped, Kz_snap, r_snap, t_snap
+        return snapped, Kz_snap, r_snap, t_snap, iters, trace
     return w, Kz, resid, taus, iters, trace
 
 

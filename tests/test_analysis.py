@@ -549,6 +549,12 @@ class TestRotationalBody:
         with pytest.raises(VequilError):
             rotational_body("exp_s_gt1", 2.0, 5.0, 6.0)  # radius below floor throughout
 
+    @pytest.mark.parametrize("q, r_max", [(1.0, np.inf), (-np.inf, 4.0), (-np.inf, np.inf)])
+    def test_non_finite_range_is_refused(self, q, r_max):
+        # Stepping from q toward r_max would never end.
+        with pytest.raises(VequilError, match="needs a finite q and r_max"):
+            rotational_body("power_s", 1.0, q, r_max)
+
 
 class TestThinnessDemo:
     def test_single_radius_record(self):

@@ -274,6 +274,28 @@ def test_negative_seed_flag_is_refused(command, config, capsys):
     assert err == "error: seed: must be a nonnegative integer\n"
 
 
+@pytest.mark.parametrize("flags, got", [
+    (["--radii", "inf"], "q=1.0, r_max=inf"),
+    (["--radii", "4", "--q=-inf"], "q=-inf, r_max=4.0"),
+])
+def test_non_finite_thinness_range_is_refused(flags, got, capsys):
+    code, out, err = run_cli(["thinness", "--profile", "power_s", "--s", "1", *flags], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: rotational body needs a finite q and r_max, got {got}\n"
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_path_is_an_error(target, reason, capsys, tmp_path):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(["solve", str(CONFIGS / "solve_two_plate.json"), "--out", path],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write output file {path!r}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["balayage", str(CONFIGS / "balayage_point_to_plate.json")],
     ["check-pd", str(CONFIGS / "check_pd_identity.json")],

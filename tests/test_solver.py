@@ -1,5 +1,8 @@
 """Projection, knapsack oracle, both solve algorithms, KKT certificates."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from vequil import (
 )
 from vequil import condenser, solver
 from vequil.condenser import CASE1, CASE2, FieldSpec, ScalarSignedMeasure, r_map
+from vequil.config import parse_config
+from vequil.kernels import GramMatrix
 from vequil.solver import _knapsack_vertex
 
 from instances import random_case1_field, two_plate_signed
@@ -291,6 +296,108 @@ class TestSolve:
             K_sub = condenser_gram(K.spec, c_sub)  # under the full Gram's epsilon
             sub = solve(c_sub, K_sub, zero_field(c_sub), SolverConfig(grad_tol=1e-10))
             assert sub.value >= full.value - 1e-8
+
+
+def two_plate_config(scale=1.0):
+    """``configs/solve_two_plate.json`` with its Gram scaled by ``scale``."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "solve_two_plate.json"
+    problem = parse_config(config).problem
+    gram = GramMatrix(problem.gram.entries * scale)
+    return problem.condenser, gram, problem.field, problem.config
+
+
+def one_free_node():
+    # The one weight is fixed at a/g = 0.5, and g = 0.7 leaves a KKT residual of
+    # round-off: a step cannot move, and the residual misses a tolerance below it.
+    c = Condenser(plates=(make_plate(0, 1, [[0.0, 0.0, 0.0]], g=0.7, mass=0.35),))
+    K = condenser_gram(KernelSpec("riesz", alpha=2.0, epsilon=0.3), c)
+    return c, K, zero_field(c), SolverConfig(grad_tol=1e-300)
+
+
+def stop_rule(monkeypatch, instance, **settings):
+    """Solve ``instance``; name the exit from the last projection and corrective step.
+
+    A run that neither converged nor used up ``max_iters`` ended at a step that
+    could not move.  For projected gradient that is a projection fixed point
+    when the last projection is the minimizer, and the line-search floor when
+    it is a rejected trial point.  For Frank-Wolfe it is the gap floor when the
+    last round made no corrective step, and a vertex that does not enter when
+    that step left the new vertex at zero weight.
+    """
+    c, K, f, cfg = instance
+    cfg = dataclasses.replace(cfg, **settings)
+    projections, corrections = [], []
+    project, corrective_step = solver._QP.project, solver._corrective_step
+
+    def projected(qp, v):
+        projections.append(project(qp, v))
+        return projections[-1]
+
+    def corrected(*args):
+        corrections.append(corrective_step(*args))
+        return corrections[-1]
+
+    monkeypatch.setattr(solver._QP, "project", projected)
+    monkeypatch.setattr(solver, "_corrective_step", corrected)
+    rep = solve(c, K, f, cfg)
+    stalled = rep.objective_trace.size == rep.iterations  # the last step did not move
+    if rep.converged:
+        exit_ = "converged"
+    elif rep.iterations == (cfg.max_iters or max(1000, 50 * c.total_nodes)):
+        exit_ = "max_iters"
+    elif stalled and cfg.algorithm == "projected_gradient":
+        fixed = np.array_equal(projections[-1], rep.minimizer.concat())
+        exit_ = "projection_fixed_point" if fixed else "line_search_stall"
+    elif stalled and len(corrections) == rep.iterations - 1:
+        exit_ = "fw_gap_floor"
+    elif stalled and corrections[-1][0][-1] == 0.0:
+        exit_ = "fw_vertex_not_entering"
+    else:
+        exit_ = "unknown"
+    return exit_, rep.iterations, rep.converged, rep.objective_trace.size
+
+
+PG, FW = "projected_gradient", "frank_wolfe"
+
+
+class TestStopRules:
+    """Each exit of the descent loop, on purpose, with the count and trace it gives.
+
+    A converged run counts the steps it took, a step that could not move
+    counts as taken, a ``max_iters`` run counts ``max_iters``, and the trace
+    holds the start and each step that moved.
+    """
+
+    @pytest.mark.parametrize("instance, settings, expected", [
+        (two_plate_config, dict(algorithm=PG, grad_tol=1e3), ("converged", 0, True, 1)),
+        (two_plate_config, dict(algorithm=FW, grad_tol=1e3), ("converged", 0, True, 1)),
+        (two_plate_config, dict(algorithm=PG), ("converged", 23, True, 24)),
+        (two_plate_config, dict(algorithm=FW), ("converged", 52, True, 53)),
+        (two_plate_config, dict(algorithm=PG, max_iters=5), ("max_iters", 5, False, 6)),
+        (two_plate_config, dict(algorithm=FW, max_iters=5), ("max_iters", 5, False, 6)),
+        (one_free_node, dict(algorithm=PG), ("projection_fixed_point", 1, False, 1)),
+        (one_free_node, dict(algorithm=FW), ("fw_gap_floor", 1, False, 1)),
+    ], ids=["pg-at-start", "fw-at-start", "pg-converged", "fw-converged", "pg-max-iters",
+            "fw-max-iters", "pg-fixed-point", "fw-gap-floor"])
+    def test_exit(self, monkeypatch, instance, settings, expected):
+        assert stop_rule(monkeypatch, instance(), **settings) == expected
+
+    @pytest.mark.parametrize("scale, algorithm, expected", [
+        (1e8, PG, ("max_iters", 3600, False, 3601)),
+        (1e-6, PG, ("line_search_stall", 7, False, 7)),
+        (1e8, FW, ("fw_vertex_not_entering", 58, False, 58)),
+    ], ids=["pg-max-iters", "pg-line-search-floor", "fw-vertex-not-entering"])
+    def test_exit_of_a_scaled_gram(self, monkeypatch, scale, algorithm, expected):
+        assert stop_rule(monkeypatch, two_plate_config(scale), algorithm=algorithm) == expected
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    @pytest.mark.parametrize("algorithm", [PG, FW])
+    def test_trace_is_the_lowest_value_so_far(self, algorithm, seed):
+        c, K, f, cfg = two_plate_config()
+        rep = solve(c, K, f, dataclasses.replace(cfg, algorithm=algorithm, seed=seed))
+        trace = rep.objective_trace
+        assert trace.size == rep.iterations + 1
+        assert np.array_equal(trace, np.minimum.accumulate(trace))
 
 
 class TestVerifyKKT:
