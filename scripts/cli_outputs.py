@@ -1,12 +1,17 @@
 """Run a fixed list of vequil CLI commands and record everything they print.
 
-Usage: python3 scripts/cli_outputs.py REPO OUT
+Usage: python3 scripts/cli_outputs.py [--records] REPO OUT
 
 Each command runs in its own child process on REPO's ``src/`` tree, from
 REPO, with ``OPENBLAS_NUM_THREADS=1``: output bits depend on the BLAS thread
 count.  OUT gets, per command, a header line with its label, then its exit
 code, standard output and standard error.  Two trees print the same bytes on
 every command exactly when their OUT files are equal (``cmp A B``).
+
+With ``--records``, OUT is instead a JSON list with one entry per command:
+its label, exit code, ``error:`` line (or null) and the records it
+printed, parsed.  ``goldens/cli_records.json`` is this file, and
+``tests/test_cli_records.py`` compares every command against it.
 
 The list: ``solve``, ``capacity`` and ``exhaust`` on every committed config,
 with no seed and with ``--seed 3``; ``balayage`` and ``check-pd`` on every
@@ -55,18 +60,33 @@ def commands(repo: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def outcome(label: str, code: int, stdout: str, stderr: str) -> dict:
+    """One command's entry of the ``--records`` file."""
+    errors = [line for line in stderr.splitlines() if line.startswith("error: ")]
+    return {"label": label, "exit": code, "error": errors[-1] if errors else None,
+            "records": [json.loads(line) for line in stdout.splitlines()]}
+
+
 def main(argv: list[str]) -> int:
+    records = argv[:1] == ["--records"]
+    argv = argv[records:]
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     repo, target = Path(argv[0]).resolve(), Path(argv[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(repo / "src")}
+    entries = []
     with open(target, "w", encoding="utf-8") as fh:
         for label, args in commands(repo):
             run = subprocess.run([sys.executable, "-m", "vequil.cli", *args], cwd=repo, env=env,
                                  capture_output=True, text=True)
-            fh.write(f"### {label}\nexit {run.returncode}\n--- stdout\n{run.stdout}"
-                     f"--- stderr\n{run.stderr}")
+            if records:
+                entries.append(outcome(label, run.returncode, run.stdout, run.stderr))
+            else:
+                fh.write(f"### {label}\nexit {run.returncode}\n--- stdout\n{run.stdout}"
+                         f"--- stderr\n{run.stderr}")
+        if records:
+            fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     return 0
 
 
