@@ -27,7 +27,7 @@ for count in (100, 200, 500, 1000):
 nodes = fibonacci_sphere(500, radius=radius)
 K = assemble_gram(KernelSpec("newtonian"), nodes)
 eq = equilibrium(nodes, K, config=SolverConfig(grad_tol=1e-10))
-pot = K.entries @ eq.unit_minimizer
+pot = K.matvec(eq.unit_minimizer)
 print(f"\n500-node minimizer: weights in [{eq.unit_minimizer.min():.2e}, "
       f"{eq.unit_minimizer.max():.2e}], sum = {eq.unit_minimizer.sum():.12f}")
 print(f"potential across conductor: [{pot.min():.8f}, {pot.max():.8f}], "
@@ -36,5 +36,5 @@ print(f"potential across conductor: [{pot.min():.8f}, {pot.max():.8f}], "
 theta = eq.unit_minimizer / eq.robin_constant
 print("\nscaled measure theta = minimizer / W reproduces the classical identities:")
 print(f"  total mass   {theta.sum():.8f}")
-print(f"  energy       {theta @ K.entries @ theta:.8f}")
+print(f"  energy       {theta @ K.matvec(theta):.8f}")
 print(f"  capacity     {eq.capacity:.8f}")

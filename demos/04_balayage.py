@@ -34,7 +34,7 @@ rep = balayage(src, K_sphere)
 print(f"   swept mass fraction = {rep.mass_ratio:.4f} (classical value R/d = 0.5)")
 charged = rep.swept > 0
 source_potential = cross_kernel(K_sphere.spec, sphere, src.support) @ src.weights
-dev = K_sphere.entries @ rep.swept - source_potential
+dev = K_sphere.matvec(rep.swept) - source_potential
 print(f"   potential match on charged part: max |dev| = {np.abs(dev[charged]).max():.2e}")
 near = rep.swept[sphere[:, 0] > 0.5].sum() / rep.swept.sum()
 print(f"   whole sphere charged ({charged.sum()} of 400), "

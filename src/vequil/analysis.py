@@ -73,12 +73,12 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
 
     When ``K u = 1`` has a positive solution, the minimizer is ``u / sum(u)``:
     the KKT conditions hold with zero bound multipliers.  ``u`` is solved
-    with the PD gate's factor of ``K - pd_tol*I``, while the gate holds it
-    inside the Gram's buffer, and one refinement step with ``K`` itself,
-    which contracts the error by ``pd_tol / (lambda_min - pd_tol) < 1``.
-    Once the buffer is restored, :func:`verify_kkt` certifies ``u / sum(u)``
-    at ``grad_tol``, and ``converged`` is that certificate.  When some
-    ``u_i <= 0`` the constrained solver (:func:`solve`) runs instead.
+    with the PD gate's factor of ``K - pd_tol*I``, kept in the Gram's spare
+    triangle, and one refinement step with ``K`` itself, which contracts the
+    error by ``pd_tol / (lambda_min - pd_tol) < 1``.  Then :func:`verify_kkt`
+    certifies ``u / sum(u)`` at ``grad_tol``, and ``converged`` is that
+    certificate.  When some ``u_i <= 0`` the constrained solver (:func:`solve`)
+    runs instead.
     Working memory is the Gram plus O(N) vectors.
     """
     n = K.size
@@ -200,8 +200,8 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
 def _swept(target_gram: GramMatrix, K_omega: np.ndarray) -> np.ndarray:
     """The balayage weights ``beta >= 0`` on a target Gram ``K_tt`` of ``(K omega)_t``.
 
-    ``K_tt = L L'`` is factored once, inside the target Gram's own buffer
-    (:meth:`GramMatrix._factored`; a refusal raises :class:`NotPositiveDefinite`),
+    ``K_tt = L L'`` is factored, or its kept factor reused, in the target Gram's
+    spare triangle (:meth:`GramMatrix._factored`; a refusal raises :class:`NotPositiveDefinite`),
     and solves ``K_tt beta = (K omega)_t`` by LAPACK's ``dpotrs``: if every
     weight is nonnegative, the KKT conditions hold with zero multipliers.
     Otherwise ``scipy.optimize.nnls`` solves ``min |L' beta - L^-1 (K omega)_t|``
@@ -234,7 +234,7 @@ def green_gram(rows, screen_gram: GramMatrix) -> GramMatrix:
     nodes, exactly the Schur complement ``A - B C^-1 B'`` of the screen block
     ``C``, here ``screen_gram``.  ``rows`` are the joint Gram's inner rows
     ``[A | B]``, ``n x (n + screen_gram.size)``; no kernel is evaluated here.
-    ``C`` is factored inside its own buffer (:meth:`GramMatrix._factored`).
+    ``C`` is factored in its spare triangle (:meth:`GramMatrix._factored`).
     Inner and screen nodes must be disjoint.  The result records neither
     nodes nor a kernel: the screened kernel is not one of the catalog.
     """
@@ -246,8 +246,7 @@ def green_gram(rows, screen_gram: GramMatrix) -> GramMatrix:
     S = screen_gram._factored(0.0, lambda c, d: A - B @ lapack.dpotrs(c, B.T, lower=1)[0])
     if S is None:
         raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
-    S = 0.5 * (S + S.T)  # exactly symmetric: IEEE addition commutes
-    return GramMatrix._assembled(S)
+    return GramMatrix(0.5 * (S + S.T))  # exactly symmetric: IEEE addition commutes
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +269,6 @@ class ExhaustionTrace:
     stages: tuple
     full_value: float
     full_converged: bool
-
-
-def _sub_gram(K: GramMatrix, sl: slice) -> GramMatrix:
-    """The principal block of ``K`` on the node range ``sl``, a C-contiguous
-    copy; ``K`` itself when the range is all of it.
-
-    Returning ``K`` keeps its cached largest eigenvalue and PD-gate decisions.
-    """
-    if range(K.size)[sl] == range(K.size):
-        return K
-    return GramMatrix._assembled(K.entries[sl, sl].copy(), spec=K.spec,
-                                 nodes=None if K.nodes is None else K.nodes[sl])
 
 
 def exhaustion_schedule(node_fractions, sigma_scales=None) -> list[tuple[float, float]]:
@@ -411,9 +398,9 @@ def thinness_demo(
     is the swept measure plus uniform annulus allowances absorbing any mass
     lost by the sweep.  The node sets are nested across radii, so one Gram
     ``J`` over anchor, source and the largest body, its spacing pass fixing
-    the regularization, holds every matrix: each radius reads its inner rows
-    in ``J`` and copies out its body Gram and, once that is dropped, its
-    condenser Gram, so ``J`` and one block are held at a time.
+    the regularization, holds every matrix: each radius copies its inner rows,
+    its body Gram and, once that is dropped, its condenser Gram out of ``J``,
+    so ``J`` and one block are held at a time.
     """
     radii = sorted(float(r) for r in truncation_radii)
     if not radii:
@@ -426,14 +413,17 @@ def thinness_demo(
     cfg = SolverConfig(grad_tol=1e-9)
     stages = []
     for r in radii:
-        body = slice(n_in, n_in + rotational_body(profile, s, q, r).shape[0])
+        # Stations keep their x1 bits, ascend, and stop at x1 <= r + 1e-12.
+        body = slice(n_in, n_in + int(np.searchsorted(J.nodes[n_in:, 0], r + 1e-12, "right")))
+        if body.stop == n_in or not r > q:
+            rotational_body(profile, s, q, r)  # raises the error of an empty or invalid body
         nodes2 = J.nodes[body]
-        K2 = _sub_gram(J, body)
+        K2 = J.block(body)
         eq = equilibrium(nodes2, K2, config=cfg)
         mass_center = gap = swept_mass = float("nan")
         converged = eq.converged
         if include_gap:
-            rows = J.entries[:n_in, :body.stop]
+            rows = J.rows(n_in, body.stop)
             theta = equilibrium(J.nodes[:n_in], green_gram(rows, K2), config=cfg).unit_minimizer
             theta_anchor, theta_src = theta[:n1], theta[n1:]
             # dot with ones matches the feasibility check's reduction order
@@ -447,9 +437,7 @@ def thinness_demo(
             cond = Condenser(plates=(
                 Plate(id=0, sign=1, nodes=anchor, g=np.ones(n1), mass=a1, sigma=theta_anchor),
                 Plate(id=1, sign=-1, nodes=nodes2, g=np.ones(len(nodes2)), mass=1.0, sigma=sigma2)))
-            keep = np.r_[:n1, body]
-            Kc = GramMatrix._assembled(J.entries[np.ix_(keep, keep)], spec=J.spec,
-                                       nodes=cond.all_nodes())
+            Kc = J.block(np.r_[:n1, body])
             field = FieldSpec(case=CASE2, case2_zeta=ScalarSignedMeasure(src, theta_src))
             rep = solve(cond, Kc, field, cfg)
             gap = semimetric_distance(cond, Kc, rep.minimizer, cond.measure([theta_anchor, swept]))

@@ -21,13 +21,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    _sub_gram,
-    balayage,
-    equilibrium,
-    exhaustion_experiment,
-    thinness_demo,
-)
+from .analysis import balayage, equilibrium, exhaustion_experiment, thinness_demo
 from .config import parse_config
 from .errors import VequilError
 from .geometry import PROFILES
@@ -76,7 +70,7 @@ def _with_seed(problem: Problem, seed: int | None) -> Problem:
 def _plate_gram(problem: Problem, k: int) -> GramMatrix:
     """Plate ``k``'s diagonal block of the parse-time Gram: the same entries an
     assembly over the plate's nodes would compute, under the same epsilon."""
-    return _sub_gram(problem.gram, problem.condenser.slices()[k])
+    return problem.gram.block(problem.condenser.slices()[k])
 
 
 def _record(command: str, report, lead: dict | None = None, trail: dict | None = None,

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import _sub_gram, equilibrium, exhaustion_schedule
+from .analysis import equilibrium, exhaustion_schedule
 from .condenser import (
     CASE1,
     CASE2,
@@ -316,7 +316,7 @@ def parse_config(source) -> ParsedConfig:
                 with open(text, "r", encoding="utf-8") as fh:
                     raw = fh.read()
             except OSError as exc:
-                raise ConfigError(f"cannot read config file {text!r}: {exc}") from exc
+                raise ConfigError(f"cannot read config file {text!r}: {exc.strerror}") from exc
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -367,7 +367,7 @@ def parse_config(source) -> ParsedConfig:
     for k, (sign, nodes, g, mass, sigma) in enumerate(plates_read):
         if isinstance(sigma, float):  # the scale of {"equilibrium_scale": t}
             try:
-                eq = equilibrium(nodes, _sub_gram(gram, slice(offsets[k], offsets[k + 1])))
+                eq = equilibrium(nodes, gram.block(slice(offsets[k], offsets[k + 1])))
             except VequilError as exc:
                 raise _fail(f"plates[{k}].sigma",
                             f"equilibrium-scaled sigma failed: {exc}") from exc

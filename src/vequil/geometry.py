@@ -87,6 +87,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
         raise VequilError("rotational body needs r_max > q")
     if not np.isfinite([q, r_max]).all():  # the stepping below would never end
         raise VequilError(f"rotational body needs a finite q and r_max, got q={q}, r_max={r_max}")
+    if q < 0.0:  # the profiles take real powers of x1
+        raise VequilError(f"rotational body needs q >= 0, got q={q}")
     rho = profile_radius(profile, s)
     pts: list[np.ndarray] = []
     x = float(q)

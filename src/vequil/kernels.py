@@ -19,27 +19,26 @@ their points through one check (:func:`_kernel_points`) and their entries from
 one evaluation (:func:`_kernel_matrix`): they refuse the same inputs with the
 same error, and agree bit for bit.
 
-A Gram is assembled by two in-place passes over its own N x N buffer, in
-row blocks of :data:`_ASSEMBLY_BLOCK` rows.  The first writes the squared
+A Gram is the C-lower triangle and the diagonal of its N x N buffer, and is
+assembled by two in-place passes over the lower row blocks of a zeroed one,
+:data:`_ASSEMBLY_BLOCK` rows at a time.  The first writes the squared
 distances, summed one coordinate at a time, left to right, and takes the
 default ``eps`` from their positive minimum; the second adds ``eps^2`` and
-applies the family.  Working memory is the Gram plus one block of scratch.
-The sum order makes an assembled Gram exactly symmetric by construction, and
-each entry equals the point evaluation of its pair bit for bit.
+applies the family.  Working memory is the Gram plus one block, and each
+entry is the point evaluation of its pair bit for bit.  The C-upper triangle
+is the scratch where :meth:`GramMatrix._factored` keeps its last factor.
 
-Positive definiteness is decided two ways.  The solvers' gate
-(:func:`_pd_gate`) never computes a spectrum: it takes the largest
-eigenvalue from vequil's own Lanczos iteration on the Gram product
-(:meth:`GramMatrix.lambda_max`), sets ``pd_tol = 1e-10 * lambda_max``, and certifies
-strict definiteness by a Cholesky factorization of ``K - pd_tol*I`` and
-definiteness by one of ``K + pd_tol*I``.  Each factorization is made inside
-the Gram's own buffer, which is restored bit for bit before the gate returns
-(:meth:`GramMatrix._factored`): the gate allocates no N x N matrix and keeps
-none, and a Gram must not be read from another thread while it is gated.  The
-diagnostic :func:`check_positive_definite` (the ``check-pd`` command) reports
-both extreme eigenvalues from a dense symmetric eigensolver.  The two agree except
-for matrices whose smallest eigenvalue lies within about ``1e-12 * lambda_max``
-of ``-pd_tol`` or ``+pd_tol``, the rounding error of either method.
+Positive definiteness is decided two ways.  The solvers' gate (:func:`_pd_gate`)
+never computes a spectrum: it takes the largest eigenvalue from vequil's own
+Lanczos iteration on the Gram product (:meth:`GramMatrix.lambda_max`), sets
+``pd_tol = 1e-10 * lambda_max``, and certifies strict definiteness by a Cholesky
+factorization of ``K - pd_tol*I`` and definiteness by one of ``K + pd_tol*I``.
+Each is made in the Gram's spare triangle (:meth:`GramMatrix._factored`): the
+gate allocates no N x N matrix, and a Gram must not be read from another thread
+while it is gated.  The diagnostic :func:`check_positive_definite` (``check-pd``)
+reports both extreme eigenvalues from a dense symmetric eigensolver.  The two
+agree except for matrices whose smallest eigenvalue lies within about
+``1e-12 * lambda_max`` of ``-pd_tol`` or ``+pd_tol``, the rounding error of either.
 
 Gram products go through :meth:`GramMatrix.matvec`, scipy's ``dsymv``, not
 numpy's ``@``, and factorizations through :meth:`GramMatrix._factored`.
@@ -86,14 +85,10 @@ CUSTOM_TABLE = "custom_table"
 FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK, CUSTOM_TABLE)
 SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 
-# Row-block size of every pairwise-distance pass, and of the PD gate's restore:
-# a block of N columns stays in cache.
-_ASSEMBLY_BLOCK = 32
+_ASSEMBLY_BLOCK = 32  # rows per block of distance passes and triangle copies (cache-sized)
 
 _LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
-# Rows of the largest Gram that GramMatrix._factored factors on one BLAS thread
-# (module notes).
-_ONE_THREAD_ROWS = 1024
+_ONE_THREAD_ROWS = 1024  # the largest Gram GramMatrix._factored factors on one thread
 _NONFINITE_GRAM = "Gram entries must be finite; regularize the diagonal (epsilon > 0)"
 
 
@@ -103,6 +98,17 @@ def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
         h = blas.dgemv(1.0, B.T, w, trans=1)
         w = blas.dgemv(-1.0, B.T, h, beta=1.0, y=w, overwrite_y=1)
     return w
+
+
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """Copy the C-lower triangle of the square ``a`` into its C-upper one, by row blocks."""
+    upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)
+    for i in range(0, a.shape[0], _ASSEMBLY_BLOCK):
+        j = min(i + _ASSEMBLY_BLOCK, a.shape[0])
+        blk, mask = a[i:j, i:j], upper[: j - i, : j - i]
+        blk[mask] = blk.T[mask]
+        a[i:j, j:] = a[j:, i:j].T
+    return a
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -197,8 +203,8 @@ class GramMatrix:
     (external fields, balayage rows) can evaluate the same kernel off, or
     locate points in, the stored node set.
 
-    ``entries`` is read-only but for :meth:`_factored`, its one writer, which
-    restores it bit for bit; the buffer must belong to this Gram alone.
+    The Gram is the C-lower triangle and diagonal of ``entries``, a buffer of its own;
+    the C-upper triangle is the scratch of :meth:`_factored`, the buffer's one writer.
     """
 
     entries: np.ndarray
@@ -221,33 +227,44 @@ class GramMatrix:
     @classmethod
     def _assembled(cls, entries: np.ndarray, spec: KernelSpec | None = None,
                    nodes: np.ndarray | None = None) -> "GramMatrix":
-        """Wrap entries that are symmetric by construction, without a copy.
-
-        For matrices vequil computes itself: ``entries`` must be a fresh,
-        exactly symmetric float array owned by nobody else (the PD gate
-        factors in it, see :meth:`_factored`); it is frozen in place.  Only
-        finiteness is checked.
-        """
-        if not _all_finite(entries):
-            raise KernelDomainError(_NONFINITE_GRAM)
+        """Wrap, and freeze in place, a fresh float buffer owned by nobody else whose
+        C-lower triangle is a finite Gram vequil computed: no copy, no check."""
         entries.setflags(write=False)
         gram = object.__new__(cls)
-        for name, value in (("entries", entries), ("spec", spec), ("nodes", nodes),
-                            ("_cache", {})):
-            object.__setattr__(gram, name, value)
+        gram.__dict__.update(entries=entries, spec=spec, nodes=nodes, _cache={})
         return gram
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
 
+    def dense(self) -> np.ndarray:
+        """A full symmetric N x N copy of the Gram, made on demand; no command calls it."""
+        return self.rows(self.size)
+
+    def rows(self, n: int, stop: int | None = None) -> np.ndarray:
+        """The leading rows ``K[:n, :stop]`` (``n <= stop``), a fresh C-ordered copy."""
+        out = self.entries[:stop, :n].T.copy()  # K where a column is at or right of its row
+        _mirror(out[:, :n].T)
+        return out
+
+    def block(self, index) -> "GramMatrix":
+        """The principal block on a slice or increasing indices; ``self``, caches kept, if all."""
+        idx = np.arange(self.size)[index]
+        if np.array_equal(idx, np.arange(self.size)):
+            return self
+        ent = (self.entries[index, index].copy() if isinstance(index, slice)
+               else self.entries[np.ix_(idx, idx)])  # a slice copies twice as fast
+        return GramMatrix._assembled(ent, spec=self.spec,
+                                     nodes=None if self.nodes is None else self.nodes[idx])
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The Gram product ``K x``, by scipy's BLAS ``dsymv``.
 
-        ``entries.T`` is the Fortran view of the C-ordered, exactly symmetric
-        buffer, so no copy is made, and ``dsymv`` reads one triangle.  Every
-        Gram product of a solve goes through here, so a solve does all of
-        its BLAS and LAPACK work on scipy's library (see the module notes).
+        ``dsymv`` reads the upper triangle, the Gram, of the Fortran view
+        ``entries.T``: no copy.  Every Gram product of a solve goes through
+        here, so a solve does all of its BLAS and LAPACK work on scipy's
+        library (see the module notes).
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.size,):  # dsymv would read the first N entries of a longer x
@@ -301,41 +318,38 @@ class GramMatrix:
         return self._cache["lambda_max"]
 
     def _factored(self, shift: float, use=None):
-        """A Cholesky factor of ``K + shift*I``, made and used inside ``entries``.
+        """A Cholesky factor of ``K + shift*I``, made and kept in the C-upper triangle.
 
-        The one writer of ``entries``, and the one place vequil factors a
-        Gram.  ``matvec``'s ``dsymv`` reads the C-lower triangle, so LAPACK's
-        ``dpotrf`` on the Fortran view ``entries.T`` (``lower=1``) writes the
-        factor ``L``, ``L L' = K + shift*I``, into the C-upper triangle and the
-        diagonal; ``K``'s diagonal is kept in an N-vector ``d``.  When the
-        factorization succeeds, ``use(c, d)`` runs while the factor is in
-        place: ``c`` is the Fortran view, ready for ``dpotrs(c, b, lower=1)``,
-        ``np.triu(c.T)`` is ``L'``, and ``K x = dsymv(c, x) + (d - diag c) * x``.
-        The result is ``use``'s (never None), True without ``use``, or None
-        when the factorization is refused.  Then, whatever happened, the upper
-        triangle is copied back from the lower one by row blocks and the
-        diagonal from ``d``.  ``K`` being exactly symmetric, ``entries`` is
-        bit for bit what it was, and the only scratch is ``d`` and one block.
+        The one writer of ``entries``, and the one place vequil factors a Gram.
+        LAPACK's ``dpotrf`` on the Fortran view ``entries.T`` (``lower=1``)
+        works on the C-upper triangle and the diagonal, so the lower triangle
+        is first copied into the upper one by row blocks and the diagonal
+        shifted.  The factor ``L``, ``L L' = K + shift*I``, stays there, its
+        diagonal in an N-vector, and a later call at the same shift reuses it.
+        With a factor, ``use(c, d)`` runs while its diagonal is in place: ``c``
+        is the Fortran view, ready for ``dpotrs(c, b, lower=1)``, ``np.triu(c.T)``
+        is ``L'``, and ``K x = dsymv(c, x) + (d - diag c) * x``.  The result is
+        ``use``'s (never None), True without ``use``, or None when the
+        factorization is refused.  On the way out the diagonal is ``K``'s, ``d``.
 
-        A Gram of at most :data:`_ONE_THREAD_ROWS` rows is factored, and
-        ``use`` runs, on one thread of scipy's BLAS pool, whose previous count
-        is restored on the way out (``_lapack.one_blas_thread``; module notes).
+        A Gram of at most :data:`_ONE_THREAD_ROWS` rows is factored, and ``use``
+        runs, on one thread of scipy's BLAS pool (module notes).
         """
         ent, small = self.entries, self.size <= _ONE_THREAD_ROWS
-        d = ent.diagonal().copy()
+        d, kept = ent.diagonal().copy(), self._cache.pop("factor", None)
         ent.setflags(write=True)
         try:
             with one_blas_thread() if small else contextlib.nullcontext():
-                np.fill_diagonal(ent, d + shift)
-                c, info = lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)
-                return None if info else use(c, d) if use else True
+                if kept is not None and kept[0] == shift:
+                    np.fill_diagonal(ent, kept[1])
+                else:
+                    np.fill_diagonal(_mirror(ent), d + shift)
+                    if lapack.dpotrf(ent.T, lower=1, clean=0, overwrite_a=1)[1]:
+                        return None
+                    kept = (shift, ent.diagonal().copy())
+                self._cache["factor"] = kept
+                return use(ent.T, d) if use else True
         finally:
-            upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)
-            for i in range(0, self.size, _ASSEMBLY_BLOCK):
-                j = min(i + _ASSEMBLY_BLOCK, self.size)
-                blk, mask = ent[i:j, i:j], upper[: j - i, : j - i]
-                blk[mask] = blk.T[mask]
-                ent[i:j, j:] = ent[j:, i:j].T
             np.fill_diagonal(ent, d)
             ent.setflags(write=False)
 
@@ -364,7 +378,7 @@ def evaluate_kernel(spec: KernelSpec, x, y) -> float:
 def minimum_spacing(nodes) -> float:
     """Smallest positive pairwise distance of a node set (inf if none)."""
     pts = _as_points(nodes)
-    blocks = _sq_dist_blocks(pts, pts)
+    blocks = _sq_dist_blocks(pts, pts, lower=True)
     return float(np.sqrt(min((_min_positive(d2) for _, d2 in blocks), default=np.inf)))
 
 
@@ -384,28 +398,28 @@ def _min_positive(d2: np.ndarray) -> float:
 
 def _default_epsilon(spacing: float) -> float:
     if not np.isfinite(spacing):
-        raise KernelDomainError(
-            "cannot derive a default epsilon from a single node; set epsilon explicitly"
-        )
+        raise KernelDomainError("cannot derive a default epsilon from a single node; "
+                                "set epsilon explicitly")
     return 0.5 * spacing
 
 
-def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
-    """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block.
-
-    Each ``d2`` is a fresh array, or the view of its rows of ``out`` when given.
-    """
+def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None,
+                    lower: bool = False):
+    """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block,
+    with ``lower`` only for ``q < start + len(d2)`` (the C-lower blocks).  Each ``d2``
+    is a fresh array, or the view of its entries of ``out`` when given."""
     diff = np.empty((min(_ASSEMBLY_BLOCK, rows.shape[0]), cols.shape[0]))
     for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
         blk = rows[start : start + _ASSEMBLY_BLOCK]
-        t = diff[: blk.shape[0]]
-        d2 = np.empty_like(t) if out is None else out[start : start + blk.shape[0]]
+        stop = start + blk.shape[0] if lower else cols.shape[0]
+        t = diff[: blk.shape[0], :stop]
+        d2 = np.empty_like(t) if out is None else out[start : start + blk.shape[0], :stop]
         # (a_k - b_k)**2 summed over k left to right: exactly symmetric,
         # identical for every pair wherever it is evaluated.
-        np.subtract.outer(blk[:, 0], cols[:, 0], out=d2)
+        np.subtract.outer(blk[:, 0], cols[:stop, 0], out=d2)
         np.square(d2, out=d2)
         for k in range(1, rows.shape[1]):
-            np.subtract.outer(blk[:, k], cols[:, k], out=t)
+            np.subtract.outer(blk[:, k], cols[:stop, k], out=t)
             np.square(t, out=t)
             d2 += t
         yield start, d2
@@ -442,21 +456,22 @@ def _kernel_points(spec: KernelSpec, *sets) -> tuple[np.ndarray, ...]:
     return pts
 
 
-def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, KernelSpec]:
-    """Kernel matrix of checked points ``X`` against ``Y``, and the spec it used: a
-    table's gather, or the module notes' two passes (pass 1 resolves an unset epsilon)."""
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
+                   lower: bool = False) -> tuple[np.ndarray, KernelSpec]:
+    """Kernel matrix of checked points ``X`` against ``Y``, and the spec it used: a table's
+    gather, or the module notes' two passes (pass 1 resolves an unset epsilon), over
+    the C-lower blocks alone with ``lower``."""
     if spec.family == CUSTOM_TABLE:
         return spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))], spec
-    out = np.empty((X.shape[0], Y.shape[0]))
-    min_d2 = np.inf
-    for _, d2 in _sq_dist_blocks(X, Y, out):
+    out, blocks, min_d2 = np.zeros((X.shape[0], Y.shape[0])), [], np.inf
+    for _, d2 in _sq_dist_blocks(X, Y, out, lower):
+        blocks.append(d2)
         if spec.epsilon is None:
             min_d2 = min(min_d2, _min_positive(d2))
     if spec.epsilon is None:
         spec = spec.with_epsilon(_default_epsilon(float(np.sqrt(min_d2))))
     eps = float(spec.epsilon)
-    for start in range(0, out.shape[0], _ASSEMBLY_BLOCK):
-        r2 = out[start : start + _ASSEMBLY_BLOCK]
+    for r2 in blocks:
         r2 += eps * eps
         _apply_family(spec, r2, X.shape[1])
     return out, spec
@@ -485,8 +500,8 @@ def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
 
     Row ``i`` belongs to ``nodes[i]``, a table row index for ``custom_table``
     (all rows when ``nodes`` is None).  ``epsilon=None`` on a singular family
-    resolves to half the minimum positive node spacing.  The result is exactly
-    symmetric and finite.
+    resolves to half the minimum positive node spacing.  Only the C-lower
+    triangle is computed (module notes); the Gram is finite.
     """
     if spec.family == CUSTOM_TABLE and nodes is None:
         nodes = np.arange(spec.table.shape[0])
@@ -494,7 +509,9 @@ def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
     if spec.singular and spec.epsilon is not None and not spec.epsilon > 0.0:
         raise KernelDomainError(f"{spec.family} Gram assembly requires epsilon > 0 "
                                 "(singular diagonal)")
-    entries, spec = _kernel_matrix(spec, pts, pts)
+    entries, spec = _kernel_matrix(spec, pts, pts, lower=True)
+    if not _all_finite(entries):
+        raise KernelDomainError(_NONFINITE_GRAM)
     return GramMatrix._assembled(entries, spec=spec, nodes=pts)
 
 
@@ -508,7 +525,7 @@ def check_positive_definite(G: GramMatrix) -> PDReport:
     eigensolvers.
     """
     try:
-        vals = np.linalg.eigvalsh(G.entries)
+        vals = np.linalg.eigvalsh(G.entries, UPLO="L")  # the Gram's triangle
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
     lo, hi = float(vals[0]), float(vals[-1])
@@ -522,16 +539,15 @@ def _pd_gate(G: GramMatrix, use=None) -> tuple[bool, bool]:
 
     With ``pd_tol = 1e-10 * lambda_max``, strict definiteness holds when
     ``K - pd_tol*I`` has a Cholesky factor, and definiteness when that one or
-    the one of ``K + pd_tol*I`` does.  Each is factored in place inside the
-    Gram's buffer, which is restored bit for bit (:meth:`GramMatrix._factored`);
-    only the two decisions are cached.  They equal those of
-    :func:`check_positive_definite` unless the smallest eigenvalue lies
-    within the factorization's rounding error (about ``1e-12 * lambda_max``)
-    of ``-pd_tol`` or ``+pd_tol``.
+    the one of ``K + pd_tol*I`` does.  Each is factored in the Gram's spare
+    triangle (:meth:`GramMatrix._factored`); the two decisions are cached.
+    They equal those of :func:`check_positive_definite` unless the smallest
+    eigenvalue lies within the factorization's rounding error (about
+    ``1e-12 * lambda_max``) of ``-pd_tol`` or ``+pd_tol``.
 
     ``use``, when given, is passed on to the strict factorization: it runs
-    with the factor of ``K - pd_tol*I`` in place when there is one.  A Gram
-    already certified strictly PD is factored once more for it.
+    with the factor of ``K - pd_tol*I`` in place when there is one, the
+    factor the gate kept when it has run already.
     """
     gate = G._cache.get("pd_gate")
     if gate is None or (use is not None and gate[1]):

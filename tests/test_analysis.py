@@ -68,7 +68,7 @@ class TestEquilibrium:
         nodes = fibonacci_sphere(120, radius=1.5)
         K = assemble_gram(KernelSpec("newtonian"), nodes)
         eq = equilibrium(nodes, K, config=SolverConfig(grad_tol=1e-11))
-        u = np.linalg.solve(K.entries, np.ones(len(nodes)))
+        u = np.linalg.solve(K.dense(), np.ones(len(nodes)))
         assert np.all(u > 0.0)
         assert eq.capacity == pytest.approx(float(u.sum()), rel=1e-9)
         np.testing.assert_allclose(eq.unit_minimizer, u / u.sum(), atol=1e-9)
@@ -87,7 +87,7 @@ class TestEquilibrium:
         eq = equilibrium(nodes, K, config=SolverConfig(grad_tol=1e-11))
         theta = eq.unit_minimizer / eq.robin_constant
         total = float(theta.sum())
-        en = float(theta @ K.entries @ theta)
+        en = float(theta @ K.dense() @ theta)
         assert abs(total - eq.capacity) <= 1e-8 * eq.capacity
         assert abs(en - eq.capacity) <= 1e-8 * eq.capacity
 
@@ -133,13 +133,14 @@ class TestEquilibrium:
         assert verify_kkt(c, K, zero_field(c), c.measure([eq.unit_minimizer]), 1e-10).ok
 
     def test_working_memory_is_the_gram_plus_vectors(self):
-        # The PD gate factors inside the Gram's own buffer and restores it; the
-        # solves with the factor, Lanczos and the certificate add O(N).  An N^2
-        # work matrix, a cached factor or any other N^2 temporary breaks the bound.
+        # The PD gate factors in the Gram's spare triangle and keeps the factor
+        # there; the solves with the factor, Lanczos and the certificate add
+        # O(N).  An N^2 work matrix (a dense() or np.ix_ copy, a factor held
+        # elsewhere) or any other N^2 temporary breaks the bound.
         n = 1000
         nodes = fibonacci_sphere(n, radius=1.0)
         K = assemble_gram(KernelSpec("newtonian"), nodes)
-        before = K.entries.copy()
+        before = K.dense()
         tracemalloc.start()
         try:
             eq = equilibrium(nodes, K)
@@ -148,7 +149,7 @@ class TestEquilibrium:
             tracemalloc.stop()
         assert eq.converged
         assert peak <= 64 * 8 * n
-        assert np.array_equal(K.entries, before)
+        assert np.array_equal(K.dense(), before)
 
     def test_gate_inside_solve_adds_only_vectors(self):
         # solve's gate factors inside the Gram too; the iterations add O(N).
@@ -198,7 +199,7 @@ class TestBalayage:
         assert rep.swept_energy <= rep.source_energy + 1e-8
         # independent gradient evaluation on the support of the swept measure
         source_potential = cross_kernel(K_t.spec, target, src.support) @ src.weights
-        grad = K_t.entries @ rep.swept - source_potential
+        grad = K_t.dense() @ rep.swept - source_potential
         assert np.abs(grad[rep.swept > 0]).max() <= 1e-8
 
     def test_energy_contraction(self):
@@ -284,14 +285,14 @@ class TestBalayage:
 
     def test_refused_target_is_restored(self):
         # An indefinite table block, the source on the table's third row: the
-        # factorization fails inside the Gram's buffer, which is put back.
+        # factorization fails in the Gram's spare triangle: the Gram is unchanged.
         table = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         K = assemble_gram(KernelSpec("custom_table", table=table), [[0], [1]])
-        before = K.entries.copy()
+        before = K.dense()
         with pytest.raises(NotPositiveDefinite, match=r"^target Gram is not strictly PD: "
                                                       r"Matrix is not positive definite$"):
             balayage(ScalarSignedMeasure(support=[[2]], weights=[1.0]), K)
-        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
+        assert np.array_equal(K.dense(), before) and not K.entries.flags.writeable
 
 
 class TestGreenGram:
@@ -308,7 +309,7 @@ class TestGreenGram:
         rng2 = np.random.default_rng(4)
         for _ in range(10):
             w = rng2.uniform(0.0, 1.0, 12)
-            assert w @ G.entries @ w <= w @ plain.entries @ w + 1e-10
+            assert w @ G.dense() @ w <= w @ plain.dense() @ w + 1e-10
 
 
     def test_equals_the_joint_schur_complement_bit_for_bit(self):
@@ -320,14 +321,14 @@ class TestGreenGram:
         screen = rng.uniform(-1, 1, (40, 3)) + [3.0, 0.0, 0.0]
         spec = KernelSpec("newtonian", epsilon=0.15)
         K_s = assemble_gram(spec, screen)
-        before = K_s.entries.copy()
+        before = K_s.dense()
         rows = cross_kernel(spec, inner, np.vstack([inner, screen]))
         G = green_gram(rows, K_s)
-        assert np.array_equal(K_s.entries, before)
-        joint = assemble_gram(spec, np.vstack([inner, screen])).entries
+        assert np.array_equal(K_s.dense(), before)
+        joint = assemble_gram(spec, np.vstack([inner, screen])).dense()
         A, B, C = joint[:12, :12], joint[:12, 12:], joint[12:, 12:]
         S = A - B @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(C, lower=True), B.T)
-        assert np.array_equal(G.entries, 0.5 * (S + S.T))
+        assert np.array_equal(G.dense(), 0.5 * (S + S.T))
         with pytest.raises(DimensionMismatch, match=r"rows \(12, 51\) for a screen of 40"):
             green_gram(rows[:, :-1], K_s)
 
@@ -446,7 +447,7 @@ class TestExhaustion:
             c_sub, K_sub, f_sub, keep = self.truncated(c, K, f, frac, beta)
             kept = np.concatenate([np.arange(sl.start, sl.start + m)
                                    for sl, m in zip(c.slices(), keep)])
-            assert np.array_equal(K_sub.entries, K.entries[np.ix_(kept, kept)])
+            assert np.array_equal(K_sub.dense(), K.dense()[np.ix_(kept, kept)])
             ref = solve(c_sub, K_sub, f_sub, cfg)
             assert st.value == pytest.approx(ref.value, rel=1e-10, abs=1e-10)
             assert st.converged == ref.converged
@@ -587,9 +588,9 @@ class TestThinnessDemo:
         calls = []
         kernel_matrix = kernels._kernel_matrix
 
-        def counted(spec, X, Y):
+        def counted(spec, X, Y, **lower):
             calls.append((X.shape[0], Y.shape[0]))
-            return kernel_matrix(spec, X, Y)
+            return kernel_matrix(spec, X, Y, **lower)
 
         def no_spacing_pass(*args):
             raise AssertionError("a separate spacing pass ran")
@@ -648,7 +649,7 @@ class NoProducts(np.ndarray):
 
 
 def guarded(K):
-    """``K`` with entries that refuse products; its blocks (``_sub_gram``) refuse too."""
+    """``K`` with entries that refuse products; its blocks (``GramMatrix.block``) refuse too."""
     return GramMatrix._assembled(K.entries.copy().view(NoProducts), spec=K.spec, nodes=K.nodes)
 
 
@@ -697,9 +698,9 @@ class TestEveryGramProductIsMatvec:
     def test_balayage(self, target, source, nnls):
         K = assemble_gram(KernelSpec("newtonian"), target)
         src = ScalarSignedMeasure(support=[source], weights=[1.0])
-        before = K.entries.copy()
+        before = K.dense()
         want = balayage(src, K)
-        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
+        assert np.array_equal(K.dense(), before) and not K.entries.flags.writeable
         with mock.patch.object(scipy.optimize, "nnls", wraps=scipy.optimize.nnls) as fallback:
             got = balayage(src, guarded(K))
         assert fallback.called == nnls

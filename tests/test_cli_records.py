@@ -74,8 +74,9 @@ def test_the_golden_file_lists_every_command():
     assert [entry["label"] for entry in GOLDEN] == [label for label, _ in COMMANDS]
 
 
-@pytest.mark.parametrize("label, argv, golden", [(*cmd, entry) for cmd, entry in
-                                                 zip(COMMANDS, GOLDEN)], ids=[l for l, _ in COMMANDS])
+@pytest.mark.parametrize("label, argv, golden",
+                         [(label, argv, entry) for (label, argv), entry in zip(COMMANDS, GOLDEN)],
+                         ids=[label for label, _ in COMMANDS])
 def test_command_matches_its_golden_record(label, argv, golden, capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     with _lapack.one_blas_thread():

@@ -136,7 +136,7 @@ class TestEnergy:
             )
         )
         K = condenser_gram(KernelSpec("riesz", alpha=2.0, epsilon=0.25), c)
-        k11, k22, k12 = K.entries[0, 0], K.entries[1, 1], K.entries[0, 1]
+        k11, k22, k12 = K.dense()[0, 0], K.dense()[1, 1], K.dense()[0, 1]
         w1, w2 = 1.3, 0.7
         val = energy(c, K, c.measure([np.array([w1]), np.array([w2])]))
         assert val == pytest.approx(k11 * w1**2 + k22 * w2**2 - 2 * k12 * w1 * w2, rel=1e-13)
@@ -315,7 +315,7 @@ class TestShapeErrors:
         K = random_gram(rng, c)
         from vequil import GramMatrix
 
-        bare = GramMatrix(entries=K.entries)
+        bare = GramMatrix(entries=K.dense())
         f = random_case2_field(rng, c)
         mu = random_measure(rng, c)
         with pytest.raises(VequilError):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,54 @@ def test_non_finite_thinness_range_is_refused(flags, got, capsys):
     assert err == f"error: rotational body needs a finite q and r_max, got {got}\n"
 
 
+def test_negative_q_is_refused_without_a_warning(capsys):
+    # exp(-(x1**s)) of a negative x1 is complex: the body was built from real parts.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["thinness", "--profile", "exp_s_le1", "--s", "0.5",
+                                  "--radii", "2", "--q", "-1", "--no-gap"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: rotational body needs q >= 0, got q=-1.0\n"
+
+
+def test_unreadable_config_error_names_its_path_once(capsys):
+    code, out, err = run_cli(["solve", "/nonexistent.json"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot read config file '/nonexistent.json': No such file or directory\n"
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Record the rows of every LAPACK ``dpotrf`` call."""
+    calls, dpotrf = [], _lapack.lapack.dpotrf
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(_lapack.lapack, "dpotrf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_capacity_factors_its_gram_once(seed, capsys, monkeypatch):
+    # The gate's factor of K - pd_tol*I is the one equilibrium solves with.
+    calls = count_factorizations(monkeypatch)
+    code, _, _ = run_cli(["capacity", str(CONFIGS / "capacity_sphere.json"), *seed], capsys)
+    assert (code, calls) == (0, [500])
+
+
+def test_thinness_factors_four_matrices_per_radius(capsys, monkeypatch):
+    # Per radius: the body Gram at -pd_tol (gate and equilibrium) and at 0
+    # (green_gram, then balayage on the kept factor), the screened Gram and the
+    # condenser Gram.
+    calls = count_factorizations(monkeypatch)
+    code, out, _ = run_cli("thinness --profile power_s --s 1 --radii 4 8 16 32".split(), capsys)
+    assert code == 0 and len(calls) == 16
+    for k, record in enumerate(map(json.loads, out.splitlines())):
+        n = record["n_body_nodes"]
+        assert calls[4 * k: 4 * k + 4] == [n, n, 80, 48 + n]
+
+
 @pytest.mark.parametrize("target, reason", [
     ("missing/out.json", "No such file or directory"),
     (".", "Is a directory"),
@@ -351,9 +400,9 @@ def count_assemblies(monkeypatch) -> list:
     assemblies = []
     kernel_matrix = kernels._kernel_matrix
 
-    def counted(spec, X, Y):
+    def counted(spec, X, Y, **lower):
         assemblies.append((X.shape[0], Y.shape[0]))
-        return kernel_matrix(spec, X, Y)
+        return kernel_matrix(spec, X, Y, **lower)
 
     monkeypatch.setattr(kernels, "minimum_spacing", no_spacing_sweep)
     monkeypatch.setattr(kernels, "resolve_epsilon", no_spacing_sweep)
@@ -692,9 +741,9 @@ class TestCLI:
         assemblies = []
         kernel_matrix = kernels._kernel_matrix
 
-        def counted(*args):
+        def counted(*args, **lower):
             assemblies.append(args[1].shape[0])
-            return kernel_matrix(*args)
+            return kernel_matrix(*args, **lower)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
         monkeypatch.setattr(kernels, "_kernel_matrix", counted)

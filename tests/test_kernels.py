@@ -100,18 +100,18 @@ class TestAssembleGram:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
         )
         expected = np.array([[1.0, 1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0), 1.0]])
-        np.testing.assert_allclose(G.entries, expected, rtol=1e-15)
+        np.testing.assert_allclose(G.dense(), expected, rtol=1e-15)
 
     def test_matches_elementwise_recomputation(self):
         rng = np.random.default_rng(7)
         nodes = rng.uniform(-1, 1, (50, 3))
         spec = resolve_epsilon(KernelSpec("riesz", alpha=1.7), nodes)
-        G = assemble_gram(spec, nodes)
-        assert np.array_equal(G.entries, G.entries.T)
-        assert np.all(np.isfinite(G.entries))
+        K = assemble_gram(spec, nodes).dense()
+        assert np.array_equal(K, K.T)
+        assert np.all(np.isfinite(K))
         for p in range(0, 50, 7):
             for q in range(0, 50, 11):
-                assert G.entries[p, q] == evaluate_kernel(spec, nodes[p], nodes[q])
+                assert K[p, q] == evaluate_kernel(spec, nodes[p], nodes[q])
 
     def test_default_epsilon_is_half_min_spacing(self):
         nodes = np.array([[0.0, 0.0, 0.0], [0.4, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -291,7 +291,7 @@ class TestPositiveDefiniteness:
             rep = check_positive_definite(G)
             for _ in range(10):
                 w = rng.normal(0, 1, 15)
-                assert w @ G.entries @ w >= -rep.pd_tol * float(w @ w)
+                assert w @ G.dense() @ w >= -rep.pd_tol * float(w @ w)
 
     def test_log_disk_pd_on_sub_disk(self):
         rng = np.random.default_rng(17)
@@ -324,12 +324,12 @@ class TestOneThreadFactor:
 
     def test_without_the_setter_the_same_decisions_and_entries(self, monkeypatch):
         G = assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(300, radius=1.0))
-        before = G.entries.copy()
+        before = G.dense()
 
         def run():
             factors = [G._factored(shift, lambda c, d: np.tril(c))
                        for shift in (0.0, -2.0 * G.lambda_max(), 1.0)]
-            assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+            assert np.array_equal(G.dense(), before) and not G.entries.flags.writeable
             return factors
 
         want = run()

@@ -13,7 +13,7 @@ The kernel properties compare the per-coordinate distance sweep, and the
 two-pass Gram assembly with its default epsilon, with the expressions they
 replaced, the Cholesky PD gate and the Lanczos largest
 eigenvalue with a dense symmetric eigensolver (the gate and ``equilibrium``
-also leave the Gram's entries bit for bit as they were), the Gram product
+also leave the Gram, ``dense()``, bit for bit as it was), the Gram product
 with numpy's, and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
 corrective step on its carried hull factor is compared, one appended atom at
 a time, with the active-set oracle that solves every support by least squares.
@@ -60,7 +60,7 @@ from vequil import (
     scalar_sum,
 )
 from vequil import analysis, solver
-from vequil.analysis import _sub_gram, balayage, equilibrium, green_gram
+from vequil.analysis import balayage, equilibrium, green_gram
 from vequil.condenser import CASE1, CASE2, zero_field
 from vequil.config import parse_config
 from vequil.geometry import PROFILES, fibonacci_sphere, rotational_body
@@ -348,7 +348,7 @@ def oracle_nnls_balayage(spec, source, target):
     ``beta >= 0`` for the Cholesky factor L of the joint Gram, assembled over
     the target nodes followed by the source points off the target."""
     rows, source_rows = oracle_balayage_rows(source, target)
-    K = assemble_gram(spec, rows).entries
+    K = assemble_gram(spec, rows).dense()
     n_t = len(target)
     L = np.linalg.cholesky(K)
     omega = np.zeros(K.shape[0])
@@ -520,8 +520,11 @@ def gram_inputs(draw):
 @given(gram_inputs())
 def test_assembled_gram_is_exactly_symmetric(inputs):
     spec, pts = inputs
-    G = assemble_gram(spec, pts)
-    assert same_bits(G.entries, G.entries.T)
+    # Only one triangle is assembled; the evaluation it takes is exactly
+    # symmetric, and the Gram is that evaluation.
+    C = cross_kernel(spec, pts, pts)
+    assert same_bits(C, C.T)
+    assert same_bits(assemble_gram(spec, pts).dense(), C)
 
 
 @st.composite
@@ -567,10 +570,11 @@ def test_two_pass_assembly_matches_two_sweep_expression(inputs):
         expected = -0.5 * np.log(r2)
     else:
         expected = r2 ** ((float(spec.alpha) - n) / 2.0)
-    assert same_bits(G.entries, expected)
-    assert same_bits(cross_kernel(G.spec, pts, pts), G.entries)
+    K = G.dense()
+    assert same_bits(K, expected)
+    assert same_bits(cross_kernel(G.spec, pts, pts), K)
     for p, q in ((0, -1), (-1, 0), (len(pts) // 2, 0)):
-        assert same_bits(evaluate_kernel(G.spec, pts[p], pts[q]), G.entries[p, q])
+        assert same_bits(evaluate_kernel(G.spec, pts[p], pts[q]), K[p, q])
 
 
 # (size, lambda_max, lambda_min / pd_tol, seed): lambda_min stays at least a
@@ -616,19 +620,19 @@ def test_pd_gate_matches_eigenvalue_classification(spectrum):
 @SETTINGS
 @given(spectra)
 @example((1, 1.0, 5.0, 0))
-@example((70, 1.0, 5.0, 1))  # three restore blocks, the last one partial
+@example((70, 1.0, 5.0, 1))  # three copy blocks, the last one partial
 @example((33, 2.0, -0.3, 2))
 @example((65, 1.0, -1e12, 3))
-def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
-    # The gate factors inside the Gram's buffer: strict, definite-only and
-    # indefinite spectra take different branches, each must leave the entries
-    # as they were and cache no N x N array.  So must equilibrium, which
-    # factors again on a gated Gram and must then give the same result.
+def test_pd_gate_leaves_the_gram_bit_for_bit(spectrum):
+    # The gate factors in the Gram's spare triangle: strict, definite-only and
+    # indefinite spectra take different branches, each must leave the Gram
+    # as it was and cache no N x N array.  So must equilibrium, which runs on
+    # the gate's kept factor of a gated Gram and must then give the same result.
     G = gram_with_spectrum(*spectrum)
-    before, threads = G.entries.copy(), blas_threads()
+    before, threads = G.dense(), blas_threads()
     is_pd, strict = _pd_gate(G)
     event("strictly PD" if strict else "PD only" if is_pd else "indefinite")
-    assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+    assert np.array_equal(G.dense(), before) and not G.entries.flags.writeable
     assert blas_threads() == threads  # restored after a refused factorization too
     cached = [x for v in G._cache.values() for x in (v if isinstance(v, tuple) else (v,))]
     assert not any(np.ndim(x) == 2 for x in cached)
@@ -636,13 +640,13 @@ def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
     if not strict:
         with pytest.raises(NotPositiveDefinite):
             equilibrium(nodes, G)
-        assert np.array_equal(G.entries, before)
+        assert np.array_equal(G.dense(), before)
         return
     fresh = GramMatrix(entries=before)
     want = equilibrium(nodes, fresh)
     got = equilibrium(nodes, G)
     for K in (G, fresh):
-        assert np.array_equal(K.entries, before) and not K.entries.flags.writeable
+        assert np.array_equal(K.dense(), before) and not K.entries.flags.writeable
     assert got.robin_constant == want.robin_constant
     assert np.array_equal(got.unit_minimizer, want.unit_minimizer)
 
@@ -654,7 +658,7 @@ def test_pd_gate_restores_the_gram_bit_for_bit(spectrum):
 
     with pytest.raises(RuntimeError, match="inside the factor"):
         G._factored(0.0, fail)
-    assert np.array_equal(G.entries, before) and not G.entries.flags.writeable
+    assert np.array_equal(G.dense(), before) and not G.entries.flags.writeable
     # The factor ran on one thread of scipy's pool, whose count is back.
     assert seen == [None if threads is None else 1] and blas_threads() == threads
 
@@ -674,7 +678,7 @@ def test_lambda_max_of_assembled_gram():
     assert abs(G.lambda_max() - hi) <= 1e-12 * hi
 
 
-GRAM_PATHS = ("assemble_gram", "GramMatrix", "_sub_gram", "green_gram", "custom_table")
+GRAM_PATHS = ("assemble_gram", "GramMatrix", "GramMatrix.block", "green_gram", "custom_table")
 
 
 def gram_by(path: str, n: int, rng) -> GramMatrix:
@@ -685,16 +689,16 @@ def gram_by(path: str, n: int, rng) -> GramMatrix:
         return assemble_gram(spec, pts)
     if path == "GramMatrix":
         # A Fortran-ordered input: the public constructor must still store C order.
-        return GramMatrix(entries=assemble_gram(spec, pts).entries.T)
-    if path == "_sub_gram":
+        return GramMatrix(entries=assemble_gram(spec, pts).dense().T)
+    if path == "GramMatrix.block":
         big = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 5, 3)))
         start = int(rng.integers(0, 6))
-        return _sub_gram(big, slice(start, start + n))
+        return big.block(slice(start, start + n))
     if path == "green_gram":
         screen = rng.uniform(-1.0, 1.0, (6, 3)) + [4.0, 0.0, 0.0]
         rows = cross_kernel(spec, pts, np.vstack([pts, screen]))
         return green_gram(rows, assemble_gram(spec, screen))
-    table = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 3, 3))).entries
+    table = assemble_gram(spec, rng.uniform(-1.0, 1.0, (n + 3, 3))).dense()
     return assemble_gram(KernelSpec("custom_table", table=table), rng.integers(0, n + 3, n))
 
 
@@ -707,8 +711,9 @@ def test_gram_product_matches_numpy(path, n, seed):
     # f2py would copy a non-contiguous buffer on every product, silently.
     assert G.entries.flags.c_contiguous
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
-    err = np.abs(G.matvec(x) - G.entries @ x).max()
-    assert err <= 1e-14 * np.linalg.norm(G.entries) * np.linalg.norm(x)
+    K = G.dense()
+    err = np.abs(G.matvec(x) - K @ x).max()
+    assert err <= 1e-14 * np.linalg.norm(K) * np.linalg.norm(x)
 
 
 @SETTINGS
@@ -1389,8 +1394,15 @@ def test_rotational_body_is_a_prefix_of_a_longer_one(body):
         short = rotational_body(profile, s, q, r)
     except VequilError:  # every station up to r is below the node floor
         event("empty short body")
+        short = np.empty((0, 3))
+    try:
+        longer = rotational_body(profile, s, q, r_max)
+    except VequilError:
+        assert short.shape[0] == 0
         return
-    assert same_bits(short, rotational_body(profile, s, q, r_max)[: short.shape[0]])
+    assert same_bits(short, longer[: short.shape[0]])
+    # thinness_demo counts a radius's nodes in its longest body so.
+    assert np.searchsorted(longer[:, 0], r + 1e-12, side="right") == short.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def two_plate_config(scale=1.0):
     """``configs/solve_two_plate.json`` with its Gram scaled by ``scale``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "solve_two_plate.json"
     problem = parse_config(config).problem
-    gram = GramMatrix(problem.gram.entries * scale)
+    gram = GramMatrix(problem.gram.dense() * scale)
     return problem.condenser, gram, problem.field, problem.config
 
 
