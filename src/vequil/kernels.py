@@ -379,7 +379,7 @@ def minimum_spacing(nodes) -> float:
     """Smallest positive pairwise distance of a node set (inf if none)."""
     pts = _as_points(nodes)
     blocks = _sq_dist_blocks(pts, pts, lower=True)
-    return float(np.sqrt(min((_min_positive(d2) for _, d2 in blocks), default=np.inf)))
+    return float(np.sqrt(min((_min_positive(*blk) for blk in blocks), default=np.inf)))
 
 
 def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
@@ -392,8 +392,15 @@ def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
     return spec.with_epsilon(_default_epsilon(minimum_spacing(nodes)))
 
 
-def _min_positive(d2: np.ndarray) -> float:
-    return float(np.min(d2, where=d2 > 0.0, initial=np.inf))
+def _min_positive(start: int, d2: np.ndarray) -> float:
+    """Smallest positive entry of the row block ``(start, d2)`` of :func:`_sq_dist_blocks`:
+    a plain ``min`` of its columns left of ``start`` and of the rest, each, only where
+    that is 0 (a diagonal block, coincident nodes), redone as a masked reduction."""
+    best = np.inf
+    for part in (d2[:, :start], d2[:, start:]):
+        m = float(part.min(initial=np.inf))
+        best = min(best, m if m > 0.0 else float(np.min(part, where=part > 0.0, initial=np.inf)))
+    return best
 
 
 def _default_epsilon(spacing: float) -> float:
@@ -409,6 +416,7 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
     with ``lower`` only for ``q < start + len(d2)`` (the C-lower blocks).  Each ``d2``
     is a fresh array, or the view of its entries of ``out`` when given."""
     diff = np.empty((min(_ASSEMBLY_BLOCK, rows.shape[0]), cols.shape[0]))
+    coords = np.ascontiguousarray(cols.T)  # one contiguous row per coordinate
     for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
         blk = rows[start : start + _ASSEMBLY_BLOCK]
         stop = start + blk.shape[0] if lower else cols.shape[0]
@@ -416,10 +424,10 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
         d2 = np.empty_like(t) if out is None else out[start : start + blk.shape[0], :stop]
         # (a_k - b_k)**2 summed over k left to right: exactly symmetric,
         # identical for every pair wherever it is evaluated.
-        np.subtract.outer(blk[:, 0], cols[:stop, 0], out=d2)
+        np.subtract.outer(blk[:, 0], coords[0, :stop], out=d2)
         np.square(d2, out=d2)
         for k in range(1, rows.shape[1]):
-            np.subtract.outer(blk[:, k], cols[:stop, k], out=t)
+            np.subtract.outer(blk[:, k], coords[k, :stop], out=t)
             np.square(t, out=t)
             d2 += t
         yield start, d2
@@ -456,43 +464,51 @@ def _kernel_points(spec: KernelSpec, *sets) -> tuple[np.ndarray, ...]:
     return pts
 
 
-def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
-                   lower: bool = False) -> tuple[np.ndarray, KernelSpec]:
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, lower: bool = False,
+                   refusal: str | None = None) -> tuple[np.ndarray, KernelSpec]:
     """Kernel matrix of checked points ``X`` against ``Y``, and the spec it used: a table's
     gather, or the module notes' two passes (pass 1 resolves an unset epsilon), over
-    the C-lower blocks alone with ``lower``."""
+    the C-lower blocks alone with ``lower``.  With ``refusal``, a non-finite entry
+    raises :class:`KernelDomainError` with that message, checked block by block."""
     if spec.family == CUSTOM_TABLE:
-        return spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))], spec
+        out = spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))]
+        _refuse_non_finite(out, refusal)
+        return out, spec
     out, blocks, min_d2 = np.zeros((X.shape[0], Y.shape[0])), [], np.inf
-    for _, d2 in _sq_dist_blocks(X, Y, out, lower):
+    for start, d2 in _sq_dist_blocks(X, Y, out, lower):
         blocks.append(d2)
         if spec.epsilon is None:
-            min_d2 = min(min_d2, _min_positive(d2))
+            min_d2 = min(min_d2, _min_positive(start, d2))
     if spec.epsilon is None:
         spec = spec.with_epsilon(_default_epsilon(float(np.sqrt(min_d2))))
     eps = float(spec.epsilon)
-    for r2 in blocks:
-        r2 += eps * eps
-        _apply_family(spec, r2, X.shape[1])
+    with np.errstate(divide="ignore"):  # a zero r2 gives inf, refused or returned
+        for r2 in blocks:
+            r2 += eps * eps
+            _apply_family(spec, r2, X.shape[1])
+            _refuse_non_finite(r2, refusal)  # while the block is in cache
     return out, spec
 
 
-def _pointwise(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _refuse_non_finite(a: np.ndarray, refusal: str | None) -> None:
+    if refusal is not None and not _all_finite(a):
+        raise KernelDomainError(refusal)
+
+
+def _pointwise(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
+               refusal: str | None = None) -> np.ndarray:
     """:func:`_kernel_matrix` with an unset epsilon taken as 0 (a coincident pair gives inf)."""
     if spec.singular and spec.epsilon is None:
         spec = spec.with_epsilon(0.0)
-    with np.errstate(divide="ignore"):
-        return _kernel_matrix(spec, X, Y)[0]
+    return _kernel_matrix(spec, X, Y, refusal=refusal)[0]
 
 
 def cross_kernel(spec: KernelSpec, x_nodes, y_nodes) -> np.ndarray:
     """Rectangular kernel matrix ``K[p, q] = kappa(x_p, y_q)``, points checked as by
     :func:`assemble_gram`.  ``epsilon=None`` counts as 0: a coincident pair under a
     singular family is refused."""
-    out = _pointwise(spec, *_kernel_points(spec, x_nodes, y_nodes))
-    if not _all_finite(out):
-        raise KernelDomainError("cross kernel has singular entries; use epsilon > 0")
-    return out
+    return _pointwise(spec, *_kernel_points(spec, x_nodes, y_nodes),
+                      refusal="cross kernel has singular entries; use epsilon > 0")
 
 
 def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
@@ -509,9 +525,7 @@ def assemble_gram(spec: KernelSpec, nodes) -> GramMatrix:
     if spec.singular and spec.epsilon is not None and not spec.epsilon > 0.0:
         raise KernelDomainError(f"{spec.family} Gram assembly requires epsilon > 0 "
                                 "(singular diagonal)")
-    entries, spec = _kernel_matrix(spec, pts, pts, lower=True)
-    if not _all_finite(entries):
-        raise KernelDomainError(_NONFINITE_GRAM)
+    entries, spec = _kernel_matrix(spec, pts, pts, lower=True, refusal=_NONFINITE_GRAM)
     return GramMatrix._assembled(entries, spec=spec, nodes=pts)
 
 

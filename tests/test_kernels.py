@@ -126,6 +126,15 @@ class TestAssembleGram:
                 [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
             )
 
+    @pytest.mark.parametrize("spec, nodes", [
+        (KernelSpec("custom_table", table=[[1.0, np.inf], [np.inf, 1.0]]), [[0], [1]]),
+        # eps^2 underflows to 0, so the diagonal is 1/0: refused, with no divide warning
+        (KernelSpec("newtonian", epsilon=1e-200), fibonacci_sphere(3)),
+    ], ids=["table_with_inf", "newtonian_eps_squared_underflows"])
+    def test_non_finite_entries_are_refused(self, spec, nodes):
+        with pytest.raises(KernelDomainError, match="Gram entries must be finite"):
+            assemble_gram(spec, nodes)
+
     @pytest.mark.parametrize(
         "spec, nodes, message",
         [

@@ -545,8 +545,18 @@ def two_pass_inputs(draw):
     return KernelSpec(family, alpha=alpha, epsilon=epsilon), pts
 
 
+def straddling_pair() -> np.ndarray:
+    """Nodes on a line in R^3 whose closest pair is rows B-1 and B, across a row-block
+    boundary, and whose last node repeats the first (B = _ASSEMBLY_BLOCK)."""
+    x = np.linspace(-0.7, 0.7, 2 * _ASSEMBLY_BLOCK + 3)
+    x[_ASSEMBLY_BLOCK] = x[_ASSEMBLY_BLOCK - 1] + 1e-3
+    x[-1] = x[0]
+    return np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
+
+
 @SETTINGS
 @given(two_pass_inputs())
+@example((KernelSpec("newtonian"), straddling_pair()))
 @example((KernelSpec("newtonian"), fibonacci_sphere(_ASSEMBLY_BLOCK, radius=0.6)))
 @example((KernelSpec("riesz", alpha=0.5), np.linspace(-0.7, 0.7, _ASSEMBLY_BLOCK + 1)[:, None]))
 @example((KernelSpec("log_disk"), np.repeat(fibonacci_sphere(_ASSEMBLY_BLOCK, 0.5)[:, :2], 2, 0)))
