@@ -299,12 +299,14 @@ class GramMatrix:
                 scale = max(scale, blas.dnrm2(w))
                 w = _orthogonalized(V[: k + 1], w)
                 b = blas.dnrm2(w)
-                _, vals, z, info = lapack.dstemr(d, e + [0.0], 2, 0.0, 0.0, len(d), len(d))
+                m, vals, z, info = lapack.dstemr(d, e + [0.0], 2, 0.0, 0.0,
+                                                 max(len(d) - 1, 1), len(d))
                 if info:
                     raise EigensolverError("Lanczos' tridiagonal eigensolver failed")
-                broke = b <= 1e-12 * scale
-                if broke or b * abs(z[-1, 0]) <= 1e-14 * abs(vals[0]):
-                    lam = max(lam, vals[0])
+                theta, res, broke = vals[m - 1], b * abs(z[-1, m - 1]), b <= 1e-12 * scale
+                if (broke or res <= 1e-14 * abs(theta)
+                        or res * res <= 1e-13 * abs(theta) * (theta - vals[0])):
+                    lam = max(lam, theta)
                     if not broke or restarted or k == n - 1:
                         break
                     w = _orthogonalized(V[: k + 1], np.random.default_rng(k).standard_normal(n))
@@ -434,10 +436,14 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
 
 
 def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> None:
-    """The kernel of squared regularized distances ``r2``, computed in place."""
+    """The kernel of squared regularized distances ``r2``, computed in place.  The
+    exponent -1/2 (newtonian in R^3) is ``1 / sqrt``: faster than ``np.power``,
+    and within 2.3e-16 relative of it."""
     if spec.family == LOG_DISK:
         np.log(r2, out=r2)
         r2 *= -0.5
+    elif float(spec.alpha) - n == -1.0:
+        np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
     else:
         np.power(r2, (float(spec.alpha) - n) / 2.0, out=r2)
 

@@ -574,10 +574,13 @@ def test_two_pass_assembly_matches_two_sweep_expression(inputs):
         eps = 0.5 * minimum_spacing(pts)
         assert same_bits(eps, 0.5 * np.sqrt(d2[d2 > 0.0].min()))
     assert same_bits(G.spec.epsilon, eps)
-    # The family code as it stood before assembly went in place.
+    # The family code as it stood before assembly went in place, with the
+    # exponent -1/2 taken as 1 / sqrt.
     r2 = d2 + eps * eps
     if spec.family == "log_disk":
         expected = -0.5 * np.log(r2)
+    elif float(spec.alpha) - n == -1.0:
+        expected = 1.0 / np.sqrt(r2)
     else:
         expected = r2 ** ((float(spec.alpha) - n) / 2.0)
     K = G.dense()
