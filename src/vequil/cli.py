@@ -6,7 +6,7 @@ problem config (``thinness`` takes flags instead), runs the operation, and
 emits one JSON record per line (or a CSV table with ``--format csv``).
 
 Exit codes: 0 on success, 2 when the problem was feasible but a solve did
-not reach its tolerance, 1 on parse/infeasibility/domain errors.
+not reach its tolerance, 1 on usage/parse/infeasibility/domain errors.
 """
 
 from __future__ import annotations
@@ -211,7 +211,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error, or the help (code 0)
+        if not exc.code:
+            raise
+        return 1
     try:
         return _DISPATCH[args.command](args)
     except VequilError as exc:

@@ -78,7 +78,10 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     the resolution of the discretization and carry no nodes: a single global
     diagonal regularization cannot represent features many orders of
     magnitude thinner than the node spacing, and placing bare axis nodes
-    there would inflate the tail capacity artificially.
+    there would inflate the tail capacity artificially.  Every profile is
+    nonincreasing in ``x1``, so the stepping stops at the first such station
+    where the radius is finite (an infinite one, ``power_s`` at 0, is stepped
+    over by ``DX_MAX``).
 
     The stepping sequence depends only on ``q`` and the profile, so node
     sets for increasing ``r_max`` are nested.
@@ -101,6 +104,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
             phase = (station % 2) * np.pi / m
             ring = ring_nodes(m, r, center=(0.0, 0.0), phase=phase)
             pts.append(np.column_stack([np.full(m, x), ring[:, 0], ring[:, 1]]))
+        elif np.isfinite(r):  # every profile is nonincreasing: no station beyond has nodes
+            break
         else:
             dx = DX_MAX
         x += dx

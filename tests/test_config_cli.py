@@ -285,6 +285,17 @@ def test_non_finite_thinness_range_is_refused(flags, got, capsys):
     assert err == f"error: rotational body needs a finite q and r_max, got {got}\n"
 
 
+def test_huge_thinness_radius_gives_the_body_that_ends_at_the_floor(capsys):
+    # exp(-x1^2) is below NODE_FLOOR past x1 = 2.302: radius 1e9 stepped a
+    # billion empty stations before the stepping stopped at the first one.
+    code, out, _ = run_cli(["thinness", "--profile", "exp_s_gt1", "--s", "2",
+                            "--radii", "4", "1e9", "--no-gap"], capsys)
+    assert code == 0
+    short, huge = (json.loads(line) for line in out.splitlines())
+    assert huge["radius"] == 1e9
+    assert (huge["n_body_nodes"], huge["capacity"]) == (short["n_body_nodes"], short["capacity"])
+
+
 def test_negative_q_is_refused_without_a_warning(capsys):
     # exp(-(x1**s)) of a negative x1 is complex: the body was built from real parts.
     with warnings.catch_warnings():
@@ -351,10 +362,30 @@ def test_unwritable_out_path_is_an_error(target, reason, capsys, tmp_path):
     ["thinness", "--profile", "power_s", "--s", "1", "--radii", "4"],
 ])
 def test_seed_flag_only_where_a_solve_reads_it(argv, capsys):
+    code, out, err = run_cli([*argv, "--seed", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --seed 3" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "vequil solve: error: the following arguments are required: config"),
+    # argparse takes "-inf" for an option
+    (["thinness", "--profile", "power_s", "--s", "1", "--radii", "4", "-inf", "--no-gap"],
+     "vequil: error: unrecognized arguments: -inf"),
+])
+def test_usage_error_exits_1_not_2(argv, message, capsys):
+    # Exit 2 means a solve missed its tolerance.
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: vequil") and err.endswith(f"\n{message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--seed", "3"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vequil")
 
 
 @pytest.mark.parametrize("index", [5, -1, 1.5])
