@@ -79,9 +79,7 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     diagonal regularization cannot represent features many orders of
     magnitude thinner than the node spacing, and placing bare axis nodes
     there would inflate the tail capacity artificially.  Every profile is
-    nonincreasing in ``x1``, so the stepping stops at the first such station
-    where the radius is finite (an infinite one, ``power_s`` at 0, is stepped
-    over by ``DX_MAX``).
+    nonincreasing, so the stepping ends at the first such finite radius.
 
     The stepping sequence depends only on ``q`` and the profile, so node
     sets for increasing ``r_max`` are nested.

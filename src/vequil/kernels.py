@@ -23,10 +23,11 @@ A Gram is the C-lower triangle and the diagonal of its N x N buffer, and is
 assembled by two in-place passes over the lower row blocks of a zeroed one,
 :data:`_ASSEMBLY_BLOCK` rows at a time.  The first writes the squared
 distances, summed one coordinate at a time, left to right, and takes the
-default ``eps`` from their positive minimum; the second adds ``eps^2`` and
-applies the family.  Working memory is the Gram plus one block, and each
-entry is the point evaluation of its pair bit for bit.  The C-upper triangle
-is the scratch where :meth:`GramMatrix._factored` keeps its last factor.
+default ``eps`` from their positive minimum; the second adds ``eps^2``,
+applies the family and refuses a non-finite block while it is in cache.
+Working memory is the Gram plus one block, and each entry is the point
+evaluation of its pair bit for bit.  The C-upper triangle is the scratch
+where :meth:`GramMatrix._factored` keeps its last factor.
 
 Positive definiteness is decided two ways.  The solvers' gate (:func:`_pd_gate`)
 never computes a spectrum: it takes the largest eigenvalue from vequil's own
@@ -277,9 +278,11 @@ class GramMatrix:
         Starts from ones/sqrt(N), takes every product from :meth:`matvec` and
         orthogonalizes each new vector twice against the whole basis (``dgemv``
         on a row buffer that doubles when full).  A block stops when the top
-        Ritz pair ``(theta, y)`` of its tridiagonal (``dstemr``) has
-        ``beta_k*|y_k| <= 1e-14*|theta|``.  A breakdown (``beta_k`` at round-off
-        of the largest product) leaves an invariant subspace that need not hold
+        Ritz pair ``(theta, y)`` of its tridiagonal (``dstemr``) has a residual
+        ``res = beta_k*|y_k| <= 1e-14*|theta|``, or the Kato-Temple bound on its
+        error ``res^2 / gap <= 1e-13*|theta|``, ``gap`` being ``theta`` less the
+        second Ritz value.  A breakdown (``beta_k`` at round-off of the largest
+        product) leaves an invariant subspace that need not hold
         the top eigenvalue, so, as ARPACK's ``dgetv0`` does, the iteration
         restarts once from a seeded random vector orthogonal to the basis; that
         block sees every eigenvalue left.  The result is the largest Ritz value
@@ -395,9 +398,8 @@ def resolve_epsilon(spec: KernelSpec, nodes) -> KernelSpec:
 
 
 def _min_positive(start: int, d2: np.ndarray) -> float:
-    """Smallest positive entry of the row block ``(start, d2)`` of :func:`_sq_dist_blocks`:
-    a plain ``min`` of its columns left of ``start`` and of the rest, each, only where
-    that is 0 (a diagonal block, coincident nodes), redone as a masked reduction."""
+    """Smallest positive entry of a row block of :func:`_sq_dist_blocks`: a plain ``min``
+    left of column ``start`` and right of it, each masked only where it reads 0."""
     best = np.inf
     for part in (d2[:, :start], d2[:, start:]):
         m = float(part.min(initial=np.inf))
@@ -436,9 +438,8 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
 
 
 def _apply_family(spec: KernelSpec, r2: np.ndarray, n: int) -> None:
-    """The kernel of squared regularized distances ``r2``, computed in place.  The
-    exponent -1/2 (newtonian in R^3) is ``1 / sqrt``: faster than ``np.power``,
-    and within 2.3e-16 relative of it."""
+    """The kernel of squared regularized distances ``r2``, computed in place; the
+    exponent -1/2 as ``1 / sqrt``, within 2.3e-16 relative of ``np.power`` and faster."""
     if spec.family == LOG_DISK:
         np.log(r2, out=r2)
         r2 *= -0.5
@@ -478,7 +479,8 @@ def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, lower: bool =
     raises :class:`KernelDomainError` with that message, checked block by block."""
     if spec.family == CUSTOM_TABLE:
         out = spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))]
-        _refuse_non_finite(out, refusal)
+        if refusal and not _all_finite(out):
+            raise KernelDomainError(refusal)
         return out, spec
     out, blocks, min_d2 = np.zeros((X.shape[0], Y.shape[0])), [], np.inf
     for start, d2 in _sq_dist_blocks(X, Y, out, lower):
@@ -492,13 +494,9 @@ def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, lower: bool =
         for r2 in blocks:
             r2 += eps * eps
             _apply_family(spec, r2, X.shape[1])
-            _refuse_non_finite(r2, refusal)  # while the block is in cache
+            if refusal and not _all_finite(r2):  # while the block is in cache
+                raise KernelDomainError(refusal)
     return out, spec
-
-
-def _refuse_non_finite(a: np.ndarray, refusal: str | None) -> None:
-    if refusal is not None and not _all_finite(a):
-        raise KernelDomainError(refusal)
 
 
 def _pointwise(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
