@@ -418,9 +418,10 @@ def _sq_dist_blocks(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None =
                     lower: bool = False):
     """Yield ``(start, d2)``, ``d2[p, q] = |rows[start + p] - cols[q]|^2``, by row block,
     with ``lower`` only for ``q < start + len(d2)`` (the C-lower blocks).  Each ``d2``
-    is a fresh array, or the view of its entries of ``out`` when given."""
+    is a fresh array, or the view of its entries of ``out`` when given; ``cols`` is read
+    by contiguous coordinate rows."""
     diff = np.empty((min(_ASSEMBLY_BLOCK, rows.shape[0]), cols.shape[0]))
-    coords = np.ascontiguousarray(cols.T)  # one contiguous row per coordinate
+    coords = np.ascontiguousarray(cols.T)
     for start in range(0, rows.shape[0], _ASSEMBLY_BLOCK):
         blk = rows[start : start + _ASSEMBLY_BLOCK]
         stop = start + blk.shape[0] if lower else cols.shape[0]
