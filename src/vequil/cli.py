@@ -6,7 +6,8 @@ problem config (``thinness`` takes flags instead), runs the operation, and
 emits one JSON record per line (or a CSV table with ``--format csv``).
 
 Exit codes: 0 on success, 2 when the problem was feasible but a solve did
-not reach its tolerance, 1 on usage/parse/infeasibility/domain errors.
+not reach its tolerance, 1 on usage/parse/infeasibility/domain errors and
+when memory runs out (an ``error:`` line, not a traceback).
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except VequilError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

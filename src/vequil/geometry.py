@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import VequilError
@@ -82,7 +84,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     nonincreasing, so the stepping ends at the first such finite radius.
 
     The stepping sequence depends only on ``q`` and the profile, so node
-    sets for increasing ``r_max`` are nested.
+    sets for increasing ``r_max`` are nested.  A body whose Gram (8 N^2 bytes)
+    would exceed physical memory (``os.sysconf``) is refused while it is built.
     """
     if not r_max > q:
         raise VequilError("rotational body needs r_max > q")
@@ -93,7 +96,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     rho = profile_radius(profile, s)
     pts: list[np.ndarray] = []
     x = float(q)
-    station = 0
+    station = count = 0
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     while x <= r_max + 1e-12:
         r = rho(x)
         if np.isfinite(r) and r >= NODE_FLOOR:
@@ -102,6 +106,10 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
             phase = (station % 2) * np.pi / m
             ring = ring_nodes(m, r, center=(0.0, 0.0), phase=phase)
             pts.append(np.column_stack([np.full(m, x), ring[:, 0], ring[:, 1]]))
+            count += m
+            if 8 * count * count > memory:
+                raise VequilError(f"rotational body: {count} nodes (r_max={r_max}) need a "
+                                  f"{8 * count * count}-byte Gram, over {memory} bytes of memory")
         elif np.isfinite(r):  # every profile is nonincreasing: no station beyond has nodes
             break
         else:

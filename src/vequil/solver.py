@@ -13,13 +13,15 @@ optimality.  Two independent algorithms are provided:
   g-mass first; one stable sort keyed by plate, then gradient/g, serves all
   plates); after each new vertex the objective is re-optimized exactly
   over the hull of collected vertices (fully corrective).  The hull's Gram
-  keeps its upper Cholesky factor across rounds, so a round that admits the
-  new vertex without dropping one costs one triangular solve for the
-  factor's new row and one pair of triangular solves for the weights.  A
-  round whose vertex is linearly dependent on the hull, or whose weights
-  must back off to the simplex boundary, goes to an active-set simplex QP
-  that solves each working support by Cholesky (least squares on the
-  bordered KKT system only for dependent atoms); the factor is then rebuilt.
+  keeps its upper Cholesky factor across rounds, packed by columns in a
+  buffer that doubles when full, so a round that admits the new vertex
+  without dropping one appends n+1 numbers (one ``dtpsv``) and solves for
+  the weights with one ``dpptrs``; each vertex keeps its Gram product, so a
+  round makes one Gram product.  A round whose vertex is linearly dependent
+  on the hull, or whose weights must back off to the simplex boundary, goes
+  to an active-set simplex QP that solves each working support by Cholesky
+  (least squares on the bordered KKT system only for dependent atoms); the
+  factor is then rebuilt.
 
 Both run in one loop, :func:`_descend`, which owns the stopping test, the
 iteration count and the trace (the lowest value so far after each step that
@@ -30,7 +32,9 @@ arrays, computed once per solve; the start and the final snap are
 whole-vector steps followed by one projection.  The KKT residual classifies
 all coordinates in one pass and sums each plate's multiplier with
 ``np.add.reduceat``; the rule for plates without an interior coordinate also
-runs for all plates at once, and only when one exists.
+runs for all plates at once, and only when one exists.  A solve runs over
+the coordinates whose box is not ``[0, 0]`` only; its products go through the
+full Gram.
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -41,6 +45,7 @@ either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +63,8 @@ from .condenser import (
 from .errors import InfeasibleProblem, VequilError
 from .kernels import GramMatrix, _not_pd, _pd_gate
 
-dgemv = blas.dgemv
-dposv, dpotrf, dpotrs, dtrtrs = lapack.dposv, lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs
+dgemv, dtpsv = blas.dgemv, blas.dtpsv
+dposv, dpptrf, dpptrs = lapack.dposv, lapack.dpptrf, lapack.dpptrs
 
 PROJECTED_GRADIENT = "projected_gradient"
 FRANK_WOLFE = "frank_wolfe"
@@ -166,10 +171,11 @@ def _knapsack_vertex(cost, g, sigma, a, plate_of=None, slices=None) -> np.ndarra
     exact fractional remainder.  Several plates share one stable sort keyed
     by ``(plate_of, cost/g)``: ``slices`` are their consecutive node ranges
     and ``a`` is the budget per node.  Each plate sums only its own cheaper
-    nodes, so it gets the vertex it would get alone.  Each plate's cumulative
-    sum starts from an exact zero, which one sum over all plates less their
-    offsets would not; the budget check also stays per plate, since a
-    ``reduceat`` check cost about 5 us more per call at 2 plates.
+    nodes, so it gets the vertex it would get alone: its cumulative sum
+    starts from an exact zero, which one sum over all plates less their
+    offsets would not; its last entry is the plate's ``<g, sigma>``, which
+    must cover the budget.  ``np.cumsum`` and ``np.clip`` would cost about
+    1.3 us more per call at N = 192 than the ufuncs, for the same bits.
     """
     if plate_of is None:
         order, slices = np.argsort(cost / g, kind="stable"), (slice(0, g.size),)
@@ -179,14 +185,14 @@ def _knapsack_vertex(cost, g, sigma, a, plate_of=None, slices=None) -> np.ndarra
     mass = g_o * sigma_o
     before = np.empty_like(mass)  # g-mass of the same plate's cheaper nodes
     for sl in slices:
-        before[sl.start] = 0.0
-        np.cumsum(mass[sl.start:sl.stop - 1], out=before[sl.start + 1:sl.stop])
-    v = np.empty_like(g)
-    v[order] = np.clip((a - before) / g_o, 0.0, sigma_o)
-    for sl in slices:
-        a_p = float(a if plate_of is None else a[sl.start])
-        if a_p - float(g[sl] @ v[sl]) > 1e-9 * max(1.0, a_p):
+        start, last = sl.start, sl.stop - 1
+        before[start] = 0.0
+        np.add.accumulate(mass[start:last], out=before[start + 1:last + 1])
+        a_p = float(a if plate_of is None else a[start])
+        if a_p - float(before[last] + mass[last]) > 1e-9 * max(1.0, a_p):
             raise InfeasibleProblem("knapsack budget not exhausted; plate infeasible")
+    v = np.empty_like(g)
+    v[order] = np.minimum(np.maximum((a - before) / g_o, 0.0), sigma_o)
     return v
 
 
@@ -198,39 +204,48 @@ class _QP:
     ``plate_of``, the plate's mass (``budget``), ``a / min g``, the active
     ``band`` with ``room = sigma - band``, ``pinned`` (a box at most two bands
     wide) and ``free`` (neither pinned nor on a degenerate plate).
+    With ``cut`` the per-node arrays hold only the coordinates ``on`` whose box
+    is not ``[0, 0]`` (a plate with none keeps its first): caps, bands and
+    degenerate flags are the whole plates', and products run through the
+    full Gram on an N-vector that is zero elsewhere.
     """
 
-    def __init__(self, c: Condenser, K: GramMatrix, f: FieldSpec):
+    def __init__(self, c: Condenser, K: GramMatrix, f: FieldSpec, cut: bool = False):
         self.K = K
-        self.signs = c.signs_per_node()
-        self.slices = c.slices()
         q = field_linear_coefficients(c, K, f)
         sigma = np.concatenate([p.sigma for p in c.plates]).copy()
         if f.case == CASE1:
             locked = np.isinf(q)
             sigma[locked] = 0.0  # +inf field nodes may not carry charge
             q = np.where(locked, 0.0, q)
-        self.q = q
-        self.sigma = sigma
-        self.g = np.concatenate([p.g for p in c.plates])
-        self.g2 = self.g * self.g
+        g = np.concatenate([p.g for p in c.plates])
         self.masses = np.array([p.mass for p in c.plates])
         # Each <g, sigma> as project_plate takes it; a degenerate plate's feasible set is sigma.
-        self.caps = np.array([float(self.g[sl] @ sigma[sl]) for sl in self.slices])
+        self.caps = np.array([float(g[sl] @ sigma[sl]) for sl in c.slices()])
         self.degenerate = self.caps - self.masses <= 1e-12 * np.maximum(1.0, self.caps)
-        self.starts = np.array([sl.start for sl in self.slices])
-        self.plate_of = np.repeat(np.arange(len(c.plates)), [p.n_nodes for p in c.plates])
-        self.budget = self.masses[self.plate_of]
-        g_min = np.minimum.reduceat(self.g, self.starts)[self.plate_of]
+        starts = np.array([sl.start for sl in c.slices()])
+        kept = sigma > 0.0
+        kept[starts] |= ~np.logical_or.reduceat(kept, starts)  # no plate is left empty
+        self.on = on = np.flatnonzero(kept) if cut and not kept.all() else slice(None)
+        plate_of = np.repeat(np.arange(len(c.plates)), [p.n_nodes for p in c.plates])[on]
+        self.signs, self.q, self.sigma, self.g = c.signs_per_node()[on], q[on], sigma[on], g[on]
+        self.plate_of, self.g2 = plate_of, self.g * self.g
+        self.starts = np.searchsorted(plate_of, np.arange(len(c.plates)))
+        ends = [*self.starts[1:].tolist(), plate_of.size]
+        self.slices = tuple(map(slice, self.starts.tolist(), ends))
+        self.budget = self.masses[plate_of]
+        g_min = np.minimum.reduceat(g, starts)[plate_of]
         self.a_over_g = self.budget / g_min
         self.band = np.maximum(1e-14, 1e-9 * self.budget / g_min)
-        self.room = sigma - self.band
-        self.pinned = sigma <= 2.0 * self.band
-        self.free = ~self.pinned & ~self.degenerate[self.plate_of]
+        self.room = self.sigma - self.band
+        self.pinned = self.sigma <= 2.0 * self.band
+        self.free = ~self.pinned & ~self.degenerate[plate_of]
+        self._full = np.zeros(K.size)  # the product's N-vector, zero off ``on``
 
     def product(self, w: np.ndarray) -> np.ndarray:
         """``K (s*w)``: the one matvec the objective and the gradient at ``w`` share."""
-        return self.K.matvec(self.signs * w)
+        self._full[self.on] = self.signs * w
+        return self.K.matvec(self._full)[self.on]
 
     def objective(self, w: np.ndarray, Kz: np.ndarray) -> float:
         return float((self.signs * w) @ Kz) + 2.0 * float(self.q @ w)
@@ -257,7 +272,7 @@ class _QP:
         scale = self.masses / np.where(self.caps > 0.0, self.caps, np.inf)  # 0 on a zero box
         base = self.sigma * scale[self.plate_of]
         if seed is not None:
-            base = base * np.random.default_rng(seed).uniform(0.05, 1.0, base.shape[0])
+            base = base * np.random.default_rng(seed).uniform(0.05, 1.0, self.K.size)[self.on]
         return self.project(base)
 
     def snap(self, w: np.ndarray) -> np.ndarray:
@@ -280,12 +295,14 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
     when they are ordered, its g-weighted support average when not, the one
     side present, or zero; a degenerate plate counts its unpinned
     coordinates as at the cap.  Each case is one segmented reduction over
-    all plates, run only in a call where such a plate exists.
+    all plates, run only in a call where such a plate exists.  The residual
+    is the larger of two masked reductions of ``r = grad - tau g``: ``r`` off
+    zero (interior or at the cap, where ``r <= 0``) and ``-r`` below the cap.
     """
     band, room, free, starts = qp.band, qp.room, qp.free, qp.starts
-    lo = (w <= band) & free
-    hi = (w >= room) & free
-    interior = free & ~(lo | hi)
+    up = (w > band) & free  # interior or at the cap
+    down = (w < room) & free  # interior or at zero
+    interior = up & down
     has_interior = np.logical_or.reduceat(interior, starts)
     g_grad = qp.g * grad
     num = np.add.reduceat(np.where(interior, g_grad, 0.0), starts)
@@ -293,9 +310,9 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
     tau = num / np.where(has_interior, den, 1.0)
     if not all(has_interior.tolist()):  # ndarray.all() costs about 1 us more at 2 plates
         ratio = grad / qp.g
-        at_cap = np.where(qp.degenerate[qp.plate_of], ~qp.pinned, hi)
+        at_cap = np.where(qp.degenerate[qp.plate_of], ~qp.pinned, up & ~down)
         cap_max = np.maximum.reduceat(np.where(at_cap, ratio, -np.inf), starts)
-        zero_min = np.minimum.reduceat(np.where(lo, ratio, np.inf), starts)
+        zero_min = np.minimum.reduceat(np.where(down & ~up, ratio, np.inf), starts)
         has_cap, has_zero = cap_max > -np.inf, zero_min < np.inf
         both = has_cap & has_zero
         with np.errstate(divide="ignore", invalid="ignore"):  # values the select leaves out
@@ -306,8 +323,9 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
             [both & (cap_max <= zero_min), both, has_cap, has_zero],
             [split, sup_avg, cap_max, zero_min]))
     r = grad - tau[qp.plate_of] * qp.g
-    viol = np.where(interior, np.abs(r), r * np.subtract(hi, lo, dtype=float))
-    return max(0.0, float(viol.max())), tuple(tau.tolist())
+    resid = max(np.maximum.reduce(r, where=up, initial=0.0),
+                0.0 - np.minimum.reduce(r, where=down, initial=0.0))
+    return float(resid), tuple(tau.tolist())
 
 
 def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure,
@@ -464,27 +482,35 @@ _DEPENDENT_PIVOT = 1e-10
 
 
 def _hull_factor(Q: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of a hull Gram, or ``None`` when its atoms are dependent."""
-    R, info = dpotrf(Q, lower=0, clean=1)
-    return R if info == 0 else None
+    """Upper Cholesky factor of a hull Gram, or ``None`` when its atoms are dependent.
+
+    Packed by columns (as ``Q``'s C-lower triangle is by rows) in a buffer of
+    twice its size, so that columns can be appended (:func:`_corrective_step`).
+    """
+    n = Q.shape[0]
+    R = np.empty(n * (n + 1))
+    R[:n * (n + 1) // 2] = Q[np.tri(n, dtype=bool)]
+    return R if dpptrf(n, R, lower=0, overwrite_ap=1)[1] == 0 else None
 
 
 def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.ndarray | None):
     """Re-optimize the hull weights after one atom was appended to the hull.
 
     ``Q`` and ``lin`` cover the hull with the new atom last, ``alpha`` is the
-    optimum over the old hull (every weight positive) and ``R`` the upper
-    Cholesky factor of the old hull's Gram, or ``None``.  Returns the new
-    weights and the factor of ``Q`` when the carried path produced one.
+    optimum over the old hull (every weight positive) and ``R`` the packed
+    upper Cholesky factor of the old hull's Gram (:func:`_hull_factor`), or
+    ``None``.  Returns the new weights and the factor of ``Q`` when the
+    carried path produced one: ``R`` itself with one more column, or, when
+    ``R`` had no room for it, a copy in a buffer over twice the size.
 
     ``alpha`` is already stationary on its support: the old hull's half
     gradient ``Q alpha + lin`` takes one value there, read off its first row.
     Against it the new atom's component, one row of ``Q``, decides without a
     solve whether the atom enters (with half the simplex QP's 1e-13 tolerance
-    on the full gradient).  If it does, ``R`` gains one row,
-    ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)``
-    (Gill, Golub, Murray & Saunders, *Math. Comp.* 28, 1974), and one
-    ``dpotrs`` with it gives the equality-constrained optimum on the enlarged
+    on the full gradient).  If it does, ``R`` gains the column
+    ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)`` (one ``dtpsv``, written in
+    place; Gill, Golub, Murray & Saunders, *Math. Comp.* 28, 1974), and one
+    ``dpptrs`` with it gives the equality-constrained optimum on the enlarged
     support.  A dependent new atom (the pivot not safely positive) or a
     missing factor leaves the round to :func:`_simplex_qp` from the same warm
     start; a negative weight backs off to the simplex boundary first, as
@@ -492,29 +518,32 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
     """
     n = alpha.size
     # Q is a Gram, so its largest entry in magnitude sits on its diagonal.
-    scale = max(1.0, float(Q.diagonal().max()), float(lin.max()), -float(lin.min()))
-    stationary = float(Q[0, :n] @ alpha) + float(lin[0])
-    if float(Q[n, :n] @ alpha) + float(lin[n]) - stationary >= -0.5e-13 * scale:
+    scale = max(1.0, np.maximum.reduce(Q.diagonal()), np.maximum.reduce(np.abs(lin)))
+    stationary, entry = (Q[::n, :n] @ alpha + lin[::n]).tolist()  # rows 0 and n
+    if entry - stationary >= -0.5e-13 * scale:
         return np.append(alpha, 0.0), None  # the new atom does not enter
     if R is not None:
-        r = dtrtrs(R, Q[:n, n], lower=0, trans=1)[0]
-        pivot = float(Q[n, n]) - float(r @ r)
-        if pivot > _DEPENDENT_PIVOT * float(Q[n, n]):
-            R_new = np.zeros((n + 1, n + 1), order="F")
-            R_new[:n, :n] = R
-            R_new[:n, n] = r
-            R_new[n, n] = np.sqrt(pivot)
-            rhs = np.ones((n + 1, 2), order="F")
-            rhs[:, 0] = lin
-            uv = dpotrs(R_new, rhs, lower=0, overwrite_b=1)[0]
-            sum_u, sum_v = uv.sum(axis=0).tolist()
+        k = n * (n + 1) // 2  # where the new column starts
+        if R.size < k + n + 1:
+            R = np.concatenate((R, np.empty(R.size + n + 1)))
+        r = R[k:k + n]
+        r[:] = Q[n, :n]
+        dtpsv(n, R, r, trans=1, overwrite_x=1)
+        q_nn = float(Q[n, n])
+        pivot = q_nn - float(r @ r)
+        if pivot > _DEPENDENT_PIVOT * q_nn:
+            R[k + n] = math.sqrt(pivot)
+            rhs = np.empty((2, n + 1))
+            rhs[0], rhs[1] = lin, 1.0
+            uv = dpptrs(n + 1, R, rhs.T, lower=0, overwrite_b=1)[0]
+            sum_u, sum_v = np.add.reduce(uv).tolist()
             x = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
-            if x.min() < -1e-14:
+            if np.minimum.reduce(x) < -1e-14:
                 warm = np.append(alpha, 0.0)
                 return _simplex_qp(Q, lin, _back_off(warm, np.arange(n + 1), x)), None
             np.maximum(x, 0.0, out=x)
-            x /= x.sum()
-            return x, R_new
+            x /= np.add.reduce(x)
+            return x, R
     return _simplex_qp(Q, lin, np.append(alpha, 0.0)), None
 
 
@@ -524,13 +553,16 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     Each round calls the per-plate knapsack oracle for a new vertex, then
     re-optimizes exactly over the convex hull of the vertices collected so
     far (a small simplex QP, :func:`_corrective_step`); zero-weight vertices
-    are pruned, so the hull is always the support.  The hull's vertices, its
-    linear term and its Gram ``Q`` live in the leading rows of buffers that
-    double when full, and the hull products run on scipy's ``dgemv``.  The
-    upper Cholesky factor ``R`` of ``Q`` is carried from round to round and
-    grows by one row per admitted vertex; a round that drops a vertex or
-    leaves the carried path rebuilds it with one ``dpotrf`` (``None`` while the
-    hull's atoms are dependent).  A new vertex that does not enter leaves ``w``
+    are pruned, so the hull is always the support.  The hull keeps each
+    vertex ``s`` in ``atoms`` and its product ``K(signs*s)`` in ``prods``: the
+    new ``w`` and its product are one ``dgemv`` each, and so is the new
+    vertex's row of the hull Gram ``Q``, ``prods`` against ``signs*s``.  These,
+    the linear term and ``Q`` live in the leading rows of buffers that double
+    when full.  The packed upper Cholesky factor ``R`` of ``Q``
+    (:func:`_hull_factor`) is carried from round to round and grows by one
+    column per admitted vertex; a round that drops a vertex or leaves the
+    carried path rebuilds it with one ``dpptrf`` (``None`` while the hull's
+    atoms are dependent).  A new vertex that does not enter leaves ``w``
     unchanged, so the oracle would propose it again: the run stops there.  A
     re-proposed hull vertex has its copy's row of ``Q``, so it does not enter
     either, unless the carried weights' stationarity error exceeds the entry
@@ -544,49 +576,45 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     if cfg.seed is None:
         start_dir = qp.gradient(qp.initial(None))
     else:
-        start_dir = np.random.default_rng(cfg.seed).standard_normal(qp.sigma.shape[0])
+        start_dir = np.random.default_rng(cfg.seed).standard_normal(qp.K.size)[qp.on]
     v0 = qp.lmo(start_dir)
     atoms = np.empty((16, v0.size))  # hull vertices, one per row, in the first n rows
+    prods = np.empty_like(atoms)  # their products K(signs*vertex)
     lin = np.empty(16)  # <q, vertex>
-    Q = np.empty((16, 16))  # K-metric Gram of the hull rows
+    Q = np.empty((16, 16))  # K-metric Gram of the hull vertices
     n = 1
-    atoms[0] = v0
+    atoms[0], prods[0] = v0, qp.product(v0)
     lin[0] = float(qp.q @ v0)
-    Q[0, 0] = float(v0 @ (qp.signs * qp.product(v0)))
+    Q[0, 0] = float((qp.signs * v0) @ prods[0])
     alpha = np.array([1.0])
-    R = _hull_factor(Q[:1, :1])  # upper Cholesky factor of the hull Gram, carried across rounds
+    R = _hull_factor(Q[:1, :1])  # packed upper Cholesky factor of Q, carried across rounds
 
     def step(w, Kz, G, grad):
-        nonlocal atoms, lin, Q, n, alpha, R
+        nonlocal atoms, prods, lin, Q, n, alpha, R
         s = qp.lmo(grad)
         if float(grad @ (w - s)) <= 1e-15 * (1.0 + abs(G)):
             return None  # the duality gap is at the float floor
         if n == lin.size:  # buffers full: double them
-            atoms = np.concatenate([atoms, np.empty_like(atoms)])
-            lin = np.concatenate([lin, np.empty_like(lin)])
+            atoms, prods, lin = (np.concatenate([b, np.empty_like(b)]) for b in (atoms, prods, lin))
             Q = np.pad(Q, (0, n))
-        hs = qp.signs * qp.product(s)
-        col = dgemv(1.0, atoms[:n].T, hs, trans=1)  # the old hull rows against s
-        Q[:n, n] = Q[n, :n] = col
-        Q[n, n] = float(s @ hs)
-        atoms[n] = s
+        atoms[n], prods[n] = s, qp.product(s)
+        Q[n, :n + 1] = Q[:n + 1, n] = dgemv(1.0, prods[:n + 1].T, qp.signs * s, trans=1)
         lin[n] = float(qp.q @ s)
         n += 1
         alpha, R = _corrective_step(Q[:n, :n], lin[:n], alpha, R)
-        keep = alpha > 1e-15
-        if not keep[-1]:
+        if alpha[-1] <= 1e-15:
             return None  # the new vertex does not enter the hull: w cannot move
-        if not keep.all():
+        if np.minimum.reduce(alpha) <= 1e-15:
+            keep = alpha > 1e-15
             idx = np.flatnonzero(keep)
-            atoms[:idx.size], lin[:idx.size] = atoms[idx], lin[idx]
+            atoms[:idx.size], prods[:idx.size], lin[:idx.size] = atoms[idx], prods[idx], lin[idx]
             Q[:idx.size, :idx.size] = Q[np.ix_(idx, idx)]
             n = idx.size
             alpha = alpha[keep] / alpha[keep].sum()
             R = None
         if R is None:
             R = _hull_factor(Q[:n, :n])
-        w = dgemv(1.0, atoms[:n].T, alpha)
-        Kz = qp.product(w)
+        w, Kz = dgemv(1.0, atoms[:n].T, alpha), dgemv(1.0, prods[:n].T, alpha)
         return w, Kz, qp.objective(w, Kz)
 
     w, Kz, resid, taus, iters, trace = _descend(qp, cfg, max_iters, v0, step)
@@ -617,14 +645,16 @@ def solve(c: Condenser, K: GramMatrix, f: FieldSpec, cfg: SolverConfig | None = 
         raise InfeasibleProblem(f"plate {bad}: a exceeds <g, sigma> (slack {slack:.6g})")
     if not _pd_gate(K)[0]:
         raise _not_pd(K, "+", "refusing a possibly unbounded objective")
-    qp = _QP(c, K, f)
+    qp = _QP(c, K, f, cut=True)
     max_iters = cfg.max_iters if cfg.max_iters is not None else max(1000, 50 * c.total_nodes)
     run = _run_projected_gradient if cfg.algorithm == PROJECTED_GRADIENT else _run_frank_wolfe
     w, Kz, resid, taus, iters, trace = run(qp, cfg, max_iters)
+    w_all = np.zeros(K.size)  # exact zeros where the box is [0, 0]
+    w_all[qp.on] = np.maximum(w, 0.0)
     # The value takes the field from the solve's own q: a +inf field node has cap 0
     # and carries no charge, so its zero in q gives weighted_energy's value.
     return SolveReport(
-        minimizer=c.measure([np.maximum(w[sl], 0.0) for sl in qp.slices]),
+        minimizer=c.measure([w_all[sl] for sl in c.slices()]),
         value=qp.objective(w, Kz),
         kkt_residual=resid,
         iterations=iters,

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 import scipy.optimize
 
 from vequil import _lapack, analysis, cli, kernels, solver
+from vequil import config as config_module
 from vequil.cli import main
 from vequil.config import parse_config
 from vequil.errors import ConfigError
@@ -294,6 +297,39 @@ def test_huge_thinness_radius_gives_the_body_that_ends_at_the_floor(capsys):
     short, huge = (json.loads(line) for line in out.splitlines())
     assert huge["radius"] == 1e9
     assert (huge["n_body_nodes"], huge["capacity"]) == (short["n_body_nodes"], short["capacity"])
+
+
+def test_endless_thinness_body_is_refused_before_its_gram(capsys):
+    # power_s with s = 0 has the constant radius 1, so the body never ends at
+    # the node floor: radius 1e9 would step 2e9 stations.  Its node count passes
+    # what a Gram in physical memory can hold after some 2,500 stations.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(["thinness", "--profile", "power_s", "--s", "0",
+                                  "--radii", "4", "1e9", "--no-gap"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10.0
+    assert peak < 64 * 2**20  # the refused body's coordinates, not its Gram
+    assert (code, out) == (1, "")
+    n, need, memory = map(int, re.fullmatch(
+        r"error: rotational body: (\d+) nodes \(r_max=1000000000\.0\) need a (\d+)-byte Gram, "
+        r"over (\d+) bytes of memory\n", err).groups())
+    assert need == 8 * n * n > memory == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 8 * (n - 32) ** 2 <= memory  # refused at the first station past the limit
+
+
+def test_memory_error_is_an_error_line(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 30.5 GiB for an array with shape (64000, 64000)")
+
+    monkeypatch.setattr(config_module, "assemble_gram", no_memory)
+    code, out, err = run_cli(["solve", str(CONFIGS / "solve_two_plate.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: out of memory: Unable to allocate 30.5 GiB for an array with shape "
+                   "(64000, 64000)\n")
 
 
 def test_negative_q_is_refused_without_a_warning(capsys):
@@ -672,14 +708,15 @@ class TestCLI:
         assert abs(fw[0]["full_value"] - pg[0]["full_value"]) <= 1e-10
 
     def test_frank_wolfe_exhaust_carries_the_hull_factor(self, capsys, tmp_path, monkeypatch):
-        # Each round appends one row to the hull's Cholesky factor.  Only a
+        # Each round appends one column to the hull's packed Cholesky factor.  Only a
         # solve's first hull and a round that drops an atom are factored from
         # scratch, and the back-off path factors only supports it shrank.
         code, out, _ = run_cli(["exhaust", str(CONFIGS / "exhaust_two_plate.json")], capsys)
         assert code == 0
         pg = [json.loads(line) for line in out.strip().splitlines()]
 
-        counts = dict.fromkeys(("dposv", "dpotrf", "solve", "rounds", "dropping", "dropped"), 0)
+        counts = dict.fromkeys(
+            ("dposv", "dpptrf", "dtpsv", "solve", "rounds", "dropping", "dropped"), 0)
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -690,7 +727,7 @@ class TestCLI:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("dposv", "dpotrf"):
+        for name in ("dposv", "dpptrf", "dtpsv"):
             counted(solver, name)
         counted(analysis, "solve")
         step = solver._corrective_step
@@ -711,7 +748,8 @@ class TestCLI:
         code, out, _ = run_cli(["exhaust", str(path)], capsys)
         assert code == 0
         assert counts["rounds"] > 10 * counts["solve"]
-        assert counts["dpotrf"] <= counts["solve"] + counts["dropping"]
+        assert counts["dpptrf"] <= counts["solve"] + counts["dropping"]
+        assert counts["dtpsv"] <= counts["rounds"]  # one triangular solve per entering atom
         assert counts["dposv"] <= counts["dropped"]
         fw = [json.loads(line) for line in out.strip().splitlines()]
         assert len(fw) == len(pg) == 4

@@ -897,17 +897,31 @@ def assert_simplex_optimum(Q, b, x, ref):
     assert float(grad[x > 0.0].max()) - float(grad.min()) <= 1e-12 * scale
 
 
+def unpacked(R, n):
+    """The n x n upper triangle whose columns are packed in the leading entries of ``R``."""
+    U = np.zeros((n, n))
+    U.T[np.tril_indices(n)] = R[:n * (n + 1) // 2]
+    return U
+
+
 def grow_hull(Q, b):
     """Admit atoms 1, 2, ... one at a time through the carried corrective step,
     pruning as Frank-Wolfe does; yields each round's hull Gram, linear term,
-    warm start, weights and returned factor."""
+    warm start, weights and returned factor (unpacked), and whether that factor
+    is the carried buffer itself (None when no buffer came back)."""
     hull, alpha, R = [0], np.array([1.0]), _hull_factor(Q[:1, :1])
     for j in range(1, Q.shape[0]):
         idx = hull + [j]
         Q_h, b_h = Q[np.ix_(idx, idx)], b[idx]
         warm = np.append(alpha, 0.0)
         x, R_new = _corrective_step(Q_h, b_h, alpha, R)
-        yield Q_h, b_h, warm, x, R_new
+        # A buffer with room for the new column is extended in place; one without
+        # comes back as a copy at least twice its size.
+        in_place = None if R_new is None else R_new is R
+        if R_new is not None:
+            assert in_place == (R.size >= len(idx) * (len(idx) + 1) // 2)
+            assert in_place or R_new.size >= 2 * R.size
+        yield Q_h, b_h, warm, x, None if R_new is None else unpacked(R_new, len(idx)), in_place
         keep = x > 1e-15
         if not keep[-1]:
             continue  # the atom did not enter: Frank-Wolfe stops, the property goes on
@@ -923,12 +937,24 @@ def grow_hull(Q, b):
 @example((6, 0, -1, 5))
 def test_carried_step_matches_least_squares_oracle(inputs):
     Q, b, _ = simplex_problem(*inputs)
-    for Q_h, b_h, warm, x, R in grow_hull(Q, b):
+    for Q_h, b_h, warm, x, R, _ in grow_hull(Q, b):
         assert_simplex_optimum(Q_h, b_h, x, oracle_simplex_qp(Q_h, b_h, warm))
         if R is not None:
             # A returned factor is the upper Cholesky factor of the whole hull Gram.
             assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
             assert np.abs(R.T @ R - Q_h).max() <= 1e-13 * max(1.0, float(np.abs(Q_h).max()))
+
+
+def test_packed_factor_grows_in_place():
+    # Twelve orthonormal atoms around their centroid: each enters, none leaves,
+    # and the factor is the identity.  The buffer is extended in place until
+    # it is full, then doubled.
+    flags = []
+    for _, _, _, x, R, in_place in grow_hull(np.eye(12), np.full(12, -1.0 / 12.0)):
+        np.testing.assert_allclose(x, 1.0 / x.size, rtol=1e-14)
+        np.testing.assert_array_equal(R, np.eye(x.size))
+        flags.append(in_place)
+    assert flags == [False, True, False, True, False, True, True, False, True, True, True]
 
 
 # Three unit atoms e_0, e_1, e_2 (and their sum), with the objective
@@ -938,7 +964,7 @@ def corrective_round(third, p, monkeypatch):
     V = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], third])
     Q, b = V @ V.T, -V @ np.asarray(p)
     alpha = np.array([0.5 + 0.5 * (p[0] - p[1]), 0.5 - 0.5 * (p[0] - p[1])])
-    calls = {"_simplex_qp": 0, "dtrtrs": 0}
+    calls = {"_simplex_qp": 0, "dtpsv": 0}
 
     def counted(name):
         inner = getattr(solver, name)
@@ -953,13 +979,13 @@ def corrective_round(third, p, monkeypatch):
         counted(name)
     x, R = _corrective_step(Q, b, alpha, _hull_factor(Q[:2, :2]))
     assert_simplex_optimum(Q, b, x, oracle_simplex_qp(Q, b, np.append(alpha, 0.0)))
-    return x, R, calls
+    return x, None if R is None else unpacked(R, 3), calls
 
 
 def test_carried_step_appends_one_row(monkeypatch):
     x, R, calls = corrective_round([0.0, 0.0, 1.0], [0.2, 0.3, 0.5], monkeypatch)
     np.testing.assert_allclose(x, [0.2, 0.3, 0.5], atol=1e-15)
-    assert calls == {"_simplex_qp": 0, "dtrtrs": 1}
+    assert calls == {"_simplex_qp": 0, "dtpsv": 1}
     np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
 
@@ -970,14 +996,14 @@ def test_carried_step_appends_one_row(monkeypatch):
 def test_carried_step_dependent_atom_falls_back(lift, monkeypatch):
     x, R, calls = corrective_round([1.0, 1.0, lift], [0.9, 0.6, 0.0], monkeypatch)
     np.testing.assert_allclose(x, [0.4, 0.1, 0.5], atol=1e-9)
-    assert calls == {"_simplex_qp": 1, "dtrtrs": 1} and R is None
+    assert calls == {"_simplex_qp": 1, "dtpsv": 1} and R is None
 
 
 def test_carried_step_backs_off(monkeypatch):
     # The affine optimum (-0.2, 0.3, 0.9) is outside the triangle: e_0 leaves.
     x, R, calls = corrective_round([0.0, 0.0, 1.0], [-0.2, 0.3, 0.9], monkeypatch)
     np.testing.assert_allclose(x, [0.0, 0.2, 0.8], atol=1e-15)
-    assert calls == {"_simplex_qp": 1, "dtrtrs": 1} and R is None
+    assert calls == {"_simplex_qp": 1, "dtpsv": 1} and R is None
 
 
 # The new atom's reduced gradient is 2, or 0 (a tie, which does not enter either).
@@ -985,7 +1011,7 @@ def test_carried_step_backs_off(monkeypatch):
 def test_carried_step_new_atom_does_not_enter(p, monkeypatch):
     x, R, calls = corrective_round([0.0, 0.0, 1.0], p, monkeypatch)
     np.testing.assert_array_equal(x, [0.5, 0.5, 0.0])
-    assert calls == {"_simplex_qp": 0, "dtrtrs": 0} and R is None
+    assert calls == {"_simplex_qp": 0, "dtpsv": 0} and R is None
 
 
 COST_LATTICE = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -1378,6 +1404,101 @@ def test_projected_gradient_and_frank_wolfe_agree(inputs):
         interior = (w > qp.band) & (w < qp.room) & qp.free
         if not (np.logical_or.reduceat(interior, qp.starts) | qp.degenerate).all():
             event(f"{rep.algorithm}: a plate without interior coordinate")
+
+
+# (solve_inputs, each plate's kept nodes, each plate's +inf field nodes).  A
+# plate's sigma is zeroed off its kept nodes, a case-1 field is +inf on its
+# locked ones (a zeroed node may be locked too), and a plate with no kept
+# finite node keeps its first one, finite.  Its mass is the same share of
+# what its kept finite nodes hold as before, so every plate stays feasible and
+# of its kind.
+@st.composite
+def zeroed_inputs(draw):
+    inputs = draw(solve_inputs)
+    flags = [st.lists(st.booleans(), min_size=m, max_size=m) for m in inputs[1]]
+    keep = [draw(fl) for fl in flags]
+    locked = [draw(fl) if inputs[2] == CASE1 else [False] * m for fl, m in zip(flags, inputs[1])]
+    return inputs, keep, locked
+
+
+def zeroed_problem(inputs, keep, locked):
+    """The problem with zeroed sigmas, the one with those nodes removed, and the
+    masks of the kept nodes and of the kept finite ones."""
+    c, K, f = solve_problem(*inputs)
+    zeroed, removed, values, kept, usable_all = [], [], [], [], []
+    for k, p in enumerate(c.plates):
+        keep_k, locked_k = np.array(keep[k]), np.array(locked[k])
+        if not (keep_k & ~locked_k).any():
+            keep_k[0], locked_k[0] = True, False
+        usable = keep_k & ~locked_k
+        mass = p.mass / float(p.g @ p.sigma) * float(p.g[usable] @ p.sigma[usable])
+        zeroed.append(make_plate(p.id, p.sign, p.nodes, g=p.g, mass=mass,
+                                 sigma=np.where(keep_k, p.sigma, 0.0)))
+        removed.append(make_plate(p.id, p.sign, p.nodes[keep_k], g=p.g[keep_k], mass=mass,
+                                  sigma=p.sigma[keep_k]))
+        if f.case == CASE1:
+            values.append(np.where(locked_k, np.inf, f.case1_values[k]))
+        kept.append(keep_k)
+        usable_all.append(usable)
+    kept = np.concatenate(kept)
+    if f.case == CASE1:
+        f, f_removed = (FieldSpec(case=CASE1, case1_values=tuple(values)),
+                        FieldSpec(case=CASE1, case1_values=tuple(v[k] for v, k in zip(
+                            values, np.split(kept, np.cumsum(inputs[1])[:-1])))))
+    else:
+        f_removed = f
+    c_zeroed, c_removed = Condenser(plates=tuple(zeroed)), Condenser(plates=tuple(removed))
+    return ((c_zeroed, K, f), (c_removed, K.block(np.flatnonzero(kept)), f_removed),
+            kept, np.concatenate(usable_all))
+
+
+def duality_gap(c, K, f, rep):
+    qp = _QP(c, K, f)
+    w = rep.minimizer.concat()
+    grad = qp.gradient(w)
+    return float(grad @ (w - qp.lmo(grad)))
+
+
+@SETTINGS
+@given(zeroed_inputs())
+# Plate 0 is cut to its one middle node, and its first node is zeroed and +inf.
+@example((("riesz", [3, 2], CASE1, ["free", "degenerate", "free"], 5),
+          [[False, True, False], [True, True]], [[True, False, False], [False, True]]))
+@example((("log_disk", [4, 3, 2], CASE2, ["tight", "free", "free"], 6),
+          [[True, False, True, False], [False, False, True], [True, True]], [[False] * 4,
+                                                                           [False] * 3,
+                                                                           [False] * 2]))
+def test_zero_boxes_are_cut_from_the_solve(inputs):
+    (c, K, f), (c_cut, K_cut, f_cut), kept, usable = zeroed_problem(*inputs)
+    assume(_pd_gate(K)[0])
+    tol = 1e-9
+    # The solve runs on the nodes whose box is not [0, 0], and each plate has one.
+    qp = _QP(c, K, f, cut=True)
+    assert isinstance(qp.on, slice) == usable.all()
+    assert qp.sigma.size == np.count_nonzero(usable) and np.all(qp.sigma > 0.0)
+    assert all(sl.stop > sl.start for sl in qp.slices)
+    if min(sl.stop - sl.start for sl in qp.slices) == 1 < min(p.n_nodes for p in c.plates):
+        event("a plate cut to one coordinate")
+    g_min = float(qp.g.min())
+    for algorithm in ("projected_gradient", "frank_wolfe"):
+        cfg = SolverConfig(algorithm=algorithm, grad_tol=tol)
+        rep, ref = solve(c, K, f, cfg), solve(c_cut, K_cut, f_cut, cfg)
+        assert rep.converged and ref.converged
+        w = rep.minimizer.concat()
+        assert np.all(w[~usable] == 0.0)
+        assert verify_kkt(c, K, f, rep.minimizer, tol).ok
+        # Both values lie above the optimum by at most their duality gaps; each
+        # multiplier is fixed by the gradient to within what the residual
+        # target leaves open, tol / g.
+        gaps = duality_gap(c, K, f, rep) + duality_gap(c_cut, K_cut, f_cut, ref)
+        assert abs(rep.value - ref.value) <= gaps + 1e-12 * max(1.0, abs(ref.value))
+        for tau, tau_ref in zip(rep.multipliers, ref.multipliers, strict=True):
+            assert abs(tau - tau_ref) <= gaps + 2.0 * tol / g_min + 1e-12 * max(1.0, abs(tau_ref))
+        # The same point in the problem without the zeroed nodes has the same multipliers.
+        same = verify_kkt(c_cut, K_cut, f_cut, c_cut.measure(np.split(
+            w[kept], np.cumsum([p.n_nodes for p in c_cut.plates])[:-1])), tol)
+        assert same.ok
+        np.testing.assert_allclose(same.multipliers, rep.multipliers, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

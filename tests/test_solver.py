@@ -298,6 +298,22 @@ class TestSolve:
             assert sub.value >= full.value - 1e-8
 
 
+    @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
+    def test_a_plate_of_zero_boxes_keeps_one_coordinate(self, algorithm):
+        # A mass within the feasibility fuzz of <g, sigma> = 0: the solve cuts
+        # the zero boxes, but no plate is left without a coordinate.
+        c = Condenser(plates=(
+            make_plate(0, 1, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], sigma=0.0, mass=1e-13),
+            make_plate(1, -1, [[2.0, 0.0, 0.0], [2.5, 0.0, 0.0], [3.0, 0.0, 0.0]], sigma=0.5)))
+        K = condenser_gram(KernelSpec("riesz", alpha=2.0, epsilon=0.3), c)
+        qp = solver._QP(c, K, zero_field(c), cut=True)
+        assert qp.on.tolist() == [0, 2, 3, 4] and qp.starts.tolist() == [0, 1]
+        rep = solve(c, K, zero_field(c), SolverConfig(algorithm=algorithm, grad_tol=1e-10))
+        assert rep.converged and rep.multipliers[0] == 0.0
+        assert rep.minimizer.weights[0].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(rep.minimizer.weights[1], [0.39492282, 0.21015435, 0.39492282],
+                                   atol=1e-8)
+
 def two_plate_config(scale=1.0):
     """``configs/solve_two_plate.json`` with its Gram scaled by ``scale``."""
     config = Path(__file__).resolve().parents[1] / "configs" / "solve_two_plate.json"
