@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import VequilError
+from .kernels import _check_memory
 
 PROFILE_POWER = "power_s"
 PROFILE_EXP_LE1 = "exp_s_le1"
@@ -85,7 +84,8 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
 
     The stepping sequence depends only on ``q`` and the profile, so node
     sets for increasing ``r_max`` are nested.  A body whose Gram (8 N^2 bytes)
-    would exceed physical memory (``os.sysconf``) is refused while it is built.
+    would exceed physical memory is refused while it is built
+    (:func:`vequil.kernels._check_memory`).
     """
     if not r_max > q:
         raise VequilError("rotational body needs r_max > q")
@@ -97,7 +97,6 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
     pts: list[np.ndarray] = []
     x = float(q)
     station = count = 0
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     while x <= r_max + 1e-12:
         r = rho(x)
         if np.isfinite(r) and r >= NODE_FLOOR:
@@ -107,9 +106,7 @@ def rotational_body(profile: str, s: float, q: float, r_max: float) -> np.ndarra
             ring = ring_nodes(m, r, center=(0.0, 0.0), phase=phase)
             pts.append(np.column_stack([np.full(m, x), ring[:, 0], ring[:, 1]]))
             count += m
-            if 8 * count * count > memory:
-                raise VequilError(f"rotational body: {count} nodes (r_max={r_max}) need a "
-                                  f"{8 * count * count}-byte Gram, over {memory} bytes of memory")
+            _check_memory(f"rotational body: {count} nodes (r_max={r_max})", count, count)
         elif np.isfinite(r):  # every profile is nonincreasing: no station beyond has nodes
             break
         else:

@@ -71,12 +71,14 @@ reuses them.  Where the files are not found, ``_lapack`` imports
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import blas, lapack, one_blas_thread
-from .errors import DimensionMismatch, EigensolverError, KernelDomainError, NotPositiveDefinite
+from .errors import (DimensionMismatch, EigensolverError, KernelDomainError, NotPositiveDefinite,
+                     VequilError)
 
 RIESZ = "riesz"
 NEWTONIAN = "newtonian"
@@ -472,18 +474,35 @@ def _kernel_points(spec: KernelSpec, *sets) -> tuple[np.ndarray, ...]:
     return pts
 
 
+def _memory_bytes() -> int:
+    """Physical memory, from ``os.sysconf``: the most one float matrix may take."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(nodes: str, rows: int, cols: int) -> None:
+    """Refuse, before it is allocated, a ``rows x cols`` float matrix over physical
+    memory, with a :class:`VequilError` that names its ``nodes``, bytes and the limit."""
+    need, limit = 8 * rows * cols, _memory_bytes()
+    if need > limit:
+        matrix = "Gram" if rows == cols else "kernel matrix"
+        raise VequilError(f"{nodes} need a {need}-byte {matrix}, over {limit} bytes of memory")
+
+
 def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, lower: bool = False,
                    refusal: str | None = None) -> tuple[np.ndarray, KernelSpec]:
     """Kernel matrix of checked points ``X`` against ``Y``, and the spec it used: a table's
     gather, or the module notes' two passes (pass 1 resolves an unset epsilon), over
     the C-lower blocks alone with ``lower``.  With ``refusal``, a non-finite entry
-    raises :class:`KernelDomainError` with that message, checked block by block."""
+    raises :class:`KernelDomainError` with that message, checked block by block.  A
+    matrix over physical memory is refused first (:func:`_check_memory`)."""
+    rows, cols = X.shape[0], Y.shape[0]
+    _check_memory(f"{rows} nodes" if rows == cols else f"{rows} x {cols} nodes", rows, cols)
     if spec.family == CUSTOM_TABLE:
         out = spec.table[np.ix_(X[:, 0].astype(int), Y[:, 0].astype(int))]
         if refusal and not _all_finite(out):
             raise KernelDomainError(refusal)
         return out, spec
-    out, blocks, min_d2 = np.zeros((X.shape[0], Y.shape[0])), [], np.inf
+    out, blocks, min_d2 = np.zeros((rows, cols)), [], np.inf
     for start, d2 in _sq_dist_blocks(X, Y, out, lower):
         blocks.append(d2)
         if spec.epsilon is None:

@@ -17,11 +17,9 @@ optimality.  Two independent algorithms are provided:
   buffer that doubles when full, so a round that admits the new vertex
   without dropping one appends n+1 numbers (one ``dtpsv``) and solves for
   the weights with one ``dpptrs``; each vertex keeps its Gram product, so a
-  round makes one Gram product.  A round whose vertex is linearly dependent
-  on the hull, or whose weights must back off to the simplex boundary, goes
-  to an active-set simplex QP that solves each working support by Cholesky
-  (least squares on the bordered KKT system only for dependent atoms); the
-  factor is then rebuilt.
+  round makes one Gram product.  A round whose weights must back off to the
+  simplex boundary goes on as an active-set loop that refactors each changed
+  support (least squares on the bordered KKT system only for dependent atoms).
 
 Both run in one loop, :func:`_descend`, which owns the stopping test, the
 iteration count and the trace (the lowest value so far after each step that
@@ -64,7 +62,7 @@ from .errors import InfeasibleProblem, VequilError
 from .kernels import GramMatrix, _not_pd, _pd_gate
 
 dgemv, dtpsv = blas.dgemv, blas.dtpsv
-dposv, dpptrf, dpptrs = lapack.dposv, lapack.dpptrf, lapack.dpptrs
+dpptrf, dpptrs = lapack.dpptrf, lapack.dpptrs
 
 PROJECTED_GRADIENT = "projected_gradient"
 FRANK_WOLFE = "frank_wolfe"
@@ -397,85 +395,6 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
     return _descend(qp, cfg, max_iters, qp.initial(cfg.seed), step)
 
 
-def _back_off(alpha: np.ndarray, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Step from ``alpha`` toward the support optimum ``x`` until a weight hits zero.
-
-    ``x`` holds the weights on ``idx``.  The zeroed atoms are dropped and the
-    rest renormalized.
-    """
-    cur = alpha[idx]
-    neg = x < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = cur[neg] / (cur[neg] - x[neg])
-    t = float(min(1.0, np.min(ratios)))
-    stepped = cur + t * (x - cur)
-    stepped[stepped < 1e-15] = 0.0
-    out = np.zeros_like(alpha)
-    out[idx] = stepped
-    total = out.sum()
-    return out / total if total > 0.0 else out
-
-
-def _simplex_qp(Q: np.ndarray, b: np.ndarray, warm: np.ndarray) -> np.ndarray:
-    """Minimize ``a'Qa + 2b'a`` over the probability simplex (active set).
-
-    Lawson-Hanson-style loop: solve the equality-constrained system on the
-    working support, step toward it while staying nonnegative, and admit the
-    worst KKT violator until none remains.  ``warm`` must be feasible, and
-    ``b`` must lie in the range of ``Q`` (as ``b_i = <q, atom_i>`` does for a
-    Gram ``Q`` of atoms): otherwise the objective is unbounded below on the
-    affine hull of dependent atoms and least squares answers a different
-    problem.  Frank-Wolfe calls it only for the rounds that leave the carried
-    factor (see :func:`_corrective_step`).
-    """
-    n = Q.shape[0]
-    alpha = warm.copy()
-    support = alpha > 0.0
-    if not support.any():
-        support[int(np.argmin(b))] = True
-        alpha[:] = 0.0
-        alpha[support] = 1.0
-    scale = max(1.0, float(np.abs(Q).max()), float(np.abs(b).max()))
-    tol = 1e-13 * scale
-    for _ in range(50 * (n + 2)):
-        idx = np.flatnonzero(support)
-        k = idx.size
-        Q_SS = Q[np.ix_(idx, idx)]
-        # min x'Q_SS x + 2b_S'x s.t. 1'x = 1: with u = Q_SS^-1 b_S and
-        # v = Q_SS^-1 1 from one Cholesky solve, x = ((1 + sum u) / sum v) v - u.
-        _, uv, info = dposv(Q_SS, np.column_stack([b[idx], np.ones(k)]))
-        if info == 0:
-            x = ((1.0 + uv[:, 0].sum()) / uv[:, 1].sum()) * uv[:, 1] - uv[:, 0]
-        else:
-            # Q_SS, the Gram of the support atoms, is singular exactly when they
-            # are linearly dependent.  b_S lies in its range (b_i = <q, atom_i>),
-            # so least squares on the bordered KKT system gives a minimizer.
-            sys_mat = np.zeros((k + 1, k + 1))
-            sys_mat[:k, :k] = 2.0 * Q_SS
-            sys_mat[:k, k] = 1.0
-            sys_mat[k, :k] = 1.0
-            rhs = np.concatenate([-2.0 * b[idx], [1.0]])
-            x = np.linalg.lstsq(sys_mat, rhs, rcond=None)[0][:k]
-        if np.any(x < -1e-14):
-            alpha = _back_off(alpha, idx, x)
-            support = alpha > 0.0
-            if not support.any():
-                support[int(np.argmin(b))] = True
-                alpha[support] = 1.0
-            continue
-        alpha[:] = 0.0
-        alpha[idx] = np.maximum(x, 0.0)
-        alpha /= alpha.sum()
-        grad_full = 2.0 * (Q @ alpha + b)
-        lam = float(grad_full[idx].mean())  # stationary value on the support
-        reduced = grad_full - lam
-        outside = np.flatnonzero(~support)
-        if outside.size == 0 or reduced[outside].min() >= -tol:
-            return alpha
-        support[outside[int(np.argmin(reduced[outside]))]] = True
-    return alpha
-
-
 # Below this share of its own Gram entry, a new atom's Cholesky pivot counts as
 # zero: the atom is (numerically) a combination of the hull's atoms.
 _DEPENDENT_PIVOT = 1e-10
@@ -494,34 +413,40 @@ def _hull_factor(Q: np.ndarray) -> np.ndarray | None:
 
 
 def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.ndarray | None):
-    """Re-optimize the hull weights after one atom was appended to the hull.
+    """Minimize ``x'Qx + 2 lin'x`` over the simplex after one atom was appended to the hull.
 
     ``Q`` and ``lin`` cover the hull with the new atom last, ``alpha`` is the
     optimum over the old hull (every weight positive) and ``R`` the packed
-    upper Cholesky factor of the old hull's Gram (:func:`_hull_factor`), or
-    ``None``.  Returns the new weights and the factor of ``Q`` when the
-    carried path produced one: ``R`` itself with one more column, or, when
-    ``R`` had no room for it, a copy in a buffer over twice the size.
+    upper Cholesky factor of its Gram (:func:`_hull_factor`), or ``None``.
+    Returns the weights, exact zeros on the atoms that left (at most 1e-15),
+    and the factor of the kept atoms' Gram in index order, ``None`` when they
+    are dependent.
 
     ``alpha`` is already stationary on its support: the old hull's half
     gradient ``Q alpha + lin`` takes one value there, read off its first row.
     Against it the new atom's component, one row of ``Q``, decides without a
-    solve whether the atom enters (with half the simplex QP's 1e-13 tolerance
-    on the full gradient).  If it does, ``R`` gains the column
-    ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)`` (one ``dtpsv``, written in
-    place; Gill, Golub, Murray & Saunders, *Math. Comp.* 28, 1974), and one
-    ``dpptrs`` with it gives the equality-constrained optimum on the enlarged
-    support.  A dependent new atom (the pivot not safely positive) or a
-    missing factor leaves the round to :func:`_simplex_qp` from the same warm
-    start; a negative weight backs off to the simplex boundary first, as
-    :func:`_simplex_qp` would, and hands it the shrunken support.
+    solve whether the atom enters.  If it does, ``R`` gains the column
+    ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)`` (one ``dtpsv``, in place
+    or in a copy over twice the size; Gill, Golub, Murray & Saunders, *Math.
+    Comp.* 28, 1974), and one ``dpptrs`` gives the equality-constrained
+    optimum on the enlarged support.  Unless a weight is negative, that is
+    the answer.  Otherwise the active-set loop of Lawson & Hanson (*Solving
+    Least Squares Problems*, 1974) steps back to the simplex boundary and
+    drops the atoms that reach zero, or admits the left atom of most negative
+    reduced gradient, and refactors the new support (``dpptrf``), until none
+    leaves or enters.  A support without a factor (a new atom whose pivot is
+    not safely positive) is solved by least squares on the bordered KKT
+    system: ``lin_i = <q, atom_i>`` lies in the range of ``Q``, so that gives
+    a minimizer.
     """
     n = alpha.size
     # Q is a Gram, so its largest entry in magnitude sits on its diagonal.
     scale = max(1.0, np.maximum.reduce(Q.diagonal()), np.maximum.reduce(np.abs(lin)))
     stationary, entry = (Q[::n, :n] @ alpha + lin[::n]).tolist()  # rows 0 and n
     if entry - stationary >= -0.5e-13 * scale:
-        return np.append(alpha, 0.0), None  # the new atom does not enter
+        return np.append(alpha, 0.0), R  # the new atom does not enter
+    if R is None:
+        R = _hull_factor(Q[:n, :n])
     if R is not None:
         k = n * (n + 1) // 2  # where the new column starts
         if R.size < k + n + 1:
@@ -533,18 +458,56 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
         pivot = q_nn - float(r @ r)
         if pivot > _DEPENDENT_PIVOT * q_nn:
             R[k + n] = math.sqrt(pivot)
-            rhs = np.empty((2, n + 1))
-            rhs[0], rhs[1] = lin, 1.0
-            uv = dpptrs(n + 1, R, rhs.T, lower=0, overwrite_b=1)[0]
+        else:
+            R = None  # the new atom depends on the hull's
+    x = np.zeros(n + 1)
+    x[:n] = alpha
+    support, Q_S, lin_S = np.arange(n + 1), Q, lin
+    for _ in range(50 * (n + 3)):
+        m = lin_S.size
+        if R is None:  # dependent atoms: the bordered KKT system, by least squares
+            bordered = np.ones((m + 1, m + 1))
+            bordered[:m, :m] = 2.0 * Q_S
+            bordered[m, m] = 0.0
+            y = np.linalg.lstsq(bordered, np.append(-2.0 * lin_S, 1.0), rcond=None)[0][:m]
+        else:
+            # With u = Q_S^-1 lin_S and v = Q_S^-1 1: y = ((1 + sum u) / sum v) v - u.
+            rhs = np.empty((2, m))
+            rhs[0], rhs[1] = lin_S, 1.0
+            uv = dpptrs(m, R, rhs.T, lower=0, overwrite_b=1)[0]
             sum_u, sum_v = np.add.reduce(uv).tolist()
-            x = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
-            if np.minimum.reduce(x) < -1e-14:
-                warm = np.append(alpha, 0.0)
-                return _simplex_qp(Q, lin, _back_off(warm, np.arange(n + 1), x)), None
-            np.maximum(x, 0.0, out=x)
-            x /= np.add.reduce(x)
-            return x, R
-    return _simplex_qp(Q, lin, np.append(alpha, 0.0)), None
+            y = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
+        if np.minimum.reduce(y) < -1e-14:  # step back to the simplex boundary
+            cur = x[support]
+            neg = y < 0.0
+            t = min(1.0, float(np.minimum.reduce(cur[neg] / (cur[neg] - y[neg]))))
+            cur += t * (y - cur)
+            cur[cur < 1e-15] = 0.0
+            x[support] = cur / np.add.reduce(cur)
+            support = np.flatnonzero(x)
+        else:
+            np.maximum(y, 0.0, out=y)
+            y /= np.add.reduce(y)
+            if m > n:
+                x = y
+                break
+            x[support] = y
+            half = Q @ x + lin  # half the gradient, stationary on the support
+            reduced = half - np.add.reduce(half[support]) / m
+            reduced[support] = 0.0
+            j = int(np.argmin(reduced))
+            if reduced[j] >= -0.5e-13 * scale:
+                break
+            support = np.union1d(support, j)
+        Q_S, lin_S = Q[np.ix_(support, support)], lin[support]
+        R = _hull_factor(Q_S)
+    if np.minimum.reduce(x) <= 1e-15:  # such weights leave, as at a step back
+        x[x <= 1e-15] = 0.0
+        x /= np.add.reduce(x)
+        kept = np.flatnonzero(x)
+        if kept.size < support.size:
+            R = _hull_factor(Q[np.ix_(kept, kept)])
+    return x, R
 
 
 def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
@@ -552,22 +515,22 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
 
     Each round calls the per-plate knapsack oracle for a new vertex, then
     re-optimizes exactly over the convex hull of the vertices collected so
-    far (a small simplex QP, :func:`_corrective_step`); zero-weight vertices
-    are pruned, so the hull is always the support.  The hull keeps each
-    vertex ``s`` in ``atoms`` and its product ``K(signs*s)`` in ``prods``: the
-    new ``w`` and its product are one ``dgemv`` each, and so is the new
-    vertex's row of the hull Gram ``Q``, ``prods`` against ``signs*s``.  These,
-    the linear term and ``Q`` live in the leading rows of buffers that double
-    when full.  The packed upper Cholesky factor ``R`` of ``Q``
-    (:func:`_hull_factor`) is carried from round to round and grows by one
-    column per admitted vertex; a round that drops a vertex or leaves the
-    carried path rebuilds it with one ``dpptrf`` (``None`` while the hull's
-    atoms are dependent).  A new vertex that does not enter leaves ``w``
-    unchanged, so the oracle would propose it again: the run stops there.  A
-    re-proposed hull vertex has its copy's row of ``Q``, so it does not enter
-    either, unless the carried weights' stationarity error exceeds the entry
-    tolerance (seen only under fields of 1e4 and more): it then enters as a
-    dependent atom, and the run stops a few rounds later.
+    far (a small simplex QP, :func:`_corrective_step`); the vertices it
+    gives weight zero are dropped, so the hull is always the support.  The
+    hull keeps each vertex ``s`` in ``atoms`` and its product ``K(signs*s)``
+    in ``prods``: the new ``w`` and its product are one ``dgemv`` each, and so
+    is the new vertex's row of the hull Gram ``Q``, ``prods`` against
+    ``signs*s``.  These, the linear term and ``Q`` live in the leading rows of
+    buffers that double when full.  The packed upper Cholesky factor ``R`` of
+    ``Q`` (``None`` before the first round and while the hull's atoms are
+    dependent) is made, grown and refactored by :func:`_corrective_step`
+    alone, and carried from round to round; the run only compacts its
+    buffers to the vertices that stay.  A new vertex that does not enter
+    leaves ``w`` unchanged, so the oracle would propose it again: the run
+    stops there.  A re-proposed hull vertex has its copy's row of ``Q``, so
+    it does not enter either, unless the carried weights' stationarity error
+    exceeds the entry tolerance (seen only under fields of 1e4 and more): it
+    then enters as a dependent atom, and the run stops a few rounds later.
     The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
     and lets the vertex set proliferate, which is far too slow to certify
     tight KKT residuals; the corrective variant keeps the same oracle and
@@ -587,7 +550,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     lin[0] = float(qp.q @ v0)
     Q[0, 0] = float((qp.signs * v0) @ prods[0])
     alpha = np.array([1.0])
-    R = _hull_factor(Q[:1, :1])  # packed upper Cholesky factor of Q, carried across rounds
+    R = None  # the packed upper Cholesky factor of Q, made and carried by _corrective_step
 
     def step(w, Kz, G, grad):
         nonlocal atoms, prods, lin, Q, n, alpha, R
@@ -602,18 +565,13 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         lin[n] = float(qp.q @ s)
         n += 1
         alpha, R = _corrective_step(Q[:n, :n], lin[:n], alpha, R)
-        if alpha[-1] <= 1e-15:
+        if alpha[-1] == 0.0:
             return None  # the new vertex does not enter the hull: w cannot move
-        if np.minimum.reduce(alpha) <= 1e-15:
-            keep = alpha > 1e-15
-            idx = np.flatnonzero(keep)
+        if np.minimum.reduce(alpha) == 0.0:  # vertices left: keep the rest, in order
+            idx = np.flatnonzero(alpha)
             atoms[:idx.size], prods[:idx.size], lin[:idx.size] = atoms[idx], prods[idx], lin[idx]
             Q[:idx.size, :idx.size] = Q[np.ix_(idx, idx)]
-            n = idx.size
-            alpha = alpha[keep] / alpha[keep].sum()
-            R = None
-        if R is None:
-            R = _hull_factor(Q[:n, :n])
+            n, alpha = idx.size, alpha[idx]
         w, Kz = dgemv(1.0, atoms[:n].T, alpha), dgemv(1.0, prods[:n].T, alpha)
         return w, Kz, qp.objective(w, Kz)
 
