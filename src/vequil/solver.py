@@ -463,7 +463,7 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
     x = np.zeros(n + 1)
     x[:n] = alpha
     support, Q_S, lin_S = np.arange(n + 1), Q, lin
-    for _ in range(50 * (n + 3)):
+    for _ in range(50 * (n + 3)):  # a cap: round-off can make the loop cycle
         m = lin_S.size
         if R is None:  # dependent atoms: the bordered KKT system, by least squares
             bordered = np.ones((m + 1, m + 1))

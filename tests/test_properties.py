@@ -20,8 +20,10 @@ a time, with the active-set oracle that solves every support by least squares.
 The one-pass KKT residual is compared with the per-plate loop it replaced, and
 the one-sort knapsack oracle over all plates with the one-plate knapsack.
 Projected gradient and Frank-Wolfe are compared on random small condensers,
-and mutated committed configs must parse or raise a ConfigError; a committed
-config with an unknown key in any of its objects is refused at that key's path.
+where each one's multipliers must also bound the value of a perturbed
+neighbour from below, and mutated committed configs must parse or raise a
+ConfigError; a committed config with an unknown key in any of its objects is
+refused at that key's path.
 """
 
 import copy
@@ -861,7 +863,8 @@ def grow_hull(Q, b):
     the atoms it gives weight zero, as Frank-Wolfe does; yields each round's hull
     Gram, linear term, warm start, weights, the returned factor unpacked at the
     size of the new support, and whether that factor is the carried buffer
-    itself (None on a round where an atom left or none came back)."""
+    itself (None on a round that had no carried factor, lost an atom or got
+    no factor back)."""
     hull, alpha, R = [0], np.array([1.0]), None
     for j in range(1, Q.shape[0]):
         idx = hull + [j]
