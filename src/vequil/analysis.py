@@ -37,7 +37,7 @@ from .kernels import (
     assemble_gram,
     cross_kernel,
 )
-from .solver import Problem, SolverConfig, solve, verify_kkt
+from .solver import Problem, SolverConfig, _certificate, solve
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +75,10 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     the KKT conditions hold with zero bound multipliers.  ``u`` is solved
     with the PD gate's factor of ``K - pd_tol*I``, kept in the Gram's spare
     triangle, and one refinement step with ``K`` itself, which contracts the
-    error by ``pd_tol / (lambda_min - pd_tol) < 1``.  Then :func:`verify_kkt`
-    certifies ``u / sum(u)`` at ``grad_tol``, and ``converged`` is that
-    certificate.  When some ``u_i <= 0`` the constrained solver (:func:`solve`)
-    runs instead.
+    error by ``pd_tol / (lambda_min - pd_tol) < 1``.  Then :func:`verify_kkt`'s
+    certificate of ``u / sum(u)`` at ``grad_tol``, from the potential's product
+    (the zero field's gradient is ``2 K nu``), is ``converged``.  When some
+    ``u_i <= 0`` the constrained solver (:func:`solve`) runs instead.
     Working memory is the Gram plus O(N) vectors.
     """
     n = K.size
@@ -102,7 +102,7 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
         nu = u / u.sum()
         potential = K.matvec(nu)
         W = float(nu @ potential)
-        kkt = verify_kkt(c, K, f, c.measure([nu]), cfg.grad_tol)
+        kkt = _certificate(c, K, f, nu, cfg.grad_tol, potential)
         resid, converged = kkt.max_residual, kkt.ok
     else:
         rep = solve(c, K, f, cfg)

@@ -88,7 +88,8 @@ CUSTOM_TABLE = "custom_table"
 FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK, CUSTOM_TABLE)
 SINGULAR_FAMILIES = (RIESZ, NEWTONIAN, LOG_DISK)
 
-_ASSEMBLY_BLOCK = 32  # rows per block of distance passes and triangle copies (cache-sized)
+_ASSEMBLY_BLOCK = 32  # rows per block of distance passes (cache-sized)
+_MIRROR_TILE = 128  # rows and columns per square tile of _mirror's transposed copies
 
 _LANCZOS_STEPS = 300  # cap on GramMatrix.lambda_max's products and basis rows
 _ONE_THREAD_ROWS = 1024  # the largest Gram GramMatrix._factored factors on one thread
@@ -104,13 +105,16 @@ def _orthogonalized(B: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:
-    """Copy the C-lower triangle of the square ``a`` into its C-upper one, by row blocks."""
-    upper = np.triu(np.ones((_ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK), dtype=bool), 1)
-    for i in range(0, a.shape[0], _ASSEMBLY_BLOCK):
-        j = min(i + _ASSEMBLY_BLOCK, a.shape[0])
-        blk, mask = a[i:j, i:j], upper[: j - i, : j - i]
+    """Copy the C-lower triangle of the square ``a`` into its C-upper one, by square
+    tiles (on 2 vCPUs 6-12 ms at 3,000 rows and 1.1-1.3 at 1,024, against 19-21 and
+    2.4-2.6 with 32-row strips across the whole matrix)."""
+    n, t = a.shape[0], _MIRROR_TILE
+    upper = np.triu(np.ones((t, t), dtype=bool), 1)
+    for i in range(0, n, t):
+        blk, mask = a[i:i + t, i:i + t], upper[: min(t, n - i), : min(t, n - i)]
         blk[mask] = blk.T[mask]
-        a[i:j, j:] = a[j:, i:j].T
+        for k in range(i + t, n, t):
+            a[i:i + t, k:k + t] = a[k:k + t, i:i + t].T
     return a
 
 
@@ -330,7 +334,7 @@ class GramMatrix:
         The one writer of ``entries``, and the one place vequil factors a Gram.
         LAPACK's ``dpotrf`` on the Fortran view ``entries.T`` (``lower=1``)
         works on the C-upper triangle and the diagonal, so the lower triangle
-        is first copied into the upper one by row blocks and the diagonal
+        is first copied into the upper one (:func:`_mirror`) and the diagonal
         shifted.  The factor ``L``, ``L L' = K + shift*I``, stays there, its
         diagonal in an N-vector, and a later call at the same shift reuses it.
         With a factor, ``use(c, d)`` runs while its diagonal is in place: ``c``

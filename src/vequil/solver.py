@@ -32,7 +32,8 @@ all coordinates in one pass and sums each plate's multiplier with
 ``np.add.reduceat``; the rule for plates without an interior coordinate also
 runs for all plates at once, and only when one exists.  A solve runs over
 the coordinates whose box is not ``[0, 0]`` only; its products go through the
-full Gram.
+full Gram.  Frank-Wolfe skips the KKT residual in the rounds whose duality
+gap proves it above ``grad_tol`` (:func:`_gap_bound`).
 
 Projected gradient is the faster default on instances whose minimizer has
 many strictly interior coordinates (one hull vertex per interior coordinate
@@ -238,6 +239,9 @@ class _QP:
         self.room = self.sigma - self.band
         self.pinned = self.sigma <= 2.0 * self.band
         self.free = ~self.pinned & ~self.degenerate[plate_of]
+        self.sigma_sum, self.rounding = float(np.add.reduce(self.sigma)), 2.0 ** -46 * self.g.size
+        g_band = self.band[self.starts] * np.add.reduceat(self.g, self.starts)
+        self.spread_weight = 2.0 * np.where(self.degenerate, abs(self.caps - self.masses), g_band)
         self._full = np.zeros(K.size)  # the product's N-vector, zero off ``on``
 
     def product(self, w: np.ndarray) -> np.ndarray:
@@ -296,6 +300,7 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
     all plates, run only in a call where such a plate exists.  The residual
     is the larger of two masked reductions of ``r = grad - tau g``: ``r`` off
     zero (interior or at the cap, where ``r <= 0``) and ``-r`` below the cap.
+    :func:`_gap_bound` is proved from this classification: a new band needs a new bound.
     """
     band, room, free, starts = qp.band, qp.room, qp.free, qp.starts
     up = (w > band) & free  # interior or at the cap
@@ -326,17 +331,43 @@ def _kkt_residual(qp: _QP, w: np.ndarray, grad: np.ndarray):
     return float(resid), tuple(tau.tolist())
 
 
+def _gap_bound(qp: _QP, grad: np.ndarray, tol: float) -> float:
+    """A bound on the duality gap ``<grad, w - s>`` where :func:`_kkt_residual` is at most ``tol``.
+
+    ``w`` and the vertex ``s`` lie in the box and hold each plate's mass.  With
+    ``tau_p`` in plate p's range ``[lo_p, hi_p]`` of ``grad/g``, ``r = grad - tau g``
+    and ``d = w - s``, the gap is ``<r, d>`` plus ``sum_p tau_p <g, d>_p``, which
+    is round-off.  A plate with a free coordinate takes the residual's ``tau_p``
+    (an average of ratios, or one) and band: ``r_i d_i`` is at most ``resid*sigma_i``
+    if interior, ``resid*sigma_i + |r_i|*band`` at zero or cap, ``2*band*|r_i|`` if
+    pinned.  Any ``tau_p`` in the range serves a plate without one (np.select's
+    zero does not enter): all pinned, as above; degenerate, ``sum g|d| <= 2|cap_p - a_p|``.
+    With ``|r_i| <= g_i (hi_p - lo_p)``, the gap is at most ``resid*sum sigma +
+    sum_p (hi_p - lo_p) E_p``, ``E_p`` = ``2*band_p*sum_p g`` or ``2|cap_p - a_p|``
+    (``spread_weight``), plus ``rounding * sum_p max|grad/g| a_p`` and a factor
+    ``1 + rounding`` of round-off.
+    """
+    ratio = grad / qp.g
+    lo, hi = np.minimum.reduceat(ratio, qp.starts), np.maximum.reduceat(ratio, qp.starts)
+    return ((1.0 + qp.rounding) * (tol * qp.sigma_sum + float((hi - lo) @ qp.spread_weight))
+            + qp.rounding * float(np.maximum(hi, -lo) @ qp.masses))
+
+
 def verify_kkt(c: Condenser, K: GramMatrix, f: FieldSpec, mu: VectorMeasure,
                tol: float) -> KKTReport:
     """Independent first-order optimality certificate for a candidate measure."""
     check_shapes(c, mu)
+    return _certificate(c, K, f, mu.concat(), tol)
+
+
+def _certificate(c, K, f, w: np.ndarray, tol: float, Kz: np.ndarray | None = None) -> KKTReport:
+    """:func:`verify_kkt` of the weights ``w``, from their product ``K(signs*w)`` if given."""
     qp = _QP(c, K, f)
-    w = mu.concat()
-    resid, taus = _kkt_residual(qp, w, qp.gradient(w))
+    resid, taus = _kkt_residual(qp, w, qp.gradient(w, Kz))
     return KKTReport(ok=resid <= tol, max_residual=resid, multipliers=taus)
 
 
-def _descend(qp: _QP, cfg: SolverConfig, max_iters: int, w: np.ndarray, step):
+def _descend(qp: _QP, cfg: SolverConfig, max_iters: int, w: np.ndarray, step, far=None):
     """The descent loop of both algorithms, from the feasible start ``w``.
 
     Each round takes the gradient and KKT residual at ``w`` through the carried
@@ -344,7 +375,9 @@ def _descend(qp: _QP, cfg: SolverConfig, max_iters: int, w: np.ndarray, step):
     ``step(w, Kz, G, grad)``, ``G`` the lowest value so far, returns the next
     ``(w, Kz, value)``, or ``None`` when it cannot move: the run then stops,
     the step counted as taken.  The trace holds ``G`` at the start and after
-    each step that moved.
+    each step that moved.  Frank-Wolfe's ``far(w, grad)``, asked first in a round
+    below ``max_iters``, may prove the residual above ``grad_tol``: the round then
+    steps without it, and takes it only if the step cannot move.
     """
     Kz = qp.product(w)
     G = qp.objective(w, Kz)
@@ -352,12 +385,16 @@ def _descend(qp: _QP, cfg: SolverConfig, max_iters: int, w: np.ndarray, step):
     iters = 0
     while True:
         grad = qp.gradient(w, Kz)
-        resid, taus = _kkt_residual(qp, w, grad)
-        if resid <= cfg.grad_tol or iters == max_iters:
-            return w, Kz, resid, taus, iters, trace
+        resid = None
+        if far is None or iters == max_iters or not far(w, grad):
+            resid, taus = _kkt_residual(qp, w, grad)
+            if resid <= cfg.grad_tol or iters == max_iters:
+                return w, Kz, resid, taus, iters, trace
         iters += 1
         moved = step(w, Kz, G, grad)
         if moved is None:
+            if resid is None:
+                resid, taus = _kkt_residual(qp, w, grad)
             return w, Kz, resid, taus, iters, trace
         w, Kz, value = moved
         G = min(G, value)
@@ -513,24 +550,25 @@ def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.nd
 def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     """Fully corrective conditional gradient over the knapsack vertex hull.
 
-    Each round calls the per-plate knapsack oracle for a new vertex, then
-    re-optimizes exactly over the convex hull of the vertices collected so
-    far (a small simplex QP, :func:`_corrective_step`); the vertices it
-    gives weight zero are dropped, so the hull is always the support.  The
-    hull keeps each vertex ``s`` in ``atoms`` and its product ``K(signs*s)``
-    in ``prods``: the new ``w`` and its product are one ``dgemv`` each, and so
-    is the new vertex's row of the hull Gram ``Q``, ``prods`` against
-    ``signs*s``.  These, the linear term and ``Q`` live in the leading rows of
-    buffers that double when full.  The packed upper Cholesky factor ``R`` of
-    ``Q`` (``None`` before the first round and while the hull's atoms are
-    dependent) is made, grown and refactored by :func:`_corrective_step`
-    alone, and carried from round to round; the run only compacts its
-    buffers to the vertices that stay.  A new vertex that does not enter
-    leaves ``w`` unchanged, so the oracle would propose it again: the run
-    stops there.  A re-proposed hull vertex has its copy's row of ``Q``, so
-    it does not enter either, unless the carried weights' stationarity error
-    exceeds the entry tolerance (seen only under fields of 1e4 and more): it
-    then enters as a dependent atom, and the run stops a few rounds later.
+    Each round calls the per-plate knapsack oracle for a new vertex in ``far``,
+    skipping the KKT residual if the gap exceeds :func:`_gap_bound` (93% of
+    ``exhaust`` rounds), then re-optimizes exactly over the hull of the vertices
+    so far (a simplex QP, :func:`_corrective_step`); the vertices it gives weight
+    zero are dropped, so the hull is always the support.  The hull keeps each
+    vertex ``s`` in ``atoms`` and its product ``K(signs*s)`` in ``prods``: the
+    new ``w`` and its product are one ``dgemv`` each, and so is the new vertex's
+    row of the hull Gram ``Q``, ``prods`` against ``signs*s``.  These, the linear
+    term and ``Q`` live in the leading rows of buffers that double when full.
+    The packed upper Cholesky factor ``R`` of ``Q`` (``None`` before the first
+    round and while the hull's atoms are dependent) is made, grown and
+    refactored by :func:`_corrective_step` alone, and carried from round to
+    round; the run only compacts its buffers to the vertices that stay.  A
+    new vertex that does not enter leaves ``w`` unchanged, so the oracle
+    would propose it again: the run stops there.  A re-proposed hull vertex
+    has its copy's row of ``Q``, so it does not enter either, unless the
+    carried weights' stationarity error exceeds the entry tolerance (seen
+    only under fields of 1e4 and more): it then enters as a dependent atom,
+    and the run stops a few rounds later.
     The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
     and lets the vertex set proliferate, which is far too slow to certify
     tight KKT residuals; the corrective variant keeps the same oracle and
@@ -551,11 +589,17 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     Q[0, 0] = float((qp.signs * v0) @ prods[0])
     alpha = np.array([1.0])
     R = None  # the packed upper Cholesky factor of Q, made and carried by _corrective_step
+    s = gap = None  # the round's vertex and duality gap, from far
+
+    def far(w, grad):
+        nonlocal s, gap
+        s = qp.lmo(grad)
+        gap = float(grad @ (w - s))
+        return gap > _gap_bound(qp, grad, cfg.grad_tol)
 
     def step(w, Kz, G, grad):
         nonlocal atoms, prods, lin, Q, n, alpha, R
-        s = qp.lmo(grad)
-        if float(grad @ (w - s)) <= 1e-15 * (1.0 + abs(G)):
+        if gap <= 1e-15 * (1.0 + abs(G)):
             return None  # the duality gap is at the float floor
         if n == lin.size:  # buffers full: double them
             atoms, prods, lin = (np.concatenate([b, np.empty_like(b)]) for b in (atoms, prods, lin))
@@ -575,7 +619,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
         w, Kz = dgemv(1.0, atoms[:n].T, alpha), dgemv(1.0, prods[:n].T, alpha)
         return w, Kz, qp.objective(w, Kz)
 
-    w, Kz, resid, taus, iters, trace = _descend(qp, cfg, max_iters, v0, step)
+    w, Kz, resid, taus, iters, trace = _descend(qp, cfg, max_iters, v0, step, far)
     # Final polish: exact bounds help the complementarity classification.
     snapped = qp.snap(w)
     Kz_snap = qp.product(snapped)

@@ -435,3 +435,13 @@ def test_regularization_continuity():
     for eps in (0.3, 0.1, 0.03, 0.01):
         reg = evaluate_kernel(KernelSpec("riesz", alpha=2.0, epsilon=eps), x, y)
         assert abs(reg - exact) <= eps**2
+
+
+@pytest.mark.parametrize("n", [1, 33, 128, 129, 300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mirror_copies_the_lower_triangle_across_tiles(n, order):
+    # GramMatrix.rows mirrors a transposed view, _factored a C-ordered buffer.
+    lower = np.tril(np.random.default_rng(n).standard_normal((n, n)))
+    a = np.array(lower, order=order)
+    assert kernels._mirror(a) is a
+    assert np.array_equal(a, np.where(np.tri(n, dtype=bool), lower, lower.T))

@@ -21,9 +21,11 @@ The one-pass KKT residual is compared with the per-plate loop it replaced, and
 the one-sort knapsack oracle over all plates with the one-plate knapsack.
 Projected gradient and Frank-Wolfe are compared on random small condensers,
 where each one's multipliers must also bound the value of a perturbed
-neighbour from below, and mutated committed configs must parse or raise a
-ConfigError; a committed config with an unknown key in any of its objects is
-refused at that key's path.
+neighbour from below; on the same condensers, with all-pinned plates too, the
+duality gap at their iterates and at mixtures of oracle vertices stays within
+the bound that Frank-Wolfe derives from the KKT residual there.  Mutated
+committed configs must parse or raise a ConfigError; a committed config with
+an unknown key in any of its objects is refused at that key's path.
 """
 
 import copy
@@ -1342,14 +1344,20 @@ def test_equilibrium_matches_constrained_solve(inputs):
 # plate's mass is a random fraction of its <g, sigma>, all of it on a
 # degenerate plate, and all but 1e-10 of it on a tight plate, whose every
 # weight then lies within the active band of its cap: no interior coordinate.
-solve_inputs = st.tuples(
-    st.sampled_from(("riesz", "log_disk")),
-    st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=3).filter(
-        lambda sizes: sum(sizes) >= 2),
-    st.sampled_from((CASE1, CASE2)),
-    st.lists(st.sampled_from(("free", "degenerate", "tight")), min_size=3, max_size=3),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
+# A pinned plate is a free one with sigma scaled to 1e-14 of it, so each box is
+# at most two active bands wide; it is degenerate unless its g is scaled by 1e3.
+def plate_problems(kinds):
+    return st.tuples(
+        st.sampled_from(("riesz", "log_disk")),
+        st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=3).filter(
+            lambda sizes: sum(sizes) >= 2),
+        st.sampled_from((CASE1, CASE2)),
+        st.lists(st.sampled_from(kinds), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+
+solve_inputs = plate_problems(("free", "degenerate", "tight"))
 
 
 def solve_problem(family, sizes, case, kinds, seed):
@@ -1363,9 +1371,11 @@ def solve_problem(family, sizes, case, kinds, seed):
     plates, start = [], 0
     for k, m in enumerate(sizes):
         g, sigma = rng.uniform(0.5, 2.0, m), rng.uniform(0.05, 0.6, m)
+        if kinds[k] == "pinned":
+            g, sigma = g * float(rng.choice([1.0, 1e3])), sigma * 1e-14
         cap = float(g @ sigma)
         share = {"free": float(rng.uniform(0.2, 0.9)), "degenerate": 1.0, "tight": 1.0 - 1e-10}
-        mass = share[kinds[k]] * cap
+        mass = share.get(kinds[k], share["free"]) * cap
         sign = 1 if k == 0 else int(rng.choice([-1, 1]))
         plates.append(make_plate(k, sign, points[start:start + m], g=g, mass=mass, sigma=sigma))
         start += m
@@ -1554,6 +1564,43 @@ def test_multipliers_bound_every_neighbouring_value(inputs, size, seed):
         bound = rep.value + float(tau @ d_mass) - float(mu @ d_sigma)
         gaps = duality_gap(c, K, f, rep) + duality_gap(moved, K, f, rep_moved)
         assert rep_moved.value >= bound - gaps - 1e-12 * max(1.0, abs(rep.value))
+
+
+# ---------------------------------------------------------------------------
+# The duality gap bound that lets Frank-Wolfe skip the KKT residual
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(plate_problems(("free", "degenerate", "tight", "pinned")))
+def test_gap_bound_holds_at_the_residual_of_every_point(inputs):
+    # Wherever the residual is at most tol, the duality gap is at most
+    # _gap_bound(tol); checked at tol = resid(w) on projected-gradient and
+    # Frank-Wolfe iterates and on convex combinations of oracle vertices.
+    c, K, f = solve_problem(*inputs)
+    assume(_pd_gate(K)[0])
+    qp = _QP(c, K, f, cut=True)
+    points, descend = [], solver._descend
+
+    def recording(qp, cfg, max_iters, w, step, far=None):
+        def recorded(*args):
+            moved = step(*args)
+            points.extend(moved[:1] if moved else ())
+            return moved
+        return descend(qp, cfg, max_iters, w, recorded, far)
+
+    with mock.patch.object(solver, "_descend", recording):
+        for algorithm in ("projected_gradient", "frank_wolfe"):
+            solve(c, K, f, SolverConfig(algorithm=algorithm, grad_tol=1e-12, max_iters=30))
+    rng = np.random.default_rng(inputs[-1])
+    vertices = np.array([qp.lmo(rng.standard_normal(qp.g.size)) for _ in range(6)])
+    points.extend(rng.dirichlet(np.ones(6), 4) @ vertices)
+    for w in points:
+        grad = qp.gradient(w)
+        resid = _kkt_residual(qp, w, grad)[0]
+        assert float(grad @ (w - qp.lmo(grad))) <= solver._gap_bound(qp, grad, resid)
+    if np.logical_and.reduceat(qp.pinned, qp.starts).any():
+        event("an all-pinned plate")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from vequil.config import parse_config
 from vequil.kernels import GramMatrix
 from vequil.solver import _knapsack_vertex
 
-from instances import random_case1_field, two_plate_signed
+from instances import (random_case1_field, random_case2_field, random_condenser, random_gram,
+                       two_plate_signed)
 
 
 def random_feasible_point(rng, g, sigma, a):
@@ -414,6 +415,71 @@ class TestStopRules:
         trace = rep.objective_trace
         assert trace.size == rep.iterations + 1
         assert np.array_equal(trace, np.minimum.accumulate(trace))
+
+
+def exhaust_config():
+    """``configs/exhaust_two_plate.json``'s full problem."""
+    problem = parse_config(Path(__file__).resolve().parents[1] / "configs" /
+                           "exhaust_two_plate.json").problem
+    return problem.condenser, problem.gram, problem.field, problem.config
+
+
+def instance_problem(seed):
+    """A random condenser of ``tests/instances.py`` under a case-1 or a case-2 field."""
+    rng = np.random.default_rng(seed)
+    c = random_condenser(rng)
+    field = random_case1_field if seed % 2 else random_case2_field
+    return c, random_gram(rng, c), field(rng, c), SolverConfig(grad_tol=1e-10)
+
+
+def report_bits(rep):
+    """Every number of a report, as exact bytes."""
+    return ([w.tobytes() for w in rep.minimizer.weights], np.float64(rep.value).tobytes(),
+            np.float64(rep.kkt_residual).tobytes(), rep.iterations, rep.converged,
+            rep.objective_trace.tobytes(), np.array(rep.multipliers).tobytes())
+
+
+class TestResidualSkip:
+    """Frank-Wolfe skips the KKT residual in rounds whose duality gap exceeds its bound.
+
+    A skipped round cannot have converged, so no bit of the report moves, and
+    the skip must actually happen on a problem of the exhaust experiment.
+    """
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    @pytest.mark.parametrize("instance", [
+        two_plate_config, exhaust_config, lambda: instance_problem(5), lambda: instance_problem(8),
+        lambda: instance_problem(13)], ids=["solve_two_plate", "exhaust_two_plate", "instance-5",
+                                            "instance-8", "instance-13"])
+    def test_a_run_that_never_skips_gives_the_same_bits(self, monkeypatch, instance, seed):
+        c, K, f, cfg = instance()
+        cfg = dataclasses.replace(cfg, algorithm=FW, seed=seed)
+        skipping, descend = solve(c, K, f, cfg), solver._descend
+
+        def never_skipping(qp, cfg, max_iters, w, step, far):
+            return descend(qp, cfg, max_iters, w, step, lambda w, grad: far(w, grad) and False)
+
+        monkeypatch.setattr(solver, "_descend", never_skipping)
+        assert report_bits(solve(c, K, f, cfg)) == report_bits(skipping)
+
+    @pytest.mark.parametrize("instance", [two_plate_config, lambda: two_plate_config(1e8),
+                                          lambda: instance_problem(5)],
+                             ids=["solve_two_plate", "scaled-1e8", "instance-5"])
+    def test_a_step_that_cannot_move_takes_the_skipped_residual(self, monkeypatch, instance):
+        # At grad_tol 1e-300 no round converges, so a run that skips every
+        # residual must end at the same stall, with the same residual.
+        c, K, f, cfg = instance()
+        cfg = dataclasses.replace(cfg, algorithm=FW, grad_tol=1e-300)
+        rep = solve(c, K, f, cfg)
+        monkeypatch.setattr(solver, "_gap_bound", lambda qp, grad, tol: -np.inf)
+        assert report_bits(solve(c, K, f, cfg)) == report_bits(rep)
+
+    def test_most_rounds_skip_the_residual(self, monkeypatch):
+        c, K, f, cfg = exhaust_config()
+        calls, residual = [], solver._kkt_residual
+        monkeypatch.setattr(solver, "_kkt_residual", lambda *args: calls.append(1) or residual(*args))
+        rep = solve(c, K, f, dataclasses.replace(cfg, algorithm=FW))
+        assert rep.converged and len(calls) < (rep.iterations + 1) / 2
 
 
 class TestVerifyKKT:
