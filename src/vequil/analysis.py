@@ -262,6 +262,7 @@ class ExhaustionStage:
     value: float
     semimetric_gap: float
     converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,7 @@ class ExhaustionTrace:
     stages: tuple
     full_value: float
     full_converged: bool
+    full_iterations: int
 
 
 def exhaustion_schedule(node_fractions, sigma_scales=None) -> list[tuple[float, float]]:
@@ -298,10 +300,10 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     (one ``lambda_max`` and PD gate serve every stage).  Headroom factors > 1
     can restore feasibility of tight constraints on small truncations; stages
     that are still infeasible are recorded and skipped.  The schedule is
-    checked by :func:`exhaustion_schedule` before any solve.  Each stage
-    records its value and the semimetric gap to the full-problem minimizer;
-    ``full_converged`` records whether that full solve, the source of
-    ``full_value`` and of every gap, reached its tolerance.
+    checked by :func:`exhaustion_schedule` before any solve.  A stage records
+    its value, semimetric gap to the full minimizer and ``iterations`` (0 if
+    skipped); ``full_converged`` and ``full_iterations`` report the full solve
+    behind ``full_value`` and every gap: its tolerance met, its iterations.
     """
     schedule = exhaustion_schedule(node_fractions, sigma_scales)
     c, K, f, cfg = problem.condenser, problem.gram, problem.field, problem.config
@@ -309,26 +311,23 @@ def exhaustion_experiment(problem: Problem, node_fractions, sigma_scales=None) -
     stages = []
     for frac, beta in schedule:
         if frac == 1.0 and beta == 1.0:
-            # The full problem itself: same condenser, Gram, field and config.
-            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
-                                          value=full.value, semimetric_gap=0.0,
-                                          converged=full.converged))
-            continue
-        heads = [np.arange(p.n_nodes) < max(1, np.ceil(frac * p.n_nodes)) for p in c.plates]
-        c_stage = c.with_sigma([np.where(head, beta * p.sigma, 0.0)
-                                for p, head in zip(c.plates, heads)])
-        if not check_feasibility(c_stage, f).feasible:
-            stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=False,
-                                          value=float("nan"), semimetric_gap=float("nan"),
-                                          converged=False))
-            continue
-        rep = solve(c_stage, K, f, cfg)
-        gap = semimetric_distance(c, K, rep.minimizer, full.minimizer)
+            rep, gap = full, 0.0  # the full problem itself: same condenser, Gram, field, config
+        else:
+            heads = [np.arange(p.n_nodes) < max(1, np.ceil(frac * p.n_nodes)) for p in c.plates]
+            c_stage = c.with_sigma([np.where(head, beta * p.sigma, 0.0)
+                                    for p, head in zip(c.plates, heads)])
+            if not check_feasibility(c_stage, f).feasible:
+                stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=False,
+                                              value=float("nan"), semimetric_gap=float("nan"),
+                                              converged=False, iterations=0))
+                continue
+            rep = solve(c_stage, K, f, cfg)
+            gap = semimetric_distance(c, K, rep.minimizer, full.minimizer)
         stages.append(ExhaustionStage(node_fraction=frac, sigma_scale=beta, feasible=True,
                                       value=rep.value, semimetric_gap=gap,
-                                      converged=rep.converged))
+                                      converged=rep.converged, iterations=rep.iterations))
     return ExhaustionTrace(stages=tuple(stages), full_value=full.value,
-                           full_converged=full.converged)
+                           full_converged=full.converged, full_iterations=full.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def _cmd_exhaust(args) -> int:
         raise VequilError("exhaust: config has no exhaust section")
     fractions, scales = zip(*parsed.exhaust_schedule)
     trace = exhaustion_experiment(_with_seed(parsed.problem, args.seed), fractions, scales)
-    full = {"full_value": trace.full_value, "full_converged": trace.full_converged}
+    full = {"full_value": trace.full_value, "full_converged": trace.full_converged,
+            "full_iterations": trace.full_iterations}
     _emit([_record("exhaust", st, trail=full) for st in trace.stages], args.format, args.out)
     ok = trace.full_converged and all(st.converged for st in trace.stages if st.feasible)
     return 0 if ok else 2

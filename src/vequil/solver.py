@@ -9,17 +9,16 @@ optimality.  Two independent algorithms are provided:
   (one sort of the mass multiplier's breakpoints, :func:`project_plate`);
   Barzilai-Borwein steps with a monotone backtracking safeguard.
 * ``frank_wolfe`` -- conditional gradient whose linear oracle is a
-  fractional-knapsack greedy per plate (sort by gradient/g, fill cheapest
-  g-mass first; one stable sort keyed by plate, then gradient/g, serves all
-  plates); after each new vertex the objective is re-optimized exactly
-  over the hull of collected vertices (fully corrective).  The hull's Gram
-  keeps its upper Cholesky factor across rounds, packed by columns in a
-  buffer that doubles when full, so a round that admits the new vertex
-  without dropping one appends n+1 numbers (one ``dtpsv``) and solves for
-  the weights with one ``dpptrs``; each vertex keeps its Gram product, so a
-  round makes one Gram product.  A round whose weights must back off to the
-  simplex boundary goes on as an active-set loop that refactors each changed
-  support (least squares on the bordered KKT system only for dependent atoms).
+  fractional-knapsack greedy per plate (fill the cheapest g-mass by
+  gradient/g first; one stable sort keyed by plate serves all plates); after
+  each new vertex the objective is re-optimized exactly over the hull of
+  collected vertices (fully corrective).  The hull's Gram keeps its upper
+  Cholesky factor across rounds, packed by columns in a buffer that doubles
+  when full: a round that admits the new vertex without dropping one appends
+  n+1 numbers (``dtpsv``) and solves with one ``dpptrs``, and makes one Gram
+  product (each vertex keeps its own).  Weights that must back off go on to
+  an active-set loop that refactors each changed support; a vertex enters
+  only with a safely positive pivot and weight.
 
 Both run in one loop, :func:`_descend`, which owns the stopping test, the
 iteration count and the trace (the lowest value so far after each step that
@@ -432,13 +431,12 @@ def _run_projected_gradient(qp: _QP, cfg: SolverConfig, max_iters: int):
     return _descend(qp, cfg, max_iters, qp.initial(cfg.seed), step)
 
 
-# Below this share of its own Gram entry, a new atom's Cholesky pivot counts as
-# zero: the atom is (numerically) a combination of the hull's atoms.
+# A new atom's Cholesky pivot below this share of its Gram entry counts as zero.
 _DEPENDENT_PIVOT = 1e-10
 
 
 def _hull_factor(Q: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of a hull Gram, or ``None`` when its atoms are dependent.
+    """Upper Cholesky factor of a hull Gram, or ``None`` when ``dpptrf`` finds it singular.
 
     Packed by columns (as ``Q``'s C-lower triangle is by rows) in a buffer of
     twice its size, so that columns can be appended (:func:`_corrective_step`).
@@ -449,102 +447,109 @@ def _hull_factor(Q: np.ndarray) -> np.ndarray | None:
     return R if dpptrf(n, R, lower=0, overwrite_ap=1)[1] == 0 else None
 
 
-def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.ndarray | None):
+def _corrective_step(Q: np.ndarray, lin: np.ndarray, alpha: np.ndarray, R: np.ndarray):
     """Minimize ``x'Qx + 2 lin'x`` over the simplex after one atom was appended to the hull.
 
     ``Q`` and ``lin`` cover the hull with the new atom last, ``alpha`` is the
     optimum over the old hull (every weight positive) and ``R`` the packed
-    upper Cholesky factor of its Gram (:func:`_hull_factor`), or ``None``.
-    Returns the weights, exact zeros on the atoms that left (at most 1e-15),
-    and the factor of the kept atoms' Gram in index order, ``None`` when they
-    are dependent.
+    upper Cholesky factor of its Gram (:func:`_hull_factor`).  Returns the
+    weights, exact zeros on the atoms that left (at most 1e-15), and the
+    factor of the kept atoms' Gram in index order.
 
     ``alpha`` is already stationary on its support: the old hull's half
     gradient ``Q alpha + lin`` takes one value there, read off its first row.
     Against it the new atom's component, one row of ``Q``, decides without a
-    solve whether the atom enters.  If it does, ``R`` gains the column
+    solve whether the atom would lower the value.  If so, ``R`` gains the column
     ``r = R'^-1 Q[:n, n]`` and ``sqrt(Q_nn - r.r)`` (one ``dtpsv``, in place
     or in a copy over twice the size; Gill, Golub, Murray & Saunders, *Math.
     Comp.* 28, 1974), and one ``dpptrs`` gives the equality-constrained
-    optimum on the enlarged support.  Unless a weight is negative, that is
-    the answer.  Otherwise the active-set loop of Lawson & Hanson (*Solving
-    Least Squares Problems*, 1974) steps back to the simplex boundary and
-    drops the atoms that reach zero, or admits the left atom of most negative
-    reduced gradient, and refactors the new support (``dpptrf``), until none
-    leaves or enters.  A support without a factor (a new atom whose pivot is
-    not safely positive) is solved by least squares on the bordered KKT
-    system: ``lin_i = <q, atom_i>`` lies in the range of ``Q``, so that gives
-    a minimizer.
+    optimum on the enlarged support: the answer unless a weight is negative.
+    Then the active-set loop of Lawson & Hanson (*Solving Least Squares
+    Problems*, 1974, ch. 23) steps back to the simplex boundary and drops the
+    atoms that reach zero (at a stationary point too), or admits the left
+    atom of most negative reduced gradient, refactoring (``dpptrf``).
+
+    An atom enters, new or re-admitted, only with a safely positive pivot
+    (above ``_DEPENDENT_PIVOT`` of ``Q_nn``, or ``dpptrf`` succeeding) and a
+    positive weight in the optimum on the enlarged support; else the step
+    ends at the last stationary point (at the start, ``alpha`` and a zero).
+    When every atom carries a plate's positive mass, as knapsack vertices do,
+    linear dependence is affine dependence, and an atom in the support's
+    affine hull has reduced gradient zero: one that lowers the value is
+    independent and takes a positive weight (Wolfe, *Math. Programming* 11,
+    1976), so in exact arithmetic the rule refuses nothing.  The loop ends: a
+    step back has ``t > 0`` (all weights and the entering atom's target are
+    positive) and drops an atom; an entry strictly lowers the value, and a
+    stationary point is the minimizer over its support's affine hull, so no
+    support repeats (round-off could repeat one: the step then ends there).
     """
     n = alpha.size
     # Q is a Gram, so its largest entry in magnitude sits on its diagonal.
     scale = max(1.0, np.maximum.reduce(Q.diagonal()), np.maximum.reduce(np.abs(lin)))
     stationary, entry = (Q[::n, :n] @ alpha + lin[::n]).tolist()  # rows 0 and n
-    if entry - stationary >= -0.5e-13 * scale:
-        return np.append(alpha, 0.0), R  # the new atom does not enter
-    if R is None:
-        R = _hull_factor(Q[:n, :n])
-    if R is not None:
-        k = n * (n + 1) // 2  # where the new column starts
-        if R.size < k + n + 1:
-            R = np.concatenate((R, np.empty(R.size + n + 1)))
-        r = R[k:k + n]
-        r[:] = Q[n, :n]
-        dtpsv(n, R, r, trans=1, overwrite_x=1)
-        q_nn = float(Q[n, n])
-        pivot = q_nn - float(r @ r)
-        if pivot > _DEPENDENT_PIVOT * q_nn:
-            R[k + n] = math.sqrt(pivot)
-        else:
-            R = None  # the new atom depends on the hull's
-    x = np.zeros(n + 1)
+    x = np.zeros(n + 1)  # the last stationary point; R factors its support's Gram
     x[:n] = alpha
-    support, Q_S, lin_S = np.arange(n + 1), Q, lin
-    for _ in range(50 * (n + 3)):  # a cap: round-off can make the loop cycle
+    if entry - stationary >= -0.5e-13 * scale:
+        return x, R  # the new atom does not enter
+    k = n * (n + 1) // 2  # where the new column starts
+    R_S = R if R.size >= k + n + 1 else np.concatenate((R, np.empty(R.size + n + 1)))
+    r = R_S[k:k + n]
+    r[:] = Q[n, :n]
+    dtpsv(n, R_S, r, trans=1, overwrite_x=1)
+    q_nn = float(Q[n, n])
+    pivot = q_nn - float(r @ r)
+    if not pivot > _DEPENDENT_PIVOT * q_nn:
+        return x, R  # the new atom depends on the hull's: it does not enter
+    R_S[k + n] = math.sqrt(pivot)
+    z, support, lin_S, entering, seen = x, np.arange(n + 1), lin, n, set()  # z: the iterate
+    while True:
         m = lin_S.size
-        if R is None:  # dependent atoms: the bordered KKT system, by least squares
-            bordered = np.ones((m + 1, m + 1))
-            bordered[:m, :m] = 2.0 * Q_S
-            bordered[m, m] = 0.0
-            y = np.linalg.lstsq(bordered, np.append(-2.0 * lin_S, 1.0), rcond=None)[0][:m]
-        else:
-            # With u = Q_S^-1 lin_S and v = Q_S^-1 1: y = ((1 + sum u) / sum v) v - u.
-            rhs = np.empty((2, m))
-            rhs[0], rhs[1] = lin_S, 1.0
-            uv = dpptrs(m, R, rhs.T, lower=0, overwrite_b=1)[0]
-            sum_u, sum_v = np.add.reduce(uv).tolist()
-            y = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
+        # With u = Q_S^-1 lin_S and v = Q_S^-1 1: y = ((1 + sum u) / sum v) v - u.
+        rhs = np.empty((2, m))
+        rhs[0], rhs[1] = lin_S, 1.0
+        uv = dpptrs(m, R_S, rhs.T, lower=0, overwrite_b=1)[0]
+        sum_u, sum_v = np.add.reduce(uv).tolist()
+        y = ((1.0 + sum_u) / sum_v) * uv[:, 1] - uv[:, 0]
+        if entering is not None and not y[entering] > 0.0:
+            return x, R  # the entering atom's weight is not positive: it does not enter
+        entering = None
         if np.minimum.reduce(y) < -1e-14:  # step back to the simplex boundary
-            cur = x[support]
+            cur = z[support]
             neg = y < 0.0
-            t = min(1.0, float(np.minimum.reduce(cur[neg] / (cur[neg] - y[neg]))))
-            cur += t * (y - cur)
+            cur += float(np.minimum.reduce(cur[neg] / (cur[neg] - y[neg]))) * (y - cur)
             cur[cur < 1e-15] = 0.0
-            x[support] = cur / np.add.reduce(cur)
-            support = np.flatnonzero(x)
-        else:
+            z = np.bincount(support, weights=cur / np.add.reduce(cur), minlength=n + 1)
+            support = np.flatnonzero(z)
+        else:  # y is stationary on the support
             np.maximum(y, 0.0, out=y)
             y /= np.add.reduce(y)
-            if m > n:
-                x = y
-                break
-            x[support] = y
+            solved = support
+            if m <= n:  # spread over every atom
+                y = np.bincount(support, weights=y, minlength=n + 1)
+            if np.minimum.reduce(y) <= 1e-15:  # such weights leave, as at a step back
+                y[y <= 1e-15] = 0.0
+                y /= np.add.reduce(y)
+                support = np.flatnonzero(y)
+                if support.size < m:
+                    R_S = _hull_factor(Q[np.ix_(support, support)])
+                    if R_S is None:
+                        return x, R
+            x, z, R = y, y, R_S
+            if m > n or support.tobytes() in seen:  # none left to admit, or a repeat
+                return x, R
+            seen.add(support.tobytes())
             half = Q @ x + lin  # half the gradient, stationary on the support
-            reduced = half - np.add.reduce(half[support]) / m
-            reduced[support] = 0.0
+            reduced = half - np.add.reduce(half[solved]) / m
+            reduced[solved] = 0.0  # an atom that just left is not admitted again
             j = int(np.argmin(reduced))
             if reduced[j] >= -0.5e-13 * scale:
-                break
+                return x, R
             support = np.union1d(support, j)
-        Q_S, lin_S = Q[np.ix_(support, support)], lin[support]
-        R = _hull_factor(Q_S)
-    if np.minimum.reduce(x) <= 1e-15:  # such weights leave, as at a step back
-        x[x <= 1e-15] = 0.0
-        x /= np.add.reduce(x)
-        kept = np.flatnonzero(x)
-        if kept.size < support.size:
-            R = _hull_factor(Q[np.ix_(kept, kept)])
-    return x, R
+            entering = int(np.searchsorted(support, j))
+        lin_S = lin[support]
+        R_S = _hull_factor(Q[np.ix_(support, support)])
+        if R_S is None:
+            return x, R
 
 
 def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
@@ -559,20 +564,14 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     new ``w`` and its product are one ``dgemv`` each, and so is the new vertex's
     row of the hull Gram ``Q``, ``prods`` against ``signs*s``.  These, the linear
     term and ``Q`` live in the leading rows of buffers that double when full.
-    The packed upper Cholesky factor ``R`` of ``Q`` (``None`` before the first
-    round and while the hull's atoms are dependent) is made, grown and
-    refactored by :func:`_corrective_step` alone, and carried from round to
-    round; the run only compacts its buffers to the vertices that stay.  A
-    new vertex that does not enter leaves ``w`` unchanged, so the oracle
-    would propose it again: the run stops there.  A re-proposed hull vertex
-    has its copy's row of ``Q``, so it does not enter either, unless the
-    carried weights' stationarity error exceeds the entry tolerance (seen
-    only under fields of 1e4 and more): it then enters as a dependent atom,
-    and the run stops a few rounds later.
-    The classic 2/(k+2) step decreases the objective only at an O(1/k) rate
-    and lets the vertex set proliferate, which is far too slow to certify
-    tight KKT residuals; the corrective variant keeps the same oracle and
-    converges linearly in practice.
+    The packed upper Cholesky factor ``R`` of ``Q`` starts as the first
+    vertex's; only :func:`_corrective_step` grows or refactors it, and its
+    entry rule needs what every vertex has, each plate's positive mass.  A
+    new vertex that does not enter leaves ``w`` unchanged, so the oracle would
+    propose it again: the run stops there.  A re-proposed hull vertex is one,
+    its pivot zero up to round-off, even if it passes the entry test.  The
+    classic 2/(k+2) step converges at an O(1/k) rate and lets the vertex set
+    proliferate, far too slow to certify tight KKT residuals.
     """
     if cfg.seed is None:
         start_dir = qp.gradient(qp.initial(None))
@@ -588,7 +587,7 @@ def _run_frank_wolfe(qp: _QP, cfg: SolverConfig, max_iters: int):
     lin[0] = float(qp.q @ v0)
     Q[0, 0] = float((qp.signs * v0) @ prods[0])
     alpha = np.array([1.0])
-    R = None  # the packed upper Cholesky factor of Q, made and carried by _corrective_step
+    R = np.array([math.sqrt(Q[0, 0]), 0.0])  # Q's packed upper Cholesky factor, in a buffer of 2
     s = gap = None  # the round's vertex and duality gap, from far
 
     def far(w, grad):

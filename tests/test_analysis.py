@@ -359,8 +359,9 @@ class TestExhaustion:
         values = [st.value for st in tr.stages]
         assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
 
-    def test_headroom_restores_feasibility(self):
-        # sigma tight enough that the 25% truncation fails at beta = 1
+    @staticmethod
+    def tight_two_plate():
+        """sigma tight enough that the 25% truncation fails at beta = 1."""
         rng = np.random.default_rng(7)
         n = 20
         nodes1 = rng.uniform(-1, 1, (n, 3)) + [-2.0, 0.0, 0.0]
@@ -371,16 +372,39 @@ class TestExhaustion:
                 make_plate(1, -1, nodes2, sigma=0.14, mass=1.0),
             )
         )
-        # 25% keeps 5 nodes: cap = 0.7 < 1 infeasible; 1.5 * 0.7 = 1.05 feasible
         K = condenser_gram(KernelSpec("riesz", alpha=2.0), c)
-        prob = Problem(condenser=c, gram=K, field=zero_field(c),
+        return Problem(condenser=c, gram=K, field=zero_field(c),
                        config=SolverConfig(grad_tol=1e-9))
+
+    def test_headroom_restores_feasibility(self):
+        # 25% keeps 5 nodes: cap = 0.7 < 1 infeasible; 1.5 * 0.7 = 1.05 feasible
+        prob = self.tight_two_plate()
         bare = exhaustion_experiment(prob, [0.25, 0.5, 1.0], [1.0, 1.0, 1.0])
         assert not bare.stages[0].feasible
         head = exhaustion_experiment(prob, [0.25, 0.5, 1.0], [1.5, 1.1, 1.0])
         assert head.stages[0].feasible
         values = [st.value for st in head.stages if st.feasible]
         assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("algorithm", ["projected_gradient", "frank_wolfe"])
+    def test_stages_record_their_iteration_counts(self, algorithm, monkeypatch):
+        # A solved stage records its own solve's count, the full stage and the
+        # trace the full solve's, and a skipped infeasible stage 0.
+        prob = self.tight_two_plate()
+        prob = dataclasses.replace(prob, config=SolverConfig(algorithm=algorithm, grad_tol=1e-9))
+        counts, solve = [], analysis.solve
+
+        def counted(*args, **kwargs):
+            rep = solve(*args, **kwargs)
+            counts.append(rep.iterations)
+            return rep
+
+        monkeypatch.setattr(analysis, "solve", counted)
+        tr = exhaustion_experiment(prob, [0.25, 0.5, 1.0], [1.0, 1.0, 1.0])
+        full, half = counts
+        assert full > 0 and half > 0
+        assert tr.full_iterations == full
+        assert [st.iterations for st in tr.stages] == [0, half, full]
 
     def test_unconverged_full_solve_is_reported(self):
         # At sigma scale 1/1.2 the 25% stage's feasible set is a single point,

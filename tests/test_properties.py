@@ -16,7 +16,8 @@ eigenvalue with a dense symmetric eigensolver (the gate and ``equilibrium``
 also leave the Gram, ``dense()``, bit for bit as it was), the Gram product
 with numpy's, and the solver's carried matvec with a fresh gradient.  Frank-Wolfe's
 corrective step on its carried hull factor is compared, one appended atom at
-a time, with the active-set oracle that solves every support by least squares.
+a time, with the active-set oracle that solves every support by least squares,
+on atoms that carry a mass coordinate as knapsack vertices do.
 The one-pass KKT residual is compared with the per-plate loop it replaced, and
 the one-sort knapsack oracle over all plates with the one-plate knapsack.
 Projected gradient and Frank-Wolfe are compared on random small condensers,
@@ -821,10 +822,10 @@ def oracle_knapsack_vertex(cost, g, sigma, a):
     return v
 
 
-# (atoms k, rank of the atoms' Gram, seed); a rank below k makes the atoms
-# linearly dependent.  As in Frank-Wolfe, the linear term is b_i = <q, v_i>
-# for the atoms v_i (the rows of V), so it lies in the range of Q = V V' and
-# the QP is bounded below on every support.
+# (atoms k, rank of the atoms' Gram before the lift, seed); a rank below k
+# makes the atoms linearly dependent.  As in Frank-Wolfe, the linear term is
+# b_i = <q, v_i> for the atoms v_i (the rows of V), so it lies in the range of
+# Q = V V' and the QP is bounded below on every support.
 simplex_inputs = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.tuples(
     st.just(k),
     st.integers(min_value=0, max_value=k),
@@ -833,10 +834,16 @@ simplex_inputs = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.tup
 
 
 def simplex_problem(k, rank, seed):
-    """``Q = V V'`` with ``V`` of the given rank, and ``b = V q``."""
+    """``Q = V V' + 11'`` with ``V`` of the given rank, and ``b = V q``.
+
+    Each atom gains a unit coordinate, as each knapsack vertex carries a
+    plate's mass, so atoms that are linearly dependent are affinely dependent
+    (:func:`vequil.solver._corrective_step` needs no more).  On the simplex
+    ``x'11'x = 1``, so the lift leaves the minimizer where it was.
+    """
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(k, rank)) @ rng.normal(size=(rank, k + 2))
-    return V @ V.T, V @ rng.normal(size=k + 2)
+    return V @ V.T + 1.0, V @ rng.normal(size=k + 2)
 
 
 def simplex_objective(Q, b, x):
@@ -861,13 +868,13 @@ def unpacked(R, n):
 
 
 def grow_hull(Q, b):
-    """Admit atoms 1, 2, ... one at a time through the corrective step, dropping
-    the atoms it gives weight zero, as Frank-Wolfe does; yields each round's hull
-    Gram, linear term, warm start, weights, the returned factor unpacked at the
-    size of the new support, and whether that factor is the carried buffer
-    itself (None on a round that had no carried factor, lost an atom or got
-    no factor back)."""
-    hull, alpha, R = [0], np.array([1.0]), None
+    """Admit atoms 1, 2, ... one at a time through the corrective step, from the
+    first atom's factor and dropping the atoms it gives weight zero, as
+    Frank-Wolfe does; yields each round's hull Gram, linear term, warm start,
+    weights, the returned factor unpacked at the size of the new support, and
+    whether that factor is the carried buffer itself (None on a round that
+    lost an atom)."""
+    hull, alpha, R = [0], np.array([1.0]), _hull_factor(Q[:1, :1])
     for j in range(1, Q.shape[0]):
         idx = hull + [j]
         Q_h, b_h = Q[np.ix_(idx, idx)], b[idx]
@@ -878,11 +885,11 @@ def grow_hull(Q, b):
         # for the new column is extended in place; one without comes back as a
         # copy at least twice its size.
         in_place = None
-        if kept.size == len(idx) and R is not None and R_new is not None:
+        if kept.size == len(idx):
             in_place = R_new is R
             assert in_place == (R.size >= len(idx) * (len(idx) + 1) // 2)
             assert in_place or R_new.size >= 2 * R.size
-        yield Q_h, b_h, warm, x, None if R_new is None else unpacked(R_new, kept.size), in_place
+        yield Q_h, b_h, warm, x, unpacked(R_new, kept.size), in_place
         if x[-1] == 0.0:
             continue  # the atom did not enter: Frank-Wolfe stops, the property goes on
         hull, alpha, R = [idx[i] for i in kept], x[kept], R_new
@@ -893,40 +900,45 @@ def grow_hull(Q, b):
 @example((12, 12, 3))
 @example((12, 5, 4))
 @example((6, 0, 5))
-# A step back drops an atom that the loop then admits again (about one round in 1,500).
+# A step back drops an atom that the loop then admits again (about one round in 2,000),
+# (6, 3, 78) on dependent atoms; in (5, 5, 130) the loop steps back again after that.
 @example((9, 9, 293))
 @example((12, 12, 505))
+@example((6, 3, 78))
+@example((5, 5, 130))
 def test_carried_step_matches_least_squares_oracle(inputs):
     Q, b = simplex_problem(*inputs)
     for Q_h, b_h, warm, x, R, _ in grow_hull(Q, b):
         assert_simplex_optimum(Q_h, b_h, x, oracle_simplex_qp(Q_h, b_h, warm))
-        if R is not None:
-            # A returned factor is the upper Cholesky factor of the support's Gram.
-            kept = np.flatnonzero(x)
-            assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
-            Q_s = Q_h[np.ix_(kept, kept)]
-            assert np.abs(R.T @ R - Q_s).max() <= 1e-13 * max(1.0, float(np.abs(Q_s).max()))
+        # The returned factor is the upper Cholesky factor of the support's Gram.
+        kept = np.flatnonzero(x)
+        assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
+        Q_s = Q_h[np.ix_(kept, kept)]
+        assert np.abs(R.T @ R - Q_s).max() <= 1e-13 * max(1.0, float(np.abs(Q_s).max()))
 
 
 def test_packed_factor_grows_in_place():
     # Twelve orthonormal atoms around their centroid: each enters, none leaves,
-    # and the factor is the identity.  The first round has no carried factor;
-    # after it the buffer is extended in place until it is full, then doubled.
+    # and the factor is the identity.  The buffer is extended in place until it
+    # is full, then doubled; the first atom's factor fills its buffer of 2.
     flags = []
     for _, _, _, x, R, in_place in grow_hull(np.eye(12), np.full(12, -1.0 / 12.0)):
         np.testing.assert_allclose(x, 1.0 / x.size, rtol=1e-14)
         np.testing.assert_array_equal(R, np.eye(x.size))
         flags.append(in_place)
-    assert flags == [None, True, False, True, False, True, True, False, True, True, True]
+    assert flags == [False, True, False, True, False, True, True, False, True, True, True]
 
 
 # Three unit atoms e_0, e_1, e_2 (and their sum), with the objective
 # |x - p|^2 - |p|^2 over their hull: Q = V V', b = -V p.  The hull {e_0, e_1}
-# is at its optimum before the third atom arrives.
-def corrective_round(third, p, monkeypatch):
-    V = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], third])
-    Q, b = V @ V.T, -V @ np.asarray(p)
-    alpha = np.array([0.5 + 0.5 * (p[0] - p[1]), 0.5 - 0.5 * (p[0] - p[1])])
+# is at its optimum before the third atom arrives, unless ``alpha`` is given.
+# A ``mass`` appends that coordinate to every atom (Q gains mass^2 11'), as a
+# plate's mass does to every knapsack vertex: the minimizer stays where it was.
+def corrective_round(third, p, monkeypatch, mass=0.0, alpha=None, optimal=True):
+    V = np.column_stack([np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], third]), np.full(3, mass)])
+    Q, b = V @ V.T, -V[:, :3] @ np.asarray(p)
+    if alpha is None:
+        alpha = np.array([0.5 + 0.5 * (p[0] - p[1]), 0.5 - 0.5 * (p[0] - p[1])])
     R = _hull_factor(Q[:2, :2])
     calls = {"dpptrf": 0, "dtpsv": 0}
 
@@ -942,8 +954,9 @@ def corrective_round(third, p, monkeypatch):
     for name in calls:
         counted(name)
     x, R = _corrective_step(Q, b, alpha, R)
-    assert_simplex_optimum(Q, b, x, oracle_simplex_qp(Q, b, np.append(alpha, 0.0)))
-    return x, None if R is None else unpacked(R, np.count_nonzero(x)), calls
+    if optimal:
+        assert_simplex_optimum(Q, b, x, oracle_simplex_qp(Q, b, np.append(alpha, 0.0)))
+    return x, unpacked(R, np.count_nonzero(x)), calls
 
 
 def test_carried_step_appends_one_row(monkeypatch):
@@ -955,34 +968,37 @@ def test_carried_step_appends_one_row(monkeypatch):
 
 # e_0 + e_1 is outside the segment [e_0, e_1] but in the span of its atoms: the
 # appended pivot is zero.  Lifted by 1e-6 out of that span, the pivot is 1e-12,
-# still below the share that counts as dependent.
+# still below the share that counts as dependent.  Such an atom does not enter,
+# although it would lower the value: without a mass coordinate it lies off the
+# atoms' affine hull, which no knapsack vertex can.
 @pytest.mark.parametrize("lift", [0.0, 1e-6])
-def test_carried_step_dependent_atom_falls_back(lift, monkeypatch):
-    x, R, calls = corrective_round([1.0, 1.0, lift], [0.9, 0.6, 0.0], monkeypatch)
-    np.testing.assert_allclose(x, [0.4, 0.1, 0.5], atol=1e-9)
-    assert calls == {"dpptrf": 0, "dtpsv": 1} and R is None
+def test_carried_step_dependent_atom_does_not_enter(lift, monkeypatch):
+    x, R, calls = corrective_round([1.0, 1.0, lift], [0.9, 0.6, 0.0], monkeypatch, optimal=False)
+    np.testing.assert_array_equal(x, [0.65, 0.35, 0.0])
+    assert calls == {"dpptrf": 0, "dtpsv": 1}
+    np.testing.assert_array_equal(R, np.eye(2))
 
 
-def test_simplex_qp_dependent_atoms_use_least_squares(monkeypatch):
-    # The third atom is the sum of the first two: the hull's Gram has rank 2 and
-    # no Cholesky factor, so its one support is solved by least squares.
-    sizes = []
-    lstsq = np.linalg.lstsq
+def test_carried_step_mass_lifted_sum_of_atoms_enters(monkeypatch):
+    # With a mass coordinate e_0 + e_1 is independent of e_0 and e_1: it enters
+    # with one appended column, and the weights are the simplex optimum.
+    x, R, calls = corrective_round([1.0, 1.0, 0.0], [0.9, 0.6, 0.0], monkeypatch, mass=1.0)
+    np.testing.assert_allclose(x, [0.4, 0.1, 0.5], atol=1e-15)
+    assert calls == {"dpptrf": 0, "dtpsv": 1}
+    Q = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 3.0]])
+    np.testing.assert_allclose(R.T @ R, Q, atol=1e-15)
 
-    def counted(*args, **kwargs):
-        sizes.append(args[0].shape[0])
-        return lstsq(*args, **kwargs)
 
-    V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    Q, b = V @ V.T, -V @ np.array([0.9, 0.6])
-    alpha = np.array([0.65, 0.35])  # the optimum on the segment [e_0, e_1]
-    R = _hull_factor(Q[:2, :2])
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    x, R = _corrective_step(Q, b, alpha, R)
-    monkeypatch.undo()
-    assert sizes == [4] and R is None
-    assert_simplex_optimum(Q, b, x, oracle_simplex_qp(Q, b, np.append(alpha, 0.0)))
-    np.testing.assert_allclose(x, [0.4, 0.1, 0.5], atol=1e-12)
+def test_carried_step_atom_without_positive_weight_does_not_enter(monkeypatch):
+    # The weights (0.9, 0.1) are off the segment's optimum (0.65, 0.35), so e_2
+    # passes the entry test, yet the affine optimum over the triangle gives it
+    # weight -2/15: it does not enter, and the old hull's weights and factor
+    # come back.  At a stationary start only round-off can do this.
+    x, R, calls = corrective_round([0.0, 0.0, 1.0], [0.9, 0.6, 0.05], monkeypatch,
+                                   alpha=np.array([0.9, 0.1]), optimal=False)
+    np.testing.assert_array_equal(x, [0.9, 0.1, 0.0])
+    assert calls == {"dpptrf": 0, "dtpsv": 1}
+    np.testing.assert_array_equal(R, np.eye(2))
 
 
 def test_carried_step_backs_off(monkeypatch):

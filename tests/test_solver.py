@@ -235,6 +235,43 @@ class TestSolve:
         assert repeats == [(2, 0.0)]
         assert rep.iterations == 2 and len(proposals) == 3
 
+    def test_frank_wolfe_stress_instance_needs_no_least_squares(self, monkeypatch):
+        # The worst instance of scripts/hull_sweep.py (n = 12, seed = 5, fields of
+        # +-1e8): a new vertex that depends on the hull up to round-off does not
+        # enter, where it made 1,060 least-squares calls and a 90 ms step.
+        n, seed = 12, 5
+        plates = two_plate_signed(np.random.default_rng(1000 * n + seed), n).plates
+        c = Condenser(plates=tuple(dataclasses.replace(
+            p, g=np.ones(n), mass=0.6 * float(p.sigma.sum())) for p in plates))
+        K = random_gram(np.random.default_rng(seed), c, alpha=2.0)
+        f = FieldSpec(case=CASE1, case1_values=(np.full(n, 1e8), np.full(n, -1e8)))
+        calls = []
+        dpptrf = solver.dpptrf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dpptrf(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("least squares ran")
+
+        monkeypatch.setattr(solver, "dpptrf", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        rep = solve(c, K, f, SolverConfig(algorithm="frank_wolfe", grad_tol=1e-300,
+                                          max_iters=5000))
+        assert len(calls) <= 10  # measured: 0
+        qp = solver._QP(c, K, f)
+        w = rep.minimizer.concat()
+        grad = qp.gradient(w)
+        gap = float(grad @ (w - qp.lmo(grad)))
+        # The field is constant on each plate and g = 1, so it adds 2e8 (a_0 - a_1)
+        # to every feasible value: projected gradient solves the problem without it,
+        # as under it each projection loses about eps |step * grad| of a plate's mass.
+        free = solve(c, K, zero_field(c), SolverConfig(grad_tol=1e-12))
+        assert free.converged
+        reference = free.value + 2e8 * (c.plates[0].mass - c.plates[1].mass)
+        assert abs(rep.value - reference) <= gap + 1e-12 * abs(reference)
+
     def test_infinite_field_nodes_clamped(self):
         c = Condenser(
             plates=(make_plate(0, 1, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], sigma=1.0),)
