@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import blas, lapack
 from .condenser import (
     CASE2,
     Condenser,
@@ -34,6 +33,7 @@ from .kernels import (
     KernelSpec,
     _not_pd,
     _pd_gate,
+    _pd_tol,
     assemble_gram,
     cross_kernel,
 )
@@ -72,26 +72,17 @@ def equilibrium(nodes, K: GramMatrix, frostman_tol: float | None = None,
     Cholesky factor, ``pd_tol = 1e-10 * lambda_max``.
 
     When ``K u = 1`` has a positive solution, the minimizer is ``u / sum(u)``:
-    the KKT conditions hold with zero bound multipliers.  ``u`` is solved
-    with the PD gate's factor of ``K - pd_tol*I``, kept in the Gram's spare
-    triangle, and one refinement step with ``K`` itself, which contracts the
-    error by ``pd_tol / (lambda_min - pd_tol) < 1``.  Then :func:`verify_kkt`'s
-    certificate of ``u / sum(u)`` at ``grad_tol``, from the potential's product
-    (the zero field's gradient is ``2 K nu``), is ``converged``.  When some
-    ``u_i <= 0`` the constrained solver (:func:`solve`) runs instead.
-    Working memory is the Gram plus O(N) vectors.
+    the KKT conditions hold with zero bound multipliers.  ``u`` is
+    :meth:`GramMatrix.solve` at ``shift = -pd_tol``: the PD gate's kept factor
+    and one refinement step with ``K``.  Then :func:`verify_kkt`'s certificate
+    of ``u / sum(u)`` at ``grad_tol``, from the potential's product (the zero
+    field's gradient is ``2 K nu``), is ``converged``.  When some ``u_i <= 0``
+    the constrained solver (:func:`solve`) runs instead.  Working memory is the
+    Gram plus O(N) vectors.
     """
     n = K.size
-    ones, u = np.ones(n), np.empty(n)
-
-    def solve_ones(c, d):
-        # K x = dsymv(c, x) + (d - diag c) x while c holds the factor (GramMatrix._factored).
-        u[:] = lapack.dpotrs(c, ones, lower=1)[0]
-        Ku = blas.dsymv(1.0, c, u) + (d - c.diagonal()) * u
-        u[:] += lapack.dpotrs(c, ones - Ku, lower=1)[0]
-        return u
-
-    if not _pd_gate(K, solve_ones)[1]:
+    u = K.solve(np.ones(n), -_pd_tol(K)) if _pd_gate(K)[1] else None
+    if u is None:
         raise _not_pd(K, "-", "equilibrium needs a strictly PD Gram")
     plate = Plate(id=0, sign=1, nodes=K.nodes if K.nodes is not None else np.asarray(nodes, float),
                   g=np.ones(n), mass=1.0, sigma=np.ones(n))
@@ -197,32 +188,21 @@ def balayage(source: ScalarSignedMeasure, target_gram: GramMatrix) -> BalayageRe
     )
 
 
-def _swept(target_gram: GramMatrix, K_omega: np.ndarray) -> np.ndarray:
+def _swept(K_tt: GramMatrix, K_omega: np.ndarray) -> np.ndarray:
     """The balayage weights ``beta >= 0`` on a target Gram ``K_tt`` of ``(K omega)_t``.
 
-    ``K_tt = L L'`` is factored, or its kept factor reused, in the target Gram's
-    spare triangle (:meth:`GramMatrix._factored`; a refusal raises :class:`NotPositiveDefinite`),
-    and solves ``K_tt beta = (K omega)_t`` by LAPACK's ``dpotrs``: if every
-    weight is nonnegative, the KKT conditions hold with zero multipliers.
-    Otherwise ``scipy.optimize.nnls`` solves ``min |L' beta - L^-1 (K omega)_t|``
-    over ``beta >= 0``, the same objective up to a constant, on a copy of
-    ``L'`` and ``dtrtrs``'s right-hand side, both taken while ``L`` is in place.
+    It solves ``K_tt beta = (K omega)_t`` (:meth:`GramMatrix.solve`; a refused factor
+    raises :class:`NotPositiveDefinite`): if every weight is nonnegative, the KKT
+    conditions hold with zero multipliers.  Otherwise ``scipy.optimize.nnls`` runs
+    over ``beta >= 0`` on :meth:`GramMatrix.least_squares`, from the kept factor.
     """
-
-    def sweep(c, d):  # the weights, or NNLS's matrix L' and right-hand side L^-1 (K omega)_t
-        beta = lapack.dpotrs(c, K_omega, lower=1)[0]
-        if np.any(beta < 0.0):
-            return np.triu(c.T), lapack.dtrtrs(c, K_omega, lower=1)[0]
-        return beta, None
-
-    solved = target_gram._factored(0.0, sweep)
-    if solved is None:
+    beta = K_tt.solve(K_omega)
+    if beta is None:
         raise NotPositiveDefinite("target Gram is not strictly PD: Matrix is not positive definite")
-    beta, rhs = solved
-    if rhs is not None:
+    if np.any(beta < 0.0):
         from scipy import optimize  # imported only on this path: the import is slow
 
-        beta, _ = optimize.nnls(beta, rhs, maxiter=max(200, 50 * target_gram.size))
+        beta, _ = optimize.nnls(*K_tt.least_squares(K_omega), maxiter=max(200, 50 * K_tt.size))
     return beta
 
 
@@ -233,19 +213,20 @@ def green_gram(rows, screen_gram: GramMatrix) -> GramMatrix:
     sweep onto the screen nodes: on the joint Gram over inner and screen
     nodes, exactly the Schur complement ``A - B C^-1 B'`` of the screen block
     ``C``, here ``screen_gram``.  ``rows`` are the joint Gram's inner rows
-    ``[A | B]``, ``n x (n + screen_gram.size)``; no kernel is evaluated here.
-    ``C`` is factored in its spare triangle (:meth:`GramMatrix._factored`).
-    Inner and screen nodes must be disjoint.  The result records neither
-    nodes nor a kernel: the screened kernel is not one of the catalog.
+    ``[A | B]``, ``n x (n + screen_gram.size)``; no kernel is evaluated here, and
+    ``C^-1 B'`` is :meth:`GramMatrix.solve`.  Inner and screen nodes must be
+    disjoint.  The result records neither nodes nor a kernel: the screened
+    kernel is not one of the catalog.
     """
     rows = np.asarray(rows, dtype=float)
     n_i = rows.shape[0]
     if rows.shape != (n_i, n_i + screen_gram.size):
         raise DimensionMismatch(f"green_gram rows {rows.shape} for a screen of {screen_gram.size}")
     A, B = rows[:, :n_i], rows[:, n_i:]
-    S = screen_gram._factored(0.0, lambda c, d: A - B @ lapack.dpotrs(c, B.T, lower=1)[0])
-    if S is None:
+    X = screen_gram.solve(B.T)
+    if X is None:
         raise NotPositiveDefinite("screen Gram is not strictly PD: it has no Cholesky factor")
+    S = A - B @ X
     return GramMatrix(0.5 * (S + S.T))  # exactly symmetric: IEEE addition commutes
 
 

@@ -26,8 +26,9 @@ distances, summed one coordinate at a time, left to right, and takes the
 default ``eps`` from their positive minimum; the second adds ``eps^2``,
 applies the family and refuses a non-finite block while it is in cache.
 Working memory is the Gram plus one block, and each entry is the point
-evaluation of its pair bit for bit.  The C-upper triangle is the scratch
-where :meth:`GramMatrix._factored` keeps its last factor.
+evaluation of its pair bit for bit.  The C-upper triangle keeps the last factor
+of :meth:`GramMatrix._factored`, whose layout no other module reads: they solve
+by :meth:`GramMatrix.solve` and :meth:`GramMatrix.least_squares`.
 
 Positive definiteness is decided two ways.  The solvers' gate (:func:`_pd_gate`)
 never computes a spectrum: it takes the largest eigenvalue from vequil's own
@@ -42,7 +43,7 @@ agree except for matrices whose smallest eigenvalue lies within about
 ``1e-12 * lambda_max`` of ``-pd_tol`` or ``+pd_tol``, the rounding error of either.
 
 Gram products go through :meth:`GramMatrix.matvec`, scipy's ``dsymv``, not
-numpy's ``@``, and factorizations through :meth:`GramMatrix._factored`.
+numpy's ``@``, and factorizations and solves through :meth:`GramMatrix._factored`.
 numpy and scipy each ship their own OpenBLAS, and each library's worker
 threads spin for about 0.1 s after every call; a solve that alternated numpy
 products with scipy's Cholesky factorizations and solves would run each on
@@ -55,11 +56,12 @@ OpenBLAS threads a Cholesky factorization of 128 rows or more, so a
 factorization on two threads then waits for a core at each hand-off: right
 after numpy BLAS, one in ten 192-row gates of ``exhaust`` commands took over
 90 ms, and none over 1 ms on one thread.  So :meth:`GramMatrix._factored`
-factors a Gram of at most :data:`_ONE_THREAD_ROWS` rows, and runs its
-``use``, on one thread of scipy's pool (:func:`vequil._lapack.one_blas_thread`),
-then puts the count back.  The cut is the largest size at which one thread
-beat two on the mean of the "idle" and "after numpy" medians of a ``dpotrf``
-sweep on a 2-vCPU machine (README); larger Grams keep the caller's count.
+factors a Gram of at most :data:`_ONE_THREAD_ROWS` rows, and solves with the
+factor (its internal ``use`` callback), on one thread of scipy's pool
+(:func:`vequil._lapack.one_blas_thread`), then puts the count back.  The cut
+is the largest size at which one thread beat two on the mean of the "idle"
+and "after numpy" medians of a ``dpotrf`` sweep on a 2-vCPU machine
+(README); larger Grams keep the caller's count.
 
 These routines are scipy's f2py modules ``_fblas`` and ``_flapack``, loaded by
 :mod:`vequil._lapack` from their files without the ``scipy.linalg`` package
@@ -331,20 +333,18 @@ class GramMatrix:
     def _factored(self, shift: float, use=None):
         """A Cholesky factor of ``K + shift*I``, made and kept in the C-upper triangle.
 
-        The one writer of ``entries``, and the one place vequil factors a Gram.
-        LAPACK's ``dpotrf`` on the Fortran view ``entries.T`` (``lower=1``)
-        works on the C-upper triangle and the diagonal, so the lower triangle
-        is first copied into the upper one (:func:`_mirror`) and the diagonal
-        shifted.  The factor ``L``, ``L L' = K + shift*I``, stays there, its
-        diagonal in an N-vector, and a later call at the same shift reuses it.
-        With a factor, ``use(c, d)`` runs while its diagonal is in place: ``c``
-        is the Fortran view, ready for ``dpotrs(c, b, lower=1)``, ``np.triu(c.T)``
-        is ``L'``, and ``K x = dsymv(c, x) + (d - diag c) * x``.  The result is
-        ``use``'s (never None), True without ``use``, or None when the
-        factorization is refused.  On the way out the diagonal is ``K``'s, ``d``.
-
-        A Gram of at most :data:`_ONE_THREAD_ROWS` rows is factored, and ``use``
-        runs, on one thread of scipy's BLAS pool (module notes).
+        The one writer of ``entries``, and the one place vequil factors a Gram (for
+        :meth:`solve`, :meth:`least_squares` and the PD gate).  LAPACK's ``dpotrf`` on
+        the Fortran view ``entries.T`` (``lower=1``) works on the C-upper triangle and
+        the diagonal, so the lower triangle is first copied into the upper one
+        (:func:`_mirror`) and the diagonal shifted.  The factor ``L``, with
+        ``L L' = K + shift*I``, stays there, its diagonal in an N-vector, and a later
+        call at the same shift reuses it.  With a factor, ``use(c, d)`` runs while its
+        diagonal is in place (``c`` the Fortran view, ``d`` ``K``'s diagonal); the
+        result is ``use``'s (never None), True without ``use``, or None when the
+        factorization is refused.  On the way out the diagonal is ``d``.  A Gram of at
+        most :data:`_ONE_THREAD_ROWS` rows is factored, and ``use`` runs, on one thread
+        of scipy's BLAS pool (module notes).
         """
         ent, small = self.entries, self.size <= _ONE_THREAD_ROWS
         d, kept = ent.diagonal().copy(), self._cache.pop("factor", None)
@@ -363,6 +363,30 @@ class GramMatrix:
         finally:
             np.fill_diagonal(ent, d)
             ent.setflags(write=False)
+
+    def solve(self, b: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
+        """``K^-1 b`` (``b`` a vector or N x k) by ``dpotrs`` with the kept or a new factor
+        ``L L' = K + shift*I`` (:meth:`_factored`), or None when that factor is refused.
+        With a shift, ``b`` is a vector and one refinement step with ``K`` follows,
+        ``x += (L L')^-1 (b - K x)``, ``K x`` being ``dsymv`` on the factor's storage plus
+        ``(diag K - diag L) x``; it contracts the error by ``|shift| / (lambda_min + shift)``
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 12).
+        At ``-pd_tol`` it reuses the PD gate's factor."""
+
+        def use(c, d):
+            x = lapack.dpotrs(c, b, lower=1)[0]
+            if shift:
+                x += lapack.dpotrs(c, b - (blas.dsymv(1.0, c, x) + (d - c.diagonal()) * x),
+                                   lower=1)[0]
+            return x
+
+        return self._factored(shift, use)
+
+    def least_squares(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(L', L^-1 b)``, ``L L' = K`` the kept or a new factor (:meth:`_factored`), or None
+        when it is refused: ``|L' x - L^-1 b|^2 = x'Kx - 2 b'x + b'K^-1 b``.  ``L'`` is a
+        fresh copy of the factor's triangle; ``L^-1 b`` is ``dtrtrs``'s."""
+        return self._factored(0.0, lambda c, d: (np.triu(c.T), lapack.dtrtrs(c, b, lower=1)[0]))
 
 
 @dataclass(frozen=True)
@@ -576,27 +600,22 @@ def check_positive_definite(G: GramMatrix) -> PDReport:
                     is_pd=lo >= -pd_tol, is_strictly_pd=lo > pd_tol)
 
 
-def _pd_gate(G: GramMatrix, use=None) -> tuple[bool, bool]:
+def _pd_gate(G: GramMatrix) -> tuple[bool, bool]:
     """``(is_pd, is_strictly_pd)`` of a Gram by Cholesky factorizations, cached.
 
     With ``pd_tol = 1e-10 * lambda_max``, strict definiteness holds when
     ``K - pd_tol*I`` has a Cholesky factor, and definiteness when that one or
     the one of ``K + pd_tol*I`` does.  Each is factored in the Gram's spare
-    triangle (:meth:`GramMatrix._factored`); the two decisions are cached.
-    They equal those of :func:`check_positive_definite` unless the smallest
-    eigenvalue lies within the factorization's rounding error (about
-    ``1e-12 * lambda_max``) of ``-pd_tol`` or ``+pd_tol``.
-
-    ``use``, when given, is passed on to the strict factorization: it runs
-    with the factor of ``K - pd_tol*I`` in place when there is one, the
-    factor the gate kept when it has run already.
+    triangle (:meth:`GramMatrix._factored`), which keeps the last: for a strictly
+    PD Gram, the one :meth:`GramMatrix.solve` reuses at ``-pd_tol``.  The two
+    decisions are cached.  They equal those of :func:`check_positive_definite`
+    unless the smallest eigenvalue lies within the factorization's rounding
+    error (about ``1e-12 * lambda_max``) of ``-pd_tol`` or ``+pd_tol``.
     """
     gate = G._cache.get("pd_gate")
-    if gate is None or (use is not None and gate[1]):
-        pd_tol = _pd_tol(G)
-        strict = G._factored(-pd_tol, use) is not None
-        if gate is None:
-            gate = G._cache["pd_gate"] = (strict or G._factored(pd_tol) is not None, strict)
+    if gate is None:
+        strict = G._factored(-_pd_tol(G)) is not None
+        gate = G._cache["pd_gate"] = (strict or G._factored(_pd_tol(G)) is not None, strict)
     return gate
 
 

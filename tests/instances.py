@@ -18,6 +18,18 @@ def blas_threads() -> int | None:
     return count
 
 
+def count_factorizations(monkeypatch) -> list:
+    """Record the rows of every LAPACK ``dpotrf`` call."""
+    calls, dpotrf = [], _lapack.lapack.dpotrf
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(_lapack.lapack, "dpotrf", counted)
+    return calls
+
+
 def random_condenser(rng, max_plates=3, max_nodes=20, dim=3, box_half=1.0):
     """Random mixed-sign condenser; plates sit in separated boxes on the x-axis.
 

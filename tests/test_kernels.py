@@ -1,7 +1,9 @@
 """Kernel catalog, Gram assembly, and PD diagnostics."""
 
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from vequil import _lapack, kernels
 from vequil.errors import DimensionMismatch, EigensolverError
 from vequil.geometry import fibonacci_sphere
 
-from instances import blas_threads
+from instances import blas_threads, count_factorizations
 
 
 class TestEvaluateKernel:
@@ -361,6 +363,69 @@ class TestOneThreadFactor:
         assert _lapack.set_threads_local is not None
 
 
+def _sphere_gram() -> GramMatrix:
+    # Condition number 52: numpy's solve and GramMatrix.solve agreed within 8.9e-16 of
+    # the solution's largest entry, and R'R within 3.9e-16 of K's, where measured.
+    return assemble_gram(KernelSpec("newtonian"), fibonacci_sphere(200, radius=1.0))
+
+
+class TestGramSolve:
+    """``GramMatrix.solve`` and ``GramMatrix.least_squares`` against numpy's dense
+    algebra, on the factor the Gram keeps."""
+
+    @pytest.mark.parametrize("shape, gated", [((200,), False), ((200, 3), False), ((200,), True)],
+                             ids=["vector", "matrix", "vector-at-minus-pd-tol"])
+    def test_solve_matches_numpy(self, shape, gated):
+        G = _sphere_gram()
+        b = np.random.default_rng(1).standard_normal(shape)
+        want = np.linalg.solve(G.dense(), b)
+        if gated:  # on the gate's factor of K - pd_tol*I and one refinement step
+            assert kernels._pd_gate(G) == (True, True)
+        got = G.solve(b, -kernels._pd_tol(G) if gated else 0.0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shifted_solve_refines_with_the_gram(self, seed):
+        # lambda_min = 1e-7 = 1000 pd_tol: the shifted factor alone is off by about
+        # pd_tol / lambda_min = 1e-3 (measured 3.8e-4 to 8.1e-4 on six seeds), one
+        # refinement step with K squares that (measured at most 8.0e-7).
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (q * np.geomspace(1e-7, 1.0, 40)) @ q.T
+        G = GramMatrix(0.5 * (a + a.T))
+        b = rng.standard_normal(40)
+        want = np.linalg.solve(G.dense(), b)
+        assert kernels._pd_gate(G)[1]
+        got = G.solve(b, -kernels._pd_tol(G))
+        assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
+
+    def test_a_refused_shift_returns_none_and_keeps_the_gram(self):
+        # The Gram is the C-lower triangle and the diagonal; the other triangle is scratch.
+        G = _sphere_gram()
+        before = np.tril(G.entries)
+        assert G.solve(np.ones(G.size), -2.0 * G.lambda_max()) is None
+        assert np.array_equal(np.tril(G.entries).view(np.int64), before.view(np.int64))
+        assert not G.entries.flags.writeable
+
+    def test_gate_then_two_solves_factor_once(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        G = _sphere_gram()
+        b = np.ones(G.size)
+        assert kernels._pd_gate(G) == (True, True)
+        first, second = (G.solve(b, -kernels._pd_tol(G)) for _ in range(2))
+        assert calls == [G.size] and np.array_equal(first, second)
+
+    def test_least_squares_is_the_factor_and_its_forward_solve(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        G = _sphere_gram()
+        K, b = G.dense(), np.random.default_rng(3).standard_normal(G.size)
+        assert G.solve(b) is not None
+        R, rhs = G.least_squares(b)  # on the factor solve kept
+        assert calls == [G.size] and np.array_equal(R, np.triu(R))
+        assert np.abs(R.T @ R - K).max() <= 1e-14 * np.abs(K).max()
+        assert np.abs(R.T @ rhs - b).max() <= 1e-14 * np.abs(b).max()
+
+
 def _log_disk_gram() -> GramMatrix:
     # Points on a ring of radius 0.9: pairs farther apart than 1 have entries < 0.
     t = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
@@ -445,3 +510,23 @@ def test_mirror_copies_the_lower_triangle_across_tiles(n, order):
     a = np.array(lower, order=order)
     assert kernels._mirror(a) is a
     assert np.array_equal(a, np.where(np.tri(n, dtype=bool), lower, lower.T))
+
+
+def test_only_kernels_reads_the_gram_factor():
+    # The factor's layout is one module's decision: only kernels and the solver (whose
+    # hull keeps its own packed factor) import vequil._lapack, and only kernels
+    # reaches GramMatrix._factored.
+    importers, callers = set(), set()
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = []
+            if any(name.split(".")[-1] == "_lapack" for name in names):
+                importers.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr == "_factored":
+                callers.add(path.stem)
+    assert (importers, callers) == ({"kernels", "solver"}, {"kernels"})
